@@ -31,8 +31,8 @@ class DisconnectedGraph(MatroidError):
 
 
 class NotCircuitHyperplane(MatroidError):
-    """relax() needs a dependent, closed set of full-rank cardinality whose
-    rank falls exactly one short."""
+    """relax() needs a closed circuit of full-rank cardinality (its rank
+    falls exactly one short)."""
 
 
 class BasepointDegenerate(MatroidError):
@@ -116,38 +116,35 @@ def graphic(num_vertices: int, edges: list[tuple[int, int]], labels: list[str] |
     return Matroid._from_masks(ground, masks)
 
 
-def circuit_hyperplanes(matroid: Matroid) -> tuple[ElementSubset, ...]:
-    """Dependent closed sets of cardinality r(E) with rank r(E) - 1, in
-    lexicographic element order.  These are exactly the sets whose
-    promotion to a basis (relaxation) again yields a matroid."""
+def _is_circuit_hyperplane(matroid: Matroid, subset: ElementSubset) -> bool:
+    """A closed set of size r(E) and rank r(E) - 1 that is a circuit:
+    dropping any one element leaves an independent set."""
+    mask = subset.mask
     r = matroid.rank_value
+    return (
+        mask.bit_count() == r
+        and matroid._rank_mask(mask) == r - 1
+        and all(matroid._rank_mask(mask ^ (1 << i)) == r - 1 for i in subset.indices())
+        and matroid.is_closed(subset)
+    )
+
+
+def circuit_hyperplanes(matroid: Matroid) -> tuple[ElementSubset, ...]:
+    """Closed circuits of cardinality r(E), in lexicographic element
+    order.  These are exactly the sets whose promotion to a basis
+    (relaxation) again yields a matroid."""
     ground = matroid.ground
-    out = []
-    for mask in subsets_by_size(ground, r, r):
-        if mask in matroid._basis_index:
-            continue
-        if matroid._rank_mask(mask) != r - 1:
-            continue
-        subset = ElementSubset(ground, mask)
-        if matroid.is_closed(subset):
-            out.append(subset)
-    return tuple(out)
+    r = matroid.rank_value
+    candidates = (ElementSubset(ground, m) for m in subsets_by_size(ground, r, r))
+    return tuple(s for s in candidates if _is_circuit_hyperplane(matroid, s))
 
 
 def relax(matroid: Matroid, target: ElementSubset) -> Matroid:
     """Promote a circuit-hyperplane to a basis.  The result is validated
     against the exchange axiom."""
     mask = matroid._coerce(target)
-    r = matroid.rank_value
-    if (
-        mask.bit_count() != r
-        or mask in matroid._basis_index
-        or matroid._rank_mask(mask) != r - 1
-        or not matroid.is_closed(target)
-    ):
-        raise NotCircuitHyperplane(
-            f"{{{' '.join(target)}}} is not a dependent closed set of size r with rank r - 1"
-        )
+    if not _is_circuit_hyperplane(matroid, target):
+        raise NotCircuitHyperplane(f"{{{' '.join(target)}}} is not a closed circuit of size r")
     relaxed = Matroid._from_masks(matroid.ground, (*matroid._basis_masks, mask))
     relaxed.validate()
     return relaxed

@@ -239,7 +239,9 @@ class Matroid:
 
     Immutable after construction.  Cheap structural checks (nonempty
     family, equal basis sizes, membership in the ground set) always run;
-    the quadratic basis-exchange validation runs when ``validate=True``.
+    the basis-exchange validation runs when ``validate=True``.  It costs
+    O(|B|·r·(n−r)) basis lookups plus one pass over the bases per
+    hyperplane, and reports the first failing (B1, B2, e) in mask order.
     """
 
     __slots__ = (
@@ -248,6 +250,7 @@ class Matroid:
         "_basis_masks",
         "_basis_index",
         "_rank_cache",
+        "_columns",
         "_dual",
         "_components",
         "_bases",
@@ -271,6 +274,7 @@ class Matroid:
         self._basis_masks = tuple(masks)
         self._basis_index = {m: i for i, m in enumerate(masks)}
         self._rank_cache: dict[int, int] = {ground.full_mask: self.rank_value, 0: 0}
+        self._columns: tuple[int, ...] | None = None
         self._dual: Matroid | None = None
         self._components: tuple[ElementSubset, ...] | None = None
         self._bases: tuple[ElementSubset, ...] | None = None
@@ -313,23 +317,39 @@ class Matroid:
 
     def _check_exchange(self) -> None:
         """Basis exchange: for B1, B2 and e in B1-B2 there is f in B2-B1
-        with B1-e+f again a basis."""
+        with B1-e+f again a basis.
+
+        Fix B1 and e in B1, and let J be the elements f outside B1 with
+        B1-e+f a basis.  Exchange fails at (B1, B2, e) exactly when B2
+        misses e and all of J, so one scan of the family per distinct set
+        e+J (memoized across B1) settles every B2 at once.  The witness
+        is the first failure in (B1, B2, e) order, bases in mask order.
+        """
         masks = self._basis_masks
         family = self._basis_index
         ground = self.ground
+        first_missing: dict[int, int | None] = {}
         for b1 in masks:
-            for b2 in masks:
-                if b1 == b2:
-                    continue
-                swap_in = b2 & ~b1
-                for i in _bit_indices(b1 & ~b2):
-                    removed = b1 ^ (1 << i)
-                    if not any(removed | (1 << j) in family for j in _bit_indices(swap_in)):
-                        raise ExchangeAxiomViolated(
-                            ElementSubset(ground, b1).labels(),
-                            ElementSubset(ground, b2).labels(),
-                            ground.labels[i],
-                        )
+            swaps_in = [1 << j for j in _bit_indices(ground.full_mask & ~b1)]
+            witness = None
+            for i in _bit_indices(b1):
+                removed = b1 ^ (1 << i)
+                hit = 1 << i
+                for f in swaps_in:
+                    if removed | f in family:
+                        hit |= f
+                if hit not in first_missing:
+                    first_missing[hit] = next((b for b in masks if not b & hit), None)
+                b2 = first_missing[hit]
+                if b2 is not None and (witness is None or b2 < witness[0]):
+                    witness = (b2, i)
+            if witness is not None:
+                b2, i = witness
+                raise ExchangeAxiomViolated(
+                    ElementSubset(ground, b1).labels(),
+                    ElementSubset(ground, b2).labels(),
+                    ground.labels[i],
+                )
 
     def validate(self) -> None:
         """Run the basis-exchange validation on demand."""
@@ -348,6 +368,44 @@ class Matroid:
             v = max((b & m).bit_count() for b in self._basis_masks)
             self._rank_cache[m] = v
         return v
+
+    def _basis_columns(self) -> tuple[int, ...]:
+        """Per element, a bitmask over basis indices (into the sorted
+        bases) of the bases that contain it."""
+        if self._columns is None:
+            columns = [0] * len(self.ground)
+            for j, b in enumerate(self._basis_masks):
+                for i in _bit_indices(b):
+                    columns[i] |= 1 << j
+            self._columns = tuple(columns)
+        return self._columns
+
+    def _rank_and_tight(self, m: int) -> tuple[int, int]:
+        """r(m), and a bitmask over basis indices of the bases B with
+        |B ∩ m| = r(m).  The counts |B ∩ m| are added up for all bases at
+        once, one bitmask per binary digit, over the columns of the
+        elements of m; the maximum and the bases that reach it are then
+        read off digit by digit from the top.  Caches r(m)."""
+        columns = self._basis_columns()
+        digits: list[int] = []
+        for i in _bit_indices(m):
+            carry = columns[i]
+            for k, digit in enumerate(digits):
+                digits[k] = digit ^ carry
+                carry &= digit
+                if not carry:
+                    break
+            else:
+                digits.append(carry)
+        tight = (1 << len(self._basis_masks)) - 1
+        rank = 0
+        for k in range(len(digits) - 1, -1, -1):
+            hit = tight & digits[k]
+            if hit:
+                tight = hit
+                rank |= 1 << k
+        self._rank_cache[m] = rank
+        return rank, tight
 
     def _dual_rank_mask(self, m: int) -> int:
         return m.bit_count() - self.rank_value + self._rank_mask(self.ground.full_mask ^ m)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 from .core import GroundSet, Matroid, MatroidError
@@ -70,22 +71,25 @@ class MatroidFile:
         listings."""
         if encoding not in ("auto", "bases", "nonbases"):
             raise ValueError("encoding must be auto, bases, or nonbases")
-        basis_labels = tuple(b.labels() for b in matroid.bases)
-        in_family = {frozenset(b) for b in basis_labels}
-        nonbasis_labels = tuple(
-            combo
-            for combo in combinations(matroid.ground.labels, matroid.rank_value)
-            if frozenset(combo) not in in_family
-        )
+        labels = matroid.ground.labels
+        r = matroid.rank_value
         if encoding == "auto":
-            encoding = "nonbases" if len(nonbasis_labels) < len(basis_labels) else "bases"
-        return cls(
-            name=name,
-            labels=matroid.ground.labels,
-            rank=matroid.rank_value,
-            bases=basis_labels if encoding == "bases" else None,
-            nonbases=nonbasis_labels if encoding == "nonbases" else None,
-        )
+            count = matroid.basis_count()
+            encoding = "nonbases" if comb(len(labels), r) - count < count else "bases"
+        bases = nonbases = None
+        if encoding == "bases":
+            bases = tuple(b.labels() for b in matroid.bases)
+        else:
+            family = matroid._basis_index
+            bits = [1 << i for i in range(len(labels))]
+            # Both generators yield the r-subsets in the same order, so the
+            # mask of each label tuple is the sum of its paired bits.
+            nonbases = tuple(
+                combo
+                for combo, combo_bits in zip(combinations(labels, r), combinations(bits, r))
+                if sum(combo_bits) not in family
+            )
+        return cls(name=name, labels=labels, rank=r, bases=bases, nonbases=nonbases)
 
 
 def dumps(mf: MatroidFile) -> str:

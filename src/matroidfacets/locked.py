@@ -127,12 +127,12 @@ def enumerate_locked(matroid: Matroid, cap: int | None = None) -> tuple[ElementS
     return tuple(found)
 
 
-def locked_structure(matroid: Matroid) -> LockedStructure:
-    """The full locked structure.  Needs a loopless, coloopless matroid
-    (the partitions are undefined otherwise)."""
-    parallel = matroid.parallel_closures()
-    coparallel = matroid.coparallel_closures()
-    locked = enumerate_locked(matroid)
+def _structure(
+    matroid: Matroid,
+    parallel: tuple[ElementSubset, ...],
+    coparallel: tuple[ElementSubset, ...],
+    locked: tuple[ElementSubset, ...],
+) -> LockedStructure:
     rho: dict[ElementSubset, int] = {}
     for s in (*parallel, *coparallel, *locked):
         rho[s] = matroid._rank_mask(s.mask)
@@ -141,16 +141,29 @@ def locked_structure(matroid: Matroid) -> LockedStructure:
     return LockedStructure(parallel, coparallel, locked, rho)
 
 
+def locked_structure(matroid: Matroid) -> LockedStructure:
+    """The full locked structure.  Needs a loopless, coloopless matroid
+    (the partitions are undefined otherwise)."""
+    parallel = matroid.parallel_closures()
+    coparallel = matroid.coparallel_closures()
+    return _structure(matroid, parallel, coparallel, enumerate_locked(matroid))
+
+
 def k_locked_oracle(matroid: Matroid, k: int) -> KLockedVerdict:
     """Bounded oracle: answer No when the locked number exceeds |E|**k,
-    otherwise hand back the full locked structure."""
+    otherwise hand back the full locked structure.  The capped
+    enumeration is complete when it stays within the threshold, so it
+    runs once."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     threshold = len(matroid.ground) ** k
     found = enumerate_locked(matroid, cap=threshold)
     if len(found) > threshold:
         return KLockedVerdict(k, threshold, None)
-    return KLockedVerdict(k, threshold, locked_structure(matroid))
+    structure = _structure(
+        matroid, matroid.parallel_closures(), matroid.coparallel_closures(), found
+    )
+    return KLockedVerdict(k, threshold, structure)
 
 
 def locked_number_oracle(matroid: Matroid) -> LockedNumbers:

@@ -17,7 +17,9 @@ different inequalities cut the same facet, so facet identity is the
 Two constraints with the same tight set are the same facet.
 
 All arithmetic is exact: vertices are 0/1 integer vectors and affine
-dimensions come from fraction-free integer elimination.  Points handed to
+dimensions come from fraction-free integer elimination (for the bases
+oracle, of the tight vertices' Gram matrix, whose size is bounded by the
+ground set rather than by the number of vertices).  Points handed to
 ``separate`` should be ints or fractions.
 """
 
@@ -35,6 +37,7 @@ from .core import (
     LoopPresent,
     Matroid,
     MatroidError,
+    _bit_indices,
     subsets_by_size,
 )
 from .locked import enumerate_locked
@@ -199,6 +202,29 @@ def _affine_dimension_of_masks(masks: Sequence[int], n: int) -> int:
     return _integer_rank(rows)
 
 
+def _affine_dimension_of_tight(tight: int, columns: Sequence[int]) -> int:
+    """Affine dimension of the bases picked by the bits of ``tight``
+    (``columns`` as from ``Matroid._basis_columns``); -1 for none.
+
+    With a leading 1 on each vertex, the points' affine dimension is the
+    rank of their matrix minus one, and that rank is the rank of its Gram
+    matrix, whose entries count the picked bases holding an element, or
+    two.  An element in all or none of the picked bases is constant on
+    them, a multiple of the leading column, and is left out.
+    """
+    size = tight.bit_count()
+    if not size:
+        return -1
+    varying = []
+    for col in columns:
+        c = tight & col
+        if 0 < c.bit_count() < size:
+            varying.append(c)
+    rows = [[size, *(c.bit_count() for c in varying)]]
+    rows += [[a.bit_count(), *((a & b).bit_count() for b in varying)] for a in varying]
+    return _integer_rank(rows) - 1
+
+
 def polytope_dimension(vertices: Iterable[ElementSubset]) -> int:
     """Affine dimension of the convex hull of 0/1 vertices."""
     vertices = list(vertices)
@@ -265,25 +291,19 @@ def _bases_oracle(matroid: Matroid) -> tuple[int, frozenset]:
     if len(masks) < 2:
         raise DegeneratePolytope("a single basis leaves nothing to certify")
     matroid._check_scan_size()
-    n = len(matroid.ground)
-    dim = _affine_dimension_of_masks(masks, n)
-    tight_sets = set()
-    for i in range(n):
-        bit = 1 << i
-        tight_sets.add(frozenset(j for j, b in enumerate(masks) if not b & bit))
+    columns = matroid._basis_columns()
+    every = (1 << len(masks)) - 1
+    dim = _affine_dimension_of_tight(every, columns)
+    # Candidates are tight sets as bitmasks over basis indices: the
+    # nonnegativity bounds, then x(A) <= r(A) for each nonempty A.
+    tight_sets = {every & ~col for col in columns}
     for sub in range(1, matroid.ground.full_mask + 1):
-        tight_sets.add(_tight_indices(sub, matroid._rank_mask(sub), masks))
-    facets = set()
-    dim_cache: dict[frozenset, int] = {}
-    for t in tight_sets:
-        if not t:
-            continue
-        d = dim_cache.get(t)
-        if d is None:
-            d = _affine_dimension_of_masks([masks[j] for j in sorted(t)], n)
-            dim_cache[t] = d
-        if d == dim - 1:
-            facets.add(t)
+        tight_sets.add(matroid._rank_and_tight(sub)[1])
+    facets = {
+        frozenset(_bit_indices(t))
+        for t in tight_sets
+        if _affine_dimension_of_tight(t, columns) == dim - 1
+    }
     return dim, frozenset(facets)
 
 

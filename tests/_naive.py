@@ -175,3 +175,45 @@ def facet_tight_sets(ground, vertices):
             if tight and affine_dim([points[i] for i in tight]) == dim - 1:
                 facets.add(tight)
     return dim, frozenset(facets)
+
+
+def _package_order(ground, sets):
+    """Equal-size sets in the package's order: as binary numbers with one
+    digit per element and the last element most significant, that is,
+    by their index lists sorted in descending order."""
+    position = {e: i for i, e in enumerate(ground)}
+    return sorted(set(sets), key=lambda s: sorted((position[e] for e in s), reverse=True))
+
+
+def exchange_witness(ground, bases):
+    """The first (B1, B2, e) at which basis exchange fails, or None.
+    Here ground is the label sequence in ground-set order; bases are
+    visited in the package's order and elements in ground-set order."""
+    ordered = _package_order(ground, bases)
+    family = set(ordered)
+    for b1 in ordered:
+        for b2 in ordered:
+            for e in ground:
+                if e not in b1 or e in b2:
+                    continue
+                if not any((b1 - {e}) | {f} in family for f in b2 - b1):
+                    return b1, b2, e
+    return None
+
+
+def file_text(name, ground, rank, bases, encoding):
+    """The flat file for a basis family, written from the format rules:
+    three headers, then the bases in the package's order or the non-basis
+    r-subsets in lexicographic order, elements in ground-set order.
+    ``auto`` lists the non-bases only when there are strictly fewer."""
+    bases = set(bases)
+    non_rows = [c for c in combinations(ground, rank) if frozenset(c) not in bases]
+    if encoding == "auto":
+        encoding = "nonbases" if len(non_rows) < len(bases) else "bases"
+    if encoding == "bases":
+        rows = [[e for e in ground if e in b] for b in _package_order(ground, bases)]
+    else:
+        rows = non_rows
+    lines = [f"name {name}", f"elements {' '.join(ground)}", f"rank {rank}", f"{encoding}:"]
+    lines += [" ".join(row) for row in rows]
+    return "\n".join(lines) + "\n"

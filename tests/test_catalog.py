@@ -219,3 +219,16 @@ def test_label_collision_is_a_matroid_error():
     from matroidfacets import MatroidError
 
     assert issubclass(LabelCollision, MatroidError)
+
+
+def test_a_hyperplane_holding_a_parallel_pair_is_no_circuit_hyperplane():
+    # e0 and e3 are parallel, so {e0 e1 e3} is a closed rank-2 triple
+    # that contains the circuit {e0 e3} and is not itself a circuit
+    m = graphic(4, [(0, 1), (1, 2), (2, 3), (0, 1), (0, 3)])
+    target = m.ground.subset(["e0", "e1", "e3"])
+    assert m.is_closed(target) and m.rank(target).value == 2
+    assert target not in circuit_hyperplanes(m)
+    with pytest.raises(NotCircuitHyperplane):
+        relax(m, target)
+    for c in circuit_hyperplanes(m):
+        assert relax(m, c).basis_count() == m.basis_count() + 1

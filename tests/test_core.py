@@ -3,6 +3,8 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _naive as naive
 from matroidfacets import (
@@ -17,8 +19,11 @@ from matroidfacets import (
     Matroid,
     UnequalBasisSizes,
     catalog_get,
+    circuit_hyperplanes,
     direct_sum,
     graphic,
+    relax,
+    two_sum,
     uniform,
 )
 from matroidfacets.core import subsets_by_size
@@ -92,8 +97,10 @@ class TestConstruction:
         g = GroundSet(("a", "b", "c", "d"))
         with pytest.raises(ExchangeAxiomViolated) as info:
             Matroid(g, [g.subset(["a", "b"]), g.subset(["c", "d"])], validate=True)
-        assert info.value.element in ("a", "b", "c", "d")
-        # without the flag the cheap checks still run, the quadratic one not
+        # the first failure in (B1, B2, e) order, bases in mask order
+        witness = (info.value.basis1, info.value.basis2, info.value.element)
+        assert witness == (("a", "b"), ("c", "d"), "a")
+        # without the flag the cheap checks still run, the exchange check not
         m = Matroid(g, [g.subset(["a", "b"]), g.subset(["c", "d"])])
         with pytest.raises(ExchangeAxiomViolated):
             m.validate()
@@ -131,6 +138,18 @@ class TestRank:
             for c in combinations(m.ground.labels, size):
                 x = m.ground.subset(list(c))
                 assert m.rank(x).value == naive.rank(bases, frozenset(c))
+
+    @pytest.mark.parametrize("name", ["Q6", "V8", "U_3_7"])
+    def test_rank_and_tight_bases_match_naive(self, name):
+        m = uniform(3, 7) if name == "U_3_7" else catalog_get(name).matroid
+        _, bases = naive.as_pair(m)
+        listed = [frozenset(b.labels()) for b in m.bases]
+        for size in range(len(m.ground) + 1):
+            for c in combinations(m.ground.labels, size):
+                x = frozenset(c)
+                r = naive.rank(bases, x)
+                tight = sum(1 << j for j, b in enumerate(listed) if len(b & x) == r)
+                assert m._rank_and_tight(m.ground.subset(list(c)).mask) == (r, tight)
 
     def test_rank_is_monotone_and_submodular(self):
         m = catalog_get("P6").matroid
@@ -294,3 +313,68 @@ def test_subsets_by_size_order():
     assert list(subsets_by_size(g, smallest=1, largest=2)) == [
         0b001, 0b010, 0b100, 0b011, 0b101, 0b110,
     ]
+
+
+@st.composite
+def _graphic(draw):
+    """A connected multigraph on 2..5 vertices with at most 7 edges."""
+    v = draw(st.integers(2, 5))
+    edges = [(i, i + 1) for i in range(v - 1)]
+    pairs = list(combinations(range(v), 2))
+    edges += draw(st.lists(st.sampled_from(pairs), max_size=7 - len(edges)))
+    return graphic(v, edges)
+
+
+@st.composite
+def _two_sum(draw):
+    n1 = draw(st.integers(3, 6))
+    n2 = draw(st.integers(3, 9 - n1))
+    m1 = uniform(draw(st.integers(1, n1 - 1)), n1)
+    m2 = uniform(draw(st.integers(1, n2 - 1)), n2)
+    return two_sum(m1, "1", m2, "2")
+
+
+@st.composite
+def _relaxed(draw):
+    m = draw(_graphic())
+    targets = circuit_hyperplanes(m)
+    return relax(m, draw(st.sampled_from(targets))) if targets else m
+
+
+@st.composite
+def _perturbed_matroid(draw):
+    """A real matroid with one basis removed, one r-subset added, or
+    neither, as (ground, basis masks)."""
+    m = draw(st.one_of(_graphic(), _two_sum(), _relaxed()))
+    masks = set(m._basis_masks)
+    others = [s for s in subsets_by_size(m.ground, m.rank_value, m.rank_value) if s not in masks]
+    change = draw(st.sampled_from(["none", "remove", "add"]))
+    if change == "remove" and len(masks) > 1:
+        masks.remove(draw(st.sampled_from(sorted(masks))))
+    elif change == "add" and others:
+        masks.add(draw(st.sampled_from(others)))
+    return m.ground, sorted(masks)
+
+
+@st.composite
+def _random_family(draw):
+    """Random r-subsets of a ground set with at most 7 elements."""
+    n = draw(st.integers(1, 7))
+    r = draw(st.integers(0, n))
+    g = GroundSet(str(i) for i in range(n))
+    pool = list(subsets_by_size(g, r, r))
+    return g, draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_random_family(), _perturbed_matroid()))
+def test_exchange_check_matches_the_naive_triple_loop(family):
+    g, masks = family
+    m = Matroid(g, [g.from_mask(b) for b in masks])
+    expected = naive.exchange_witness(g.labels, [frozenset(g.from_mask(b)) for b in masks])
+    try:
+        m.validate()
+    except ExchangeAxiomViolated as err:
+        assert (frozenset(err.basis1), frozenset(err.basis2), err.element) == expected
+    else:
+        assert expected is None

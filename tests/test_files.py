@@ -2,11 +2,14 @@
 
 import pytest
 
+import _naive as naive
 from matroidfacets import (
     ExchangeAxiomViolated,
     MatroidFile,
     ParseError,
     catalog_get,
+    catalog_names,
+    direct_sum,
     dumps,
     load,
     loads,
@@ -62,6 +65,23 @@ def test_round_trip_all_catalog(tmp_path):
         loaded, mf = load(path)
         assert loaded == m
         assert mf.name == name
+
+
+def _encoder_pool():
+    pool = [(name, catalog_get(name).matroid) for name in catalog_names()]
+    pool += [(f"U_{r}_{n}", uniform(r, n)) for n in range(1, 7) for r in range(n + 1)]
+    pool.append(("U12+U23", direct_sum(uniform(1, 2), uniform(2, 3))))
+    pool.append(("U01+U22", direct_sum(uniform(0, 1), uniform(2, 2))))
+    pool.append(("MK4+U13", direct_sum(catalog_get("MK4").matroid, uniform(1, 3))))
+    return pool
+
+
+@pytest.mark.parametrize("encoding", ["auto", "bases", "nonbases"])
+def test_writer_matches_a_naive_encoder(encoding):
+    for name, m in _encoder_pool():
+        bases = [frozenset(b.labels()) for b in m.bases]
+        expected = naive.file_text(name, m.ground.labels, m.rank_value, bases, encoding)
+        assert dumps(MatroidFile.from_matroid(m, name, encoding)) == expected, name
 
 
 def test_comments_and_blank_lines_ignored():

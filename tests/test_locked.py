@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 import _naive as naive
+import matroidfacets.locked as locked_module
 from matroidfacets import (
     ColoopPresent,
     LoopPresent,
@@ -190,3 +191,19 @@ def test_uncapped_enumeration_and_generous_oracle_agree():
         verdict = k_locked_oracle(m, len(m.ground))  # threshold far above ell
         assert not verdict.is_no
         assert verdict.structure.locked == enumerate_locked(m)
+
+
+def test_k_locked_oracle_enumerates_once(monkeypatch):
+    m = catalog_get("W3").matroid
+    expected = locked_structure(m)
+    caps = []
+    real = locked_module.enumerate_locked
+
+    def counting(matroid, cap=None):
+        caps.append(cap)
+        return real(matroid, cap)
+
+    monkeypatch.setattr(locked_module, "enumerate_locked", counting)
+    verdict = k_locked_oracle(m, 1)
+    assert caps == [len(m.ground)]
+    assert verdict.structure == expected

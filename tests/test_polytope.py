@@ -131,6 +131,24 @@ class TestBasesOracle:
         assert oracle_facets_bases(m) == facets
         assert polytope_dimension(m.bases) == dim
 
+    def test_gram_dimension_matches_naive_elimination(self):
+        import random
+
+        import matroidfacets.polytope as polytope_mod
+
+        m = catalog_get("V8").matroid
+        order = list(m.ground.labels)
+        points = [naive.char_vector(order, frozenset(b.labels())) for b in m.bases]
+        columns = m._basis_columns()
+        rng = random.Random(7)
+        for _ in range(200):
+            p = rng.choice((0.03, 0.1, 0.3, 0.9))
+            picked = [j for j in range(len(points)) if rng.random() < p]
+            tight = sum(1 << j for j in picked)
+            assert polytope_mod._affine_dimension_of_tight(tight, columns) == naive.affine_dim(
+                [points[j] for j in picked]
+            )
+
     def test_dimension_of_mk4(self):
         assert polytope_dimension(catalog_get("MK4").matroid.bases) == 5
 
