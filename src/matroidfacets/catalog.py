@@ -133,6 +133,7 @@ def circuit_hyperplanes(matroid: Matroid) -> tuple[ElementSubset, ...]:
     """Closed circuits of cardinality r(E), in lexicographic element
     order.  These are exactly the sets whose promotion to a basis
     (relaxation) again yields a matroid."""
+    matroid._rank_table()
     ground = matroid.ground
     r = matroid.rank_value
     candidates = (ElementSubset(ground, m) for m in subsets_by_size(ground, r, r))

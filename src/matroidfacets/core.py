@@ -5,9 +5,13 @@ set are bitmasks (one bit per element, in ground-set order), so every
 query here (rank, closure, duality, connectivity) is plain integer
 arithmetic: no floats, no tolerances, bit-for-bit reproducible.
 
-Exhaustive searches (connectivity, components) walk all subsets of the
-ground set, which is fine for the ground-set sizes this package targets
-and is capped at MAX_SCAN_SIZE elements.
+Ranks come from one of two places.  The exhaustive scans (3-connectivity,
+locked subsets, the facet oracles) first build a table of all 2^n ranks,
+one byte per subset, and read every rank from it; they are capped at
+MAX_SCAN_SIZE elements, where the table takes 16 MiB.  Without a table, a
+rank query takes the largest intersection with a basis and stores
+nothing, so point queries (greedy, ``rank``, ``restrict``) on wide ground
+sets never pay for 2^n work.  Components come from the bases alone.
 """
 
 from __future__ import annotations
@@ -223,6 +227,49 @@ def _submasks_below(mask: int) -> Iterator[int]:
         yield s
 
 
+def _build_rank_table(n: int, bases: Iterable[int], r: int) -> bytes:
+    """The ranks of all 2^n subsets of an n-element ground set, as one
+    byte per subset mask, from the basis masks of a rank-r matroid.
+
+    Sets of positions are 2^n-bit ints, and each pass below moves every
+    position across one element at once (a subset-sum, or zeta,
+    transform).  The independent sets are the positions below some basis.
+    The sets of rank at least k are the positions above some independent
+    k-set; these are nested, so r(X) is the number of k in 1..r whose set
+    holds X.  Each such set is spread to one byte per position through
+    its binary digits, and the spreads are added up.
+    """
+    size = 1 << n
+    full = (1 << size) - 1
+    # highs[i]: the positions X that hold element i.  The others come in
+    # runs of 2^i; starting from the lower half, each step halves the run.
+    highs = [0] * n
+    low = (1 << (size >> 1)) - 1
+    for i in range(n - 1, -1, -1):
+        highs[i] = full ^ low
+        low ^= low << (1 << i >> 1)
+    bits = bytearray(max(size >> 3, 1))
+    for b in bases:
+        bits[b >> 3] |= 1 << (b & 7)
+    independent = int.from_bytes(bits, "little")
+    for i, high in enumerate(highs):
+        independent |= (independent >> (1 << i)) & ~high
+    # by_size[k]: the positions of the k-sets, grown one element at a time
+    by_size = [1] + [0] * r
+    for i in range(n):
+        for k in range(min(i + 1, r), 0, -1):
+            by_size[k] |= by_size[k - 1] << (1 << i)
+    # each spread is a character "0" or "1" per position, so r rows of "0"
+    # are taken off in advance
+    total = -r * int.from_bytes(b"0" * size, "little")
+    for k in range(1, r + 1):
+        up = independent & by_size[k]
+        for i, high in enumerate(highs):
+            up |= (up << (1 << i)) & high
+        total += int.from_bytes(bin(up)[:1:-1].encode().ljust(size, b"0"), "little")
+    return total.to_bytes(size, "little")
+
+
 def _bit_indices(mask: int) -> list[int]:
     out = []
     i = 0
@@ -242,6 +289,9 @@ class Matroid:
     the basis-exchange validation runs when ``validate=True``.  It costs
     O(|B|·r·(n−r)) basis lookups plus one pass over the bases per
     hyperplane, and reports the first failing (B1, B2, e) in mask order.
+
+    The first exhaustive scan builds the rank table (2^n bytes) and keeps
+    it; until then a rank query costs one pass over the bases.
     """
 
     __slots__ = (
@@ -249,7 +299,7 @@ class Matroid:
         "rank_value",
         "_basis_masks",
         "_basis_index",
-        "_rank_cache",
+        "_ranks",
         "_columns",
         "_dual",
         "_components",
@@ -273,7 +323,7 @@ class Matroid:
         self.rank_value = sizes.pop()
         self._basis_masks = tuple(masks)
         self._basis_index = {m: i for i, m in enumerate(masks)}
-        self._rank_cache: dict[int, int] = {ground.full_mask: self.rank_value, 0: 0}
+        self._ranks: bytes | None = None
         self._columns: tuple[int, ...] | None = None
         self._dual: Matroid | None = None
         self._components: tuple[ElementSubset, ...] | None = None
@@ -363,11 +413,9 @@ class Matroid:
         return x.mask
 
     def _rank_mask(self, m: int) -> int:
-        v = self._rank_cache.get(m)
-        if v is None:
-            v = max((b & m).bit_count() for b in self._basis_masks)
-            self._rank_cache[m] = v
-        return v
+        if self._ranks is not None:
+            return self._ranks[m]
+        return max((b & m).bit_count() for b in self._basis_masks)
 
     def _basis_columns(self) -> tuple[int, ...]:
         """Per element, a bitmask over basis indices (into the sorted
@@ -385,7 +433,7 @@ class Matroid:
         |B ∩ m| = r(m).  The counts |B ∩ m| are added up for all bases at
         once, one bitmask per binary digit, over the columns of the
         elements of m; the maximum and the bases that reach it are then
-        read off digit by digit from the top.  Caches r(m)."""
+        read off digit by digit from the top."""
         columns = self._basis_columns()
         digits: list[int] = []
         for i in _bit_indices(m):
@@ -404,7 +452,6 @@ class Matroid:
             if hit:
                 tight = hit
                 rank |= 1 << k
-        self._rank_cache[m] = rank
         return rank, tight
 
     def _dual_rank_mask(self, m: int) -> int:
@@ -493,11 +540,17 @@ class Matroid:
 
     # -- connectivity -----------------------------------------------------
 
-    def _check_scan_size(self) -> None:
-        if len(self.ground) > MAX_SCAN_SIZE:
-            raise MatroidError(
-                f"exhaustive subset scans are capped at {MAX_SCAN_SIZE} elements"
-            )
+    def _rank_table(self) -> bytes:
+        """The ranks of all subsets, indexed by mask, built on first use.
+        Every exhaustive scan calls this before its first rank lookup, so
+        it also refuses ground sets above MAX_SCAN_SIZE."""
+        if self._ranks is None:
+            if len(self.ground) > MAX_SCAN_SIZE:
+                raise MatroidError(
+                    f"exhaustive subset scans are capped at {MAX_SCAN_SIZE} elements"
+                )
+            self._ranks = _build_rank_table(len(self.ground), self._basis_masks, self.rank_value)
+        return self._ranks
 
     def _sub_connected(self, sub: int, rank_of) -> bool:
         """Connectivity of the restriction to sub, under the given rank
@@ -518,32 +571,39 @@ class Matroid:
         return True
 
     def is_connected(self) -> bool:
-        """True iff no proper nonempty subset X has r(X) + r(E-X) = r(E)."""
-        self._check_scan_size()
-        return self._sub_connected(self.ground.full_mask, self._rank_mask)
+        """True iff no proper nonempty subset X has r(X) + r(E-X) = r(E),
+        that is, iff E is one component."""
+        return len(self.components()) == 1
 
     def components(self) -> tuple[ElementSubset, ...]:
-        """The finest partition of E into separators, ordered by first element."""
-        if self._components is not None:
-            return self._components
-        self._check_scan_size()
-        n = len(self.ground)
-        full = self.ground.full_mask
-        r = self.rank_value
-        comp = [full] * n
-        anchor = 1
-        rest = full ^ anchor
-        # Separators are closed under intersection and complement, so the
-        # component of e is the intersection of all separators containing e.
-        # Each anchored proper subset covers one complementary pair.
-        for t in _submasks_below(rest):
-            x = anchor | t
-            y = full ^ x
-            if self._rank_mask(x) + self._rank_mask(y) == r:
-                for i in range(n):
-                    comp[i] &= x if x >> i & 1 else y
-        cells = sorted({m for m in comp}, key=lambda m: (m & -m).bit_length())
-        self._components = tuple(ElementSubset(self.ground, m) for m in cells)
+        """The finest partition of E into separators, ordered by first element.
+
+        These are the connected parts of the fundamental graph of one basis
+        B, which joins e in B to f outside B whenever B-e+f is a basis
+        (Krogdahl 1977; Cunningham and Edmonds 1980): r(n-r) lookups.
+        """
+        if self._components is None:
+            family = self._basis_index
+            b = self._basis_masks[0]
+            outside = _bit_indices(self.ground.full_mask & ~b)
+            cells: list[int] = []
+            reached = 0
+            for i in _bit_indices(b):
+                removed = b ^ (1 << i)
+                star = 1 << i
+                for j in outside:
+                    if removed | (1 << j) in family:
+                        star |= 1 << j
+                reached |= star
+                merged = [c for c in cells if c & star]
+                cells = [c for c in cells if not c & star]
+                for c in merged:
+                    star |= c
+                cells.append(star)
+            # only loops stay unreached
+            cells += [1 << j for j in _bit_indices(self.ground.full_mask & ~reached)]
+            cells.sort(key=lambda m: (m & -m).bit_length())
+            self._components = tuple(ElementSubset(self.ground, m) for m in cells)
         return self._components
 
     def is_3_connected(self) -> bool:
@@ -555,6 +615,7 @@ class Matroid:
         n = len(self.ground)
         if n < 4:
             return True
+        ranks = self._rank_table()
         full = self.ground.full_mask
         r = self.rank_value
         anchor = 1
@@ -564,18 +625,15 @@ class Matroid:
             k = x.bit_count()
             if k < 2 or n - k < 2:
                 continue
-            if self._rank_mask(x) + self._rank_mask(full ^ x) <= r + 1:
+            if ranks[x] + ranks[full ^ x] <= r + 1:
                 return False
         return True
 
     # -- parallel structure -------------------------------------------------
 
-    def parallel_closures(self) -> tuple[ElementSubset, ...]:
-        """The partition of E into maximal rank-1 classes.  Needs a
-        loopless matroid."""
-        loops = self.loops()
-        if loops:
-            raise LoopPresent(next(iter(loops)))
+    def _rank_one_classes(self, rank_of) -> tuple[ElementSubset, ...]:
+        """The partition of E into maximal rank-1 classes under the given
+        rank function, which must give every element rank 1."""
         n = len(self.ground)
         classes = []
         seen = 0
@@ -585,20 +643,27 @@ class Matroid:
                 continue
             cls = bit
             for j in range(n):
-                if j != i and self._rank_mask(bit | (1 << j)) == 1:
+                if j != i and rank_of(bit | (1 << j)) == 1:
                     cls |= 1 << j
             classes.append(cls)
             seen |= cls
         return tuple(ElementSubset(self.ground, c) for c in classes)
 
+    def parallel_closures(self) -> tuple[ElementSubset, ...]:
+        """The partition of E into maximal rank-1 classes.  Needs a
+        loopless matroid."""
+        loops = self.loops()
+        if loops:
+            raise LoopPresent(next(iter(loops)))
+        return self._rank_one_classes(self._rank_mask)
+
     def coparallel_closures(self) -> tuple[ElementSubset, ...]:
-        """Parallel closures of the dual.  Needs a coloopless matroid."""
-        try:
-            return tuple(
-                ElementSubset(self.ground, c.mask) for c in self.dual().parallel_closures()
-            )
-        except LoopPresent as err:
-            raise ColoopPresent(err.element) from None
+        """Parallel closures of the dual, from the dual's rank function.
+        Needs a coloopless matroid."""
+        coloops = self.coloops()
+        if coloops:
+            raise ColoopPresent(next(iter(coloops)))
+        return self._rank_one_classes(self._dual_rank_mask)
 
     def is_simple(self) -> bool:
         """No loops and no two distinct parallel elements."""

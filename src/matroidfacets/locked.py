@@ -64,13 +64,13 @@ def is_locked(matroid: Matroid, subset: ElementSubset) -> bool:
     full = matroid.ground.full_mask
     if mask == 0 or mask == full:
         raise NotProperSubset("locked subsets are proper and nonempty")
-    matroid._check_scan_size()
+    ranks = matroid._rank_table()
     co = full ^ mask
-    if matroid._rank_mask(mask) < 2:
+    if ranks[mask] < 2:
         return False
     if matroid._dual_rank_mask(co) < 2:
         return False
-    if not matroid._sub_connected(mask, matroid._rank_mask):
+    if not matroid._sub_connected(mask, ranks.__getitem__):
         return False
     return matroid._sub_connected(co, matroid._dual_rank_mask)
 
@@ -96,11 +96,11 @@ def enumerate_locked(matroid: Matroid, cap: int | None = None) -> tuple[ElementS
     have been found (the bounded oracle only needs to know the count
     exceeded its threshold).
     """
-    matroid._check_scan_size()
+    ranks = matroid._rank_table()
+    rank_of = ranks.__getitem__
     n = len(matroid.ground)
     ground = matroid.ground
     components = [c.mask for c in matroid.components()]
-    comp_rank = {c: matroid._rank_mask(c) for c in components}
     comp_dual_rank = {c: _component_dual_rank(matroid, c) for c in components}
     found: list[ElementSubset] = []
     for k in range(2, n - 1):
@@ -112,12 +112,12 @@ def enumerate_locked(matroid: Matroid, cap: int | None = None) -> tuple[ElementS
             if comp is None or mask == comp:
                 continue
             co = comp & ~mask
-            if matroid._rank_mask(mask) < 2:
+            if ranks[mask] < 2:
                 continue
             dual_rank = comp_dual_rank[comp]
             if dual_rank(co) < 2:
                 continue
-            if not matroid._sub_connected(mask, matroid._rank_mask):
+            if not matroid._sub_connected(mask, rank_of):
                 continue
             if not matroid._sub_connected(co, dual_rank):
                 continue
@@ -144,9 +144,11 @@ def _structure(
 def locked_structure(matroid: Matroid) -> LockedStructure:
     """The full locked structure.  Needs a loopless, coloopless matroid
     (the partitions are undefined otherwise)."""
-    parallel = matroid.parallel_closures()
-    coparallel = matroid.coparallel_closures()
-    return _structure(matroid, parallel, coparallel, enumerate_locked(matroid))
+    # the scan comes first so that the partitions read its rank table
+    locked = enumerate_locked(matroid)
+    return _structure(
+        matroid, matroid.parallel_closures(), matroid.coparallel_closures(), locked
+    )
 
 
 def k_locked_oracle(matroid: Matroid, k: int) -> KLockedVerdict:

@@ -257,6 +257,8 @@ def predicted_facets_bases(matroid: Matroid) -> FacetSystem:
         raise ColoopPresent(next(iter(coloops)))
     if not matroid.is_connected():
         raise NotConnected("bases-polytope description needs a connected matroid")
+    # the scan comes first so that the partitions read its rank table
+    locked_sets = enumerate_locked(matroid)
     ground = matroid.ground
     full = ground.full
     equality = LinearConstraint.on_subset(
@@ -270,7 +272,7 @@ def predicted_facets_bases(matroid: Matroid) -> FacetSystem:
     for s in matroid.coparallel_closures():
         c = LinearConstraint.on_subset(s, ">=", len(s) - 1, Origin.COPARALLEL_LOWER)
         (collapsed if s.mask == ground.full_mask else facets).append(c)
-    for locked in enumerate_locked(matroid):
+    for locked in locked_sets:
         facets.append(
             LinearConstraint.on_subset(
                 locked, "<=", matroid._rank_mask(locked.mask), Origin.LOCKED_UPPER
@@ -290,7 +292,7 @@ def _bases_oracle(matroid: Matroid) -> tuple[int, frozenset]:
     masks = matroid._basis_masks
     if len(masks) < 2:
         raise DegeneratePolytope("a single basis leaves nothing to certify")
-    matroid._check_scan_size()
+    matroid._rank_table()
     columns = matroid._basis_columns()
     every = (1 << len(masks)) - 1
     dim = _affine_dimension_of_tight(every, columns)
@@ -374,17 +376,18 @@ def certify(matroid: Matroid, *, check: bool = False) -> CertificationReport:
     missing = tuple(sorted(oracle - predicted_tights, key=sorted))
     extra = tuple(pair for pair in predicted if pair[1] not in oracle)
     lemma_violations = []
+    ranks = matroid._rank_table()
     full = matroid.ground.full_mask
     masks = matroid._basis_masks
     for sub in range(1, full):
         subset = ElementSubset(matroid.ground, sub)
         if not matroid.is_closed(subset):
             continue
-        if not matroid._sub_connected(sub, matroid._rank_mask):
+        if not matroid._sub_connected(sub, ranks.__getitem__):
             continue
         if matroid._sub_connected(full ^ sub, matroid._dual_rank_mask):
             continue
-        if _tight_indices(sub, matroid._rank_mask(sub), masks) in oracle:
+        if _tight_indices(sub, ranks[sub], masks) in oracle:
             lemma_violations.append(subset)
     notes = []
     for c in system.collapsed:
@@ -411,12 +414,12 @@ def certify(matroid: Matroid, *, check: bool = False) -> CertificationReport:
 
 def independence_vertices(matroid: Matroid) -> tuple[ElementSubset, ...]:
     """Vertices of the independence polytope: all independent sets."""
-    matroid._check_scan_size()
+    ranks = matroid._rank_table()
     ground = matroid.ground
     out = [
         ElementSubset(ground, m)
         for m in range(ground.full_mask + 1)
-        if matroid._rank_mask(m) == m.bit_count()
+        if ranks[m] == m.bit_count()
     ]
     return tuple(out)
 
@@ -429,6 +432,7 @@ def predicted_facets_independence(matroid: Matroid) -> FacetSystem:
     loops = matroid.loops()
     if loops:
         raise LoopPresent(next(iter(loops)))
+    ranks = matroid._rank_table()
     ground = matroid.ground
     facets = [
         LinearConstraint.on_subset(ground.singleton(lab), ">=", 0, Origin.NONNEGATIVITY)
@@ -438,10 +442,10 @@ def predicted_facets_independence(matroid: Matroid) -> FacetSystem:
         subset = ElementSubset(ground, mask)
         if not matroid.is_closed(subset):
             continue
-        if not matroid._sub_connected(mask, matroid._rank_mask):
+        if not matroid._sub_connected(mask, ranks.__getitem__):
             continue
         facets.append(
-            LinearConstraint.on_subset(subset, "<=", matroid._rank_mask(mask), Origin.RANK_UPPER)
+            LinearConstraint.on_subset(subset, "<=", ranks[mask], Origin.RANK_UPPER)
         )
     return FacetSystem(ground, None, tuple(facets), ())
 
@@ -457,6 +461,7 @@ def oracle_facets_independence(matroid: Matroid) -> frozenset:
     if loops:
         raise LoopPresent(next(iter(loops)))
     vertex_masks = [v.mask for v in independence_vertices(matroid)]
+    ranks = matroid._rank_table()
     n = len(matroid.ground)
     dim = _affine_dimension_of_masks(vertex_masks, n)
     tight_sets = set()
@@ -464,7 +469,7 @@ def oracle_facets_independence(matroid: Matroid) -> frozenset:
         bit = 1 << i
         tight_sets.add(frozenset(j for j, v in enumerate(vertex_masks) if not v & bit))
     for sub in range(1, matroid.ground.full_mask + 1):
-        tight_sets.add(_tight_indices(sub, matroid._rank_mask(sub), vertex_masks))
+        tight_sets.add(_tight_indices(sub, ranks[sub], vertex_masks))
     facets = set()
     for t in tight_sets:
         if not t:

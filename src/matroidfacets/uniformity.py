@@ -14,8 +14,12 @@ first matching condition, checked in this order:
 
 Conditions (iv) and (v) come first because the free and zero matroids
 have no coparallel (resp. parallel) partition to count.  A matroid with
-loops or coloops and 0 < r < n cannot be uniform, so it is reported
-not-uniform directly, again without consulting the oracle.
+loops or coloops and 0 < r < n cannot be uniform, and neither can a
+disconnected one (U_r_n with 0 < r < n is connected); both are reported
+not-uniform directly, without consulting the oracle.  The connectivity
+screen is needed for correctness, not only speed: the oracle counts
+locked subsets component by component, so a direct sum of uniform
+matroids such as U_2_4 + U_2_4 would otherwise pass condition (i).
 """
 
 from __future__ import annotations
@@ -62,6 +66,11 @@ def test_uniformity(
         return UniformityVerdict(
             False, "none", None,
             note="loops or coloops with 0 < r < n rule uniformity out directly",
+        )
+    if not matroid.is_connected():
+        return UniformityVerdict(
+            False, "none", None,
+            note="a disconnected matroid with 0 < r < n is not uniform",
         )
     numbers = oracle(matroid)
     if numbers.parallel_count == 1:

@@ -19,8 +19,8 @@ def catalog():
 
 def build_uniformity_pool():
     """At least fifty matroids of mixed shape: every uniform on up to 8
-    elements, the catalog five, a few graphic ones, direct sums with
-    loops/coloops, and some 2-sums."""
+    elements, the catalog five, a few graphic ones, direct sums (with
+    loops/coloops, or of two uniform matroids), and some 2-sums."""
     pool = []
     for n in range(1, 9):
         for r in range(n + 1):
@@ -34,6 +34,7 @@ def build_uniformity_pool():
     pool.append(("bowtie", graphic(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])))
     pool.append(("path3", graphic(4, [(0, 1), (1, 2), (2, 3)])))
     pool.append(("U12+U12", direct_sum(uniform(1, 2), uniform(1, 2))))
+    pool.append(("U24+U24", direct_sum(uniform(2, 4), uniform(2, 4))))
     pool.append(("U01+U23", direct_sum(uniform(0, 1), uniform(2, 3))))
     pool.append(("U11+U23", direct_sum(uniform(1, 1), uniform(2, 3))))
     pool.append(("U23*U23", two_sum(uniform(2, 3), "1", uniform(2, 3), "1")))

@@ -126,7 +126,7 @@ def test_criterion_05_uniformity_agreement_and_call_schedule(uniformity_pool):
         verdict = test_uniformity(m, oracle=counting)
         if verdict.uniform != is_uniform_direct(m):
             bad.append(f"{name}: verdict")
-        oracle_usable = not m.loops() and not m.coloops()
+        oracle_usable = not m.loops() and not m.coloops() and m.is_connected()
         if len(calls) != (1 if oracle_usable else 0):
             bad.append(f"{name}: {len(calls)} calls")
     ok = not bad and len(uniformity_pool) >= 50
@@ -134,7 +134,8 @@ def test_criterion_05_uniformity_agreement_and_call_schedule(uniformity_pool):
         5,
         ok,
         f"{len(uniformity_pool)} matroids agree with the direct count, "
-        f"one oracle call when loopless and coloopless else zero; bad: {bad or 'none'}",
+        "one oracle call when loopless, coloopless and connected, else zero; "
+        f"bad: {bad or 'none'}",
     )
 
 

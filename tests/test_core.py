@@ -17,6 +17,7 @@ from matroidfacets import (
     GroundSet,
     LoopPresent,
     Matroid,
+    MatroidError,
     UnequalBasisSizes,
     catalog_get,
     circuit_hyperplanes,
@@ -270,12 +271,22 @@ class TestConnectivity:
 
     def test_connectivity_and_components_match_naive(self, uniformity_pool):
         for name, m in uniformity_pool:
-            if len(m.ground) > 6:
-                continue
             ground, bases = naive.as_pair(m)
             assert m.is_connected() == naive.connected(ground, bases), name
             got = [frozenset(c.labels()) for c in m.components()]
             assert sorted(got, key=sorted) == naive.components(ground, bases), name
+
+    def test_components_need_no_scan_beyond_the_cap(self):
+        m = direct_sum(uniform(1, 13), uniform(12, 13))
+        assert [len(c) for c in m.components()] == [13, 13]
+        assert not m.is_connected()
+        assert m._ranks is None
+        assert not m.is_3_connected()
+        wide = uniform(2, 25)
+        assert wide.is_connected()
+        with pytest.raises(MatroidError, match="capped"):
+            wide.is_3_connected()
+        assert wide._ranks is None
 
     def test_small_ground_three_connectivity_is_connectivity(self):
         assert uniform(1, 2).is_3_connected()
@@ -378,3 +389,39 @@ def test_exchange_check_matches_the_naive_triple_loop(family):
         assert (frozenset(err.basis1), frozenset(err.basis2), err.element) == expected
     else:
         assert expected is None
+
+
+def _naive_ranks(m):
+    """naive.rank of every subset, one byte per mask."""
+    _, bases = naive.as_pair(m)
+    labels = m.ground.labels
+    return bytes(
+        naive.rank(bases, frozenset(lab for i, lab in enumerate(labels) if mask >> i & 1))
+        for mask in range(1 << len(labels))
+    )
+
+
+_TABLE_CASES = {
+    **{name: catalog_get(name).matroid for name in ("MK4", "W3", "Q6", "P6", "V8")},
+    "U_0_4": uniform(0, 4),
+    "U_4_4": uniform(4, 4),
+    "U_1_2": uniform(1, 2),
+    "U24+U24": direct_sum(uniform(2, 4), uniform(2, 4)),
+    "loop+coloop": direct_sum(direct_sum(uniform(0, 1), uniform(1, 1)), uniform(2, 4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TABLE_CASES))
+def test_rank_table_and_point_queries_match_naive(name):
+    m = _TABLE_CASES[name]
+    fresh = Matroid(m.ground, m.bases)
+    expected = _naive_ranks(m)
+    assert bytes(fresh._rank_mask(x) for x in range(len(expected))) == expected
+    assert fresh._ranks is None
+    assert fresh._rank_table() == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_graphic(), _two_sum(), _relaxed()))
+def test_rank_table_matches_naive_on_drawn_matroids(m):
+    assert Matroid(m.ground, m.bases)._rank_table() == _naive_ranks(m)

@@ -115,6 +115,13 @@ class TestGreedy:
                 w = WeightFunction.from_values(m.ground, values)
                 assert greedy_max_basis(m, w).value == brute_force_max_basis(m, w).value
 
+    def test_wide_ground_sets_build_no_rank_table(self):
+        # greedy makes n point queries; a 2^24-entry table would dwarf them
+        m = uniform(22, 24)
+        w = WeightFunction.from_values(m.ground, range(24))
+        assert greedy_max_basis(m, w).value == sum(range(2, 24))
+        assert m._ranks is None
+
 
 class TestBruteForce:
     def test_tie_goes_to_lexicographically_first_basis(self):

@@ -17,12 +17,15 @@ from matroidfacets import (
 
 def expected_oracle_calls(matroid):
     # the oracle is consulted exactly once, and only when the cheap
-    # screens (full rank, zero rank, loops, coloops) cannot decide
+    # screens (full rank, zero rank, loops, coloops, disconnection)
+    # cannot decide
     n = len(matroid.ground)
     r = matroid.rank_value
     if r == 0 or r == n:
         return 0
     if matroid.loops() or matroid.coloops():
+        return 0
+    if not matroid.is_connected():
         return 0
     return 1
 
