@@ -11,7 +11,10 @@ one byte per subset, and read every rank from it; they are capped at
 MAX_SCAN_SIZE elements, where the table takes 16 MiB.  Without a table, a
 rank query takes the largest intersection with a basis and stores
 nothing, so point queries (greedy, ``rank``, ``restrict``) on wide ground
-sets never pay for 2^n work.  Components come from the bases alone.
+sets never pay for 2^n work.  Components come from the bases alone,
+and connectivity of a restriction from the fundamental graph of one of
+its bases: O(|X|^2) rank reads for M|X, where the definition scans all
+2^|X| bipartitions.
 """
 
 from __future__ import annotations
@@ -281,6 +284,61 @@ def _bit_indices(mask: int) -> list[int]:
     return out
 
 
+def _fundamental_cells(basis: int, ground: int, is_basis) -> list[int]:
+    """The components of a matroid on the elements of ``ground``, given
+    one basis and a test ``is_basis`` of sets of the basis's size.
+
+    The fundamental graph of the basis joins e in it to f outside it
+    whenever basis-e+f is again a basis, and its connected parts are the
+    components (Krogdahl 1977; Cunningham and Edmonds 1980).  Each
+    element of the basis brings its star, merged with every cell it
+    meets; the elements no star reaches are loops, one cell each.
+    """
+    outside = _bit_indices(ground & ~basis)
+    cells: list[int] = []
+    reached = 0
+    for i in _bit_indices(basis):
+        removed = basis ^ (1 << i)
+        star = 1 << i
+        for j in outside:
+            if is_basis(removed | (1 << j)):
+                star |= 1 << j
+        reached |= star
+        merged = [c for c in cells if c & star]
+        cells = [c for c in cells if not c & star]
+        for c in merged:
+            star |= c
+        cells.append(star)
+    cells += [1 << j for j in _bit_indices(ground & ~reached)]
+    return cells
+
+
+def _is_flat(ranks: bytes, m: int, within: int) -> bool:
+    """No element of ``within`` outside m is spanned by m, read from a
+    rank table: m is closed in the restriction to ``within``."""
+    r = ranks[m]
+    rest = within & ~m
+    while rest:
+        bit = rest & -rest
+        if ranks[m | bit] == r:
+            return False
+        rest ^= bit
+    return True
+
+
+def _is_cyclic(ranks: bytes, m: int) -> bool:
+    """Every element of m lies in a circuit inside m, read from a rank
+    table: removing no single element lowers the rank."""
+    r = ranks[m]
+    rest = m
+    while rest:
+        bit = rest & -rest
+        if ranks[m ^ bit] < r:
+            return False
+        rest ^= bit
+    return True
+
+
 class Matroid:
     """A matroid given by its full basis family.
 
@@ -301,6 +359,7 @@ class Matroid:
         "_basis_index",
         "_ranks",
         "_columns",
+        "_independent",
         "_dual",
         "_components",
         "_bases",
@@ -325,6 +384,7 @@ class Matroid:
         self._basis_index = {m: i for i, m in enumerate(masks)}
         self._ranks: bytes | None = None
         self._columns: tuple[int, ...] | None = None
+        self._independent: tuple[int, ...] | None = None
         self._dual: Matroid | None = None
         self._components: tuple[ElementSubset, ...] | None = None
         self._bases: tuple[ElementSubset, ...] | None = None
@@ -552,23 +612,31 @@ class Matroid:
             self._ranks = _build_rank_table(len(self.ground), self._basis_masks, self.rank_value)
         return self._ranks
 
+    def _independent_masks(self) -> tuple[int, ...]:
+        """The masks of all independent sets in increasing order, read off
+        the rank table on first use and kept."""
+        if self._independent is None:
+            ranks = self._rank_table()
+            self._independent = tuple(m for m in range(len(ranks)) if ranks[m] == m.bit_count())
+        return self._independent
+
     def _sub_connected(self, sub: int, rank_of) -> bool:
         """Connectivity of the restriction to sub, under the given rank
-        function: no proper nonempty part X of sub may satisfy
-        rank(X) + rank(sub - X) == rank(sub)."""
+        function: one cell in the fundamental graph of a basis of sub,
+        picked greedily.  O(|sub|^2) rank reads."""
         if sub.bit_count() <= 1:
             return True
-        total = rank_of(sub)
-        anchor = sub & -sub
-        rest = sub ^ anchor
-        # Anchoring on the lowest bit visits each complementary pair once;
-        # t runs over proper submasks of rest including 0, so x = anchor
-        # (a singleton) is covered and x = sub is not.
-        for t in _submasks_below(rest):
-            x = anchor | t
-            if rank_of(x) + rank_of(sub ^ x) == total:
-                return False
-        return True
+        basis = 0
+        size = 0
+        rest = sub
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if rank_of(basis | bit) > size:
+                basis |= bit
+                size += 1
+        cells = _fundamental_cells(basis, sub, lambda m: rank_of(m) == size)
+        return len(cells) == 1
 
     def is_connected(self) -> bool:
         """True iff no proper nonempty subset X has r(X) + r(E-X) = r(E),
@@ -578,30 +646,13 @@ class Matroid:
     def components(self) -> tuple[ElementSubset, ...]:
         """The finest partition of E into separators, ordered by first element.
 
-        These are the connected parts of the fundamental graph of one basis
-        B, which joins e in B to f outside B whenever B-e+f is a basis
-        (Krogdahl 1977; Cunningham and Edmonds 1980): r(n-r) lookups.
+        These are the cells of the fundamental graph of the first basis:
+        r(n-r) lookups in the basis family.
         """
         if self._components is None:
-            family = self._basis_index
-            b = self._basis_masks[0]
-            outside = _bit_indices(self.ground.full_mask & ~b)
-            cells: list[int] = []
-            reached = 0
-            for i in _bit_indices(b):
-                removed = b ^ (1 << i)
-                star = 1 << i
-                for j in outside:
-                    if removed | (1 << j) in family:
-                        star |= 1 << j
-                reached |= star
-                merged = [c for c in cells if c & star]
-                cells = [c for c in cells if not c & star]
-                for c in merged:
-                    star |= c
-                cells.append(star)
-            # only loops stay unreached
-            cells += [1 << j for j in _bit_indices(self.ground.full_mask & ~reached)]
+            cells = _fundamental_cells(
+                self._basis_masks[0], self.ground.full_mask, self._basis_index.__contains__
+            )
             cells.sort(key=lambda m: (m & -m).bit_length())
             self._components = tuple(ElementSubset(self.ground, m) for m in cells)
         return self._components

@@ -19,8 +19,11 @@ Two constraints with the same tight set are the same facet.
 All arithmetic is exact: vertices are 0/1 integer vectors and affine
 dimensions come from fraction-free integer elimination (for the bases
 oracle, of the tight vertices' Gram matrix, whose size is bounded by the
-ground set rather than by the number of vertices).  Points handed to
-``separate`` should be ints or fractions.
+ground set rather than by the number of vertices).  Both oracles first
+count the coordinates that vary over a candidate's tight vertices, which
+bounds its dimension, and eliminate only candidates that could reach a
+facet's dimension; the screen uses the vertices alone, no matroid
+theory.  Points handed to ``separate`` should be ints or fractions.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .core import (
     Matroid,
     MatroidError,
     _bit_indices,
+    _is_flat,
     subsets_by_size,
 )
 from .locked import enumerate_locked
@@ -202,6 +206,19 @@ def _affine_dimension_of_masks(masks: Sequence[int], n: int) -> int:
     return _integer_rank(rows)
 
 
+def _varying_columns(tight: int, columns: Sequence[int]) -> list[int]:
+    """The columns restricted to the bases picked by ``tight``, keeping
+    only the elements held by some but not all of those bases."""
+    size = tight.bit_count()
+    return [c for c in (tight & col for col in columns) if 0 < c.bit_count() < size]
+
+
+def _gram_rank(size: int, varying: Sequence[int]) -> int:
+    rows = [[size, *(c.bit_count() for c in varying)]]
+    rows += [[a.bit_count(), *((a & b).bit_count() for b in varying)] for a in varying]
+    return _integer_rank(rows)
+
+
 def _affine_dimension_of_tight(tight: int, columns: Sequence[int]) -> int:
     """Affine dimension of the bases picked by the bits of ``tight``
     (``columns`` as from ``Matroid._basis_columns``); -1 for none.
@@ -215,14 +232,7 @@ def _affine_dimension_of_tight(tight: int, columns: Sequence[int]) -> int:
     size = tight.bit_count()
     if not size:
         return -1
-    varying = []
-    for col in columns:
-        c = tight & col
-        if 0 < c.bit_count() < size:
-            varying.append(c)
-    rows = [[size, *(c.bit_count() for c in varying)]]
-    rows += [[a.bit_count(), *((a & b).bit_count() for b in varying)] for a in varying]
-    return _integer_rank(rows) - 1
+    return _gram_rank(size, _varying_columns(tight, columns)) - 1
 
 
 def polytope_dimension(vertices: Iterable[ElementSubset]) -> int:
@@ -301,11 +311,16 @@ def _bases_oracle(matroid: Matroid) -> tuple[int, frozenset]:
     tight_sets = {every & ~col for col in columns}
     for sub in range(1, matroid.ground.full_mask + 1):
         tight_sets.add(matroid._rank_and_tight(sub)[1])
-    facets = {
-        frozenset(_bit_indices(t))
-        for t in tight_sets
-        if _affine_dimension_of_tight(t, columns) == dim - 1
-    }
+    facets = set()
+    for t in tight_sets:
+        varying = _varying_columns(t, columns)
+        # Exact screen: the tight vertices are fixed outside the k varying
+        # coordinates, and every vertex sums to r, so when k > 0 the
+        # varying ones obey one more equation: dim(T) <= max(k - 1, 0).
+        if max(len(varying) - 1, 0) < dim - 1:
+            continue
+        if _gram_rank(t.bit_count(), varying) - 1 == dim - 1:
+            facets.add(frozenset(_bit_indices(t)))
     return dim, frozenset(facets)
 
 
@@ -376,19 +391,19 @@ def certify(matroid: Matroid, *, check: bool = False) -> CertificationReport:
     missing = tuple(sorted(oracle - predicted_tights, key=sorted))
     extra = tuple(pair for pair in predicted if pair[1] not in oracle)
     lemma_violations = []
+    oracle_masks = {sum(1 << j for j in t) for t in oracle}
     ranks = matroid._rank_table()
+    rank_of = ranks.__getitem__
     full = matroid.ground.full_mask
-    masks = matroid._basis_masks
     for sub in range(1, full):
-        subset = ElementSubset(matroid.ground, sub)
-        if not matroid.is_closed(subset):
+        if not _is_flat(ranks, sub, full):
             continue
-        if not matroid._sub_connected(sub, ranks.__getitem__):
+        if not matroid._sub_connected(sub, rank_of):
             continue
         if matroid._sub_connected(full ^ sub, matroid._dual_rank_mask):
             continue
-        if _tight_indices(sub, ranks[sub], masks) in oracle:
-            lemma_violations.append(subset)
+        if matroid._rank_and_tight(sub)[1] in oracle_masks:
+            lemma_violations.append(ElementSubset(matroid.ground, sub))
     notes = []
     for c in system.collapsed:
         notes.append(f"degenerate collapse: {c.canonical()} coincides with the rank equality")
@@ -414,14 +429,8 @@ def certify(matroid: Matroid, *, check: bool = False) -> CertificationReport:
 
 def independence_vertices(matroid: Matroid) -> tuple[ElementSubset, ...]:
     """Vertices of the independence polytope: all independent sets."""
-    ranks = matroid._rank_table()
     ground = matroid.ground
-    out = [
-        ElementSubset(ground, m)
-        for m in range(ground.full_mask + 1)
-        if ranks[m] == m.bit_count()
-    ]
-    return tuple(out)
+    return tuple(ElementSubset(ground, m) for m in matroid._independent_masks())
 
 
 def predicted_facets_independence(matroid: Matroid) -> FacetSystem:
@@ -439,24 +448,26 @@ def predicted_facets_independence(matroid: Matroid) -> FacetSystem:
         for lab in ground.labels
     ]
     for mask in subsets_by_size(ground, 1):
-        subset = ElementSubset(ground, mask)
-        if not matroid.is_closed(subset):
+        if not _is_flat(ranks, mask, ground.full_mask):
             continue
         if not matroid._sub_connected(mask, ranks.__getitem__):
             continue
         facets.append(
-            LinearConstraint.on_subset(subset, "<=", ranks[mask], Origin.RANK_UPPER)
+            LinearConstraint.on_subset(
+                ElementSubset(ground, mask), "<=", ranks[mask], Origin.RANK_UPPER
+            )
         )
     return FacetSystem(ground, None, tuple(facets), ())
 
 
 def independence_tight_set(matroid: Matroid, constraint: LinearConstraint) -> TightSet:
-    vertex_masks = [v.mask for v in independence_vertices(matroid)]
-    return _tight_indices(constraint.support_mask, constraint.rhs, vertex_masks)
+    return _tight_indices(constraint.support_mask, constraint.rhs, matroid._independent_masks())
 
 
 def oracle_facets_independence(matroid: Matroid) -> frozenset:
-    """Brute-force facet tight sets of the independence polytope."""
+    """Brute-force facet tight sets of the independence polytope.  A
+    candidate is eliminated only when at least dim - 1 coordinates vary
+    over its tight vertices, since the others are constant there."""
     loops = matroid.loops()
     if loops:
         raise LoopPresent(next(iter(loops)))
@@ -474,7 +485,14 @@ def oracle_facets_independence(matroid: Matroid) -> frozenset:
     for t in tight_sets:
         if not t:
             continue
-        if _affine_dimension_of_masks([vertex_masks[j] for j in sorted(t)], n) == dim - 1:
+        points = [vertex_masks[j] for j in sorted(t)]
+        held_by_all = held_by_some = points[0]
+        for v in points:
+            held_by_all &= v
+            held_by_some |= v
+        if (held_by_some ^ held_by_all).bit_count() < dim - 1:
+            continue
+        if _affine_dimension_of_masks(points, n) == dim - 1:
             facets.add(t)
     return frozenset(facets)
 

@@ -276,6 +276,10 @@ class TestConnectivity:
             got = [frozenset(c.labels()) for c in m.components()]
             assert sorted(got, key=sorted) == naive.components(ground, bases), name
 
+    def test_restrictions_and_dual_restrictions_match_naive(self, uniformity_pool):
+        for name, m in uniformity_pool:
+            _check_restricted_connectivity(m)
+
     def test_components_need_no_scan_beyond_the_cap(self):
         m = direct_sum(uniform(1, 13), uniform(12, 13))
         assert [len(c) for c in m.components()] == [13, 13]
@@ -425,3 +429,36 @@ def test_rank_table_and_point_queries_match_naive(name):
 @given(st.one_of(_graphic(), _two_sum(), _relaxed()))
 def test_rank_table_matches_naive_on_drawn_matroids(m):
     assert Matroid(m.ground, m.bases)._rank_table() == _naive_ranks(m)
+
+
+def _check_restricted_connectivity(m):
+    """Connectivity of M|X and of M*|X, for every nonempty X, against the
+    naive bipartition scan; naive ranks of subsets of X are ranks in the
+    restriction, so M's own bases (or the dual's) serve for every X."""
+    ground, bases = naive.as_pair(m)
+    duals = naive.dual_bases(ground, bases)
+    ranks = m._rank_table()
+    labels = m.ground.labels
+    for x in range(1, m.ground.full_mask + 1):
+        sub = frozenset(lab for i, lab in enumerate(labels) if x >> i & 1)
+        assert m._sub_connected(x, ranks.__getitem__) == naive.connected(sub, bases), sub
+        assert m._sub_connected(x, m._dual_rank_mask) == naive.connected(sub, duals), sub
+
+
+@st.composite
+def _with_loops_and_coloops(draw):
+    """A drawn graphic, relaxed or 2-sum matroid (graphic ones may have
+    bridges, that is, coloops), summed with up to two loops or coloops."""
+    m = draw(st.one_of(_graphic(), _two_sum(), _relaxed()))
+    for extra in draw(st.lists(st.sampled_from([(0, 1), (1, 1)]), max_size=2)):
+        m = direct_sum(m, uniform(*extra))
+    return m
+
+
+@settings(max_examples=100, deadline=None)
+@given(_with_loops_and_coloops())
+def test_connectivity_of_restrictions_matches_naive_on_drawn_matroids(m):
+    _check_restricted_connectivity(m)
+    ground, bases = naive.as_pair(m)
+    got = [frozenset(c.labels()) for c in m.components()]
+    assert sorted(got, key=sorted) == naive.components(ground, bases)

@@ -110,6 +110,13 @@ def test_disconnected_enumeration_unions_over_components():
     ]
 
 
+def test_enumeration_matches_naive_on_the_pool(uniformity_pool):
+    for name, m in uniformity_pool:
+        ground, bases = naive.as_pair(m)
+        got = {frozenset(s.labels()) for s in enumerate_locked(m)}
+        assert got == set(naive.all_locked(ground, bases)), name
+
+
 def test_cap_stops_the_scan_early():
     m = catalog_get("V8").matroid
     assert len(enumerate_locked(m, cap=2)) == 3  # one past the cap is enough

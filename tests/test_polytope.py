@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import _naive as naive
+import matroidfacets.polytope as polytope_mod
 from matroidfacets import (
     CertificationFailed,
     ColoopPresent,
@@ -12,6 +13,7 @@ from matroidfacets import (
     DimensionMismatch,
     LinearConstraint,
     LoopPresent,
+    Matroid,
     NotConnected,
     Origin,
     bases_tight_set,
@@ -134,8 +136,6 @@ class TestBasesOracle:
     def test_gram_dimension_matches_naive_elimination(self):
         import random
 
-        import matroidfacets.polytope as polytope_mod
-
         m = catalog_get("V8").matroid
         order = list(m.ground.labels)
         points = [naive.char_vector(order, frozenset(b.labels())) for b in m.bases]
@@ -157,6 +157,57 @@ class TestBasesOracle:
             oracle_facets_bases(uniform(1, 1))
         with pytest.raises(NotConnected):
             oracle_facets_bases(uniform(2, 2))  # two coloops separate
+
+
+def _unscreened_bases_oracle(m):
+    """The bases oracle's candidates, each one eliminated."""
+    columns = m._basis_columns()
+    every = (1 << m.basis_count()) - 1
+    dim = polytope_mod._affine_dimension_of_tight(every, columns)
+    candidates = {every & ~col for col in columns}
+    candidates |= {m._rank_and_tight(sub)[1] for sub in range(1, m.ground.full_mask + 1)}
+    return dim, frozenset(
+        frozenset(j for j in range(m.basis_count()) if t >> j & 1)
+        for t in candidates
+        if polytope_mod._affine_dimension_of_tight(t, columns) == dim - 1
+    )
+
+
+def _unscreened_independence_oracle(m):
+    """The independence oracle's candidates, each one eliminated."""
+    vertices = [v.mask for v in independence_vertices(m)]
+    n = len(m.ground)
+    ranks = m._rank_table()
+    dim = polytope_mod._affine_dimension_of_masks(vertices, n)
+    bounds = [(1 << i, 0) for i in range(n)]
+    bounds += [(sub, ranks[sub]) for sub in range(1, m.ground.full_mask + 1)]
+    candidates = {
+        frozenset(j for j, v in enumerate(vertices) if (v & sub).bit_count() == rhs)
+        for sub, rhs in bounds
+    }
+    return frozenset(
+        t
+        for t in candidates
+        if polytope_mod._affine_dimension_of_masks([vertices[j] for j in sorted(t)], n)
+        == dim - 1
+    )
+
+
+def _screened_cases(pool, usable):
+    cases = [(name, m) for name, m in pool if m.is_connected() and usable(m)]
+    names = {name for name, _ in cases}
+    assert {"MK4", "W3", "Q6", "P6", "V8", "U_1_2", "U_1_3", "U_2_3"} <= names
+    return cases
+
+
+def test_screened_bases_oracle_matches_eliminating_every_candidate(uniformity_pool):
+    for name, m in _screened_cases(uniformity_pool, lambda m: m.basis_count() > 1):
+        assert polytope_mod._bases_oracle(m) == _unscreened_bases_oracle(m), name
+
+
+def test_screened_independence_oracle_matches_eliminating_every_candidate(uniformity_pool):
+    for name, m in _screened_cases(uniformity_pool, lambda m: not m.loops()):
+        assert oracle_facets_independence(m) == _unscreened_independence_oracle(m), name
 
 
 class TestCertify:
@@ -193,8 +244,6 @@ class TestCertify:
         assert report.passed
         # force a disagreement: hide one oracle facet so a predicted
         # constraint shows up as extra
-        import matroidfacets.polytope as polytope_mod
-
         real = polytope_mod._bases_oracle
 
         def lying(matroid):
@@ -237,6 +286,22 @@ class TestIndependence:
         predicted = {independence_tight_set(m, c) for c in system.facets}
         assert predicted == oracle_facets_independence(m)
         assert len(predicted) == len(system.facets)  # no two constraints coincide
+
+    def test_vertices_are_listed_once_per_matroid(self, monkeypatch):
+        q6 = catalog_get("Q6").matroid
+        m = Matroid(q6.ground, q6.bases)
+        calls = []
+        real = polytope_mod.independence_vertices
+
+        def counting(matroid):
+            calls.append(matroid)
+            return real(matroid)
+
+        monkeypatch.setattr(polytope_mod, "independence_vertices", counting)
+        system = predicted_facets_independence(m)
+        predicted = {independence_tight_set(m, c) for c in system.facets}
+        assert predicted == oracle_facets_independence(m)
+        assert calls == [m]
 
     def test_matches_naive_oracle(self):
         m = catalog_get("MK4").matroid
