@@ -6,7 +6,7 @@ query here (rank, closure, duality, connectivity) is plain integer
 arithmetic: no floats, no tolerances, bit-for-bit reproducible.
 
 Ranks come from one of two places.  The exhaustive scans (3-connectivity,
-locked subsets, the facet oracles) first build a table of all 2^n ranks,
+locked subsets, the facet oracle) first build a table of all 2^n ranks,
 one byte per subset, and read every rank from it; they are capped at
 MAX_SCAN_SIZE elements, where the table takes 16 MiB.  Without a table, a
 rank query takes the largest intersection with a basis and stores
@@ -358,7 +358,6 @@ class Matroid:
         "_basis_masks",
         "_basis_index",
         "_ranks",
-        "_columns",
         "_independent",
         "_dual",
         "_components",
@@ -383,7 +382,6 @@ class Matroid:
         self._basis_masks = tuple(masks)
         self._basis_index = {m: i for i, m in enumerate(masks)}
         self._ranks: bytes | None = None
-        self._columns: tuple[int, ...] | None = None
         self._independent: tuple[int, ...] | None = None
         self._dual: Matroid | None = None
         self._components: tuple[ElementSubset, ...] | None = None
@@ -476,43 +474,6 @@ class Matroid:
         if self._ranks is not None:
             return self._ranks[m]
         return max((b & m).bit_count() for b in self._basis_masks)
-
-    def _basis_columns(self) -> tuple[int, ...]:
-        """Per element, a bitmask over basis indices (into the sorted
-        bases) of the bases that contain it."""
-        if self._columns is None:
-            columns = [0] * len(self.ground)
-            for j, b in enumerate(self._basis_masks):
-                for i in _bit_indices(b):
-                    columns[i] |= 1 << j
-            self._columns = tuple(columns)
-        return self._columns
-
-    def _rank_and_tight(self, m: int) -> tuple[int, int]:
-        """r(m), and a bitmask over basis indices of the bases B with
-        |B ∩ m| = r(m).  The counts |B ∩ m| are added up for all bases at
-        once, one bitmask per binary digit, over the columns of the
-        elements of m; the maximum and the bases that reach it are then
-        read off digit by digit from the top."""
-        columns = self._basis_columns()
-        digits: list[int] = []
-        for i in _bit_indices(m):
-            carry = columns[i]
-            for k, digit in enumerate(digits):
-                digits[k] = digit ^ carry
-                carry &= digit
-                if not carry:
-                    break
-            else:
-                digits.append(carry)
-        tight = (1 << len(self._basis_masks)) - 1
-        rank = 0
-        for k in range(len(digits) - 1, -1, -1):
-            hit = tight & digits[k]
-            if hit:
-                tight = hit
-                rank |= 1 << k
-        return rank, tight
 
     def _dual_rank_mask(self, m: int) -> int:
         return m.bit_count() - self.rank_value + self._rank_mask(self.ground.full_mask ^ m)

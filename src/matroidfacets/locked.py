@@ -1,21 +1,17 @@
 """Locked subsets and the locked structure of a matroid.
 
-A proper nonempty subset L is locked when the restriction to L and the
-dual's restriction to the complement are both connected and both sides
-carry rank at least 2 (r(L) >= 2 and the corank of E - L >= 2).  Locked
-subsets, together with the parallel and coparallel partitions, pin down
-the nontrivial facets of the bases polytope; their count is the "locked
-number" of the matroid.
+A subset L is locked when it is a proper subset of one component C and,
+in M|C, the restriction to L and the dual's restriction to C - L are
+both connected and both sides carry rank at least 2 (r(L) >= 2 and the
+corank of C - L is >= 2).  For a connected matroid C is the ground set.
+``is_locked`` and ``enumerate_locked`` both apply this one predicate.
+Locked subsets, together with the parallel and coparallel partitions,
+pin down the nontrivial facets of the bases polytope; their count is the
+"locked number" of the matroid.
 
-For a disconnected matroid the locked subsets are those of its
-components: a proper subset of one component never satisfies the raw
-four-condition test globally (the complement side splits), so the
-enumeration works component by component.  ``is_locked`` itself applies
-the four conditions verbatim to the matroid it is given.
-
-A locked set is a cyclic flat of its component, so the enumeration
-screens every candidate with |C| rank reads and runs the two
-connectivity tests, O(|C|^2) reads each, only on cyclic flats.
+A locked set is a cyclic flat of its component, so the predicate first
+screens with |C| rank reads and runs the two connectivity tests,
+O(|C|^2) reads each, only on cyclic flats.
 """
 
 from __future__ import annotations
@@ -62,42 +58,46 @@ class KLockedVerdict:
         return self.structure is None
 
 
-def is_locked(matroid: Matroid, subset: ElementSubset) -> bool:
-    """Apply the four locked conditions to a proper nonempty subset."""
-    mask = matroid._coerce(subset)
-    full = matroid.ground.full_mask
-    if mask == 0 or mask == full:
-        raise NotProperSubset("locked subsets are proper and nonempty")
-    ranks = matroid._rank_table()
-    co = full ^ mask
-    if ranks[mask] < 2:
+def _locked_in(matroid: Matroid, mask: int, comp: int, ranks: bytes) -> bool:
+    """The locked predicate for a nonempty subset of the component comp.
+
+    Only cyclic flats of M|C reach the two connectivity tests: an
+    element of cl(L)-L is a coloop of M*|(C-L), an element of L in no
+    circuit of L is a coloop of M|L, and either one disconnects its
+    side.  Rank is additive over separators, so inside C the dual rank
+    of M|C is the dual rank of M.
+    """
+    if mask == comp or ranks[mask] < 2:
         return False
-    if matroid._dual_rank_mask(co) < 2:
+    if not (_is_flat(ranks, mask, comp) and _is_cyclic(ranks, mask)):
+        return False
+    co = comp & ~mask
+    dual_rank = matroid._dual_rank_mask
+    if dual_rank(co) < 2:
         return False
     if not matroid._sub_connected(mask, ranks.__getitem__):
         return False
-    return matroid._sub_connected(co, matroid._dual_rank_mask)
+    return matroid._sub_connected(co, dual_rank)
+
+
+def is_locked(matroid: Matroid, subset: ElementSubset) -> bool:
+    """Whether a proper nonempty subset is locked."""
+    mask = matroid._coerce(subset)
+    if mask == 0 or mask == matroid.ground.full_mask:
+        raise NotProperSubset("locked subsets are proper and nonempty")
+    comp = next((c.mask for c in matroid.components() if mask & ~c.mask == 0), None)
+    return comp is not None and _locked_in(matroid, mask, comp, matroid._rank_table())
 
 
 def enumerate_locked(matroid: Matroid, cap: int | None = None) -> tuple[ElementSubset, ...]:
     """All locked subsets, scanned by increasing cardinality and then
     lexicographic element order, so truncated runs are reproducible.
 
-    Only cyclic flats of M|C, for C the component holding the candidate,
-    reach the two connectivity tests: an element of cl(L)-L is a coloop
-    of M*|(C-L), an element of L in no circuit of L is a coloop of M|L,
-    and either one disconnects its side.  The flat test takes |C| rank
-    reads and each connectivity test O(|C|^2).
-
     With ``cap`` given, the scan stops as soon as cap + 1 locked subsets
     have been found (the bounded oracle only needs to know the count
     exceeded its threshold).
     """
     ranks = matroid._rank_table()
-    rank_of = ranks.__getitem__
-    # rank is additive over separators, so inside a component C the dual
-    # rank of M|C is the dual rank of M
-    dual_rank = matroid._dual_rank_mask
     n = len(matroid.ground)
     ground = matroid.ground
     components = [c.mask for c in matroid.components()]
@@ -108,18 +108,7 @@ def enumerate_locked(matroid: Matroid, cap: int | None = None) -> tuple[ElementS
             for i in combo:
                 mask |= 1 << i
             comp = next((c for c in components if mask & ~c == 0), None)
-            if comp is None or mask == comp:
-                continue
-            if ranks[mask] < 2:
-                continue
-            if not (_is_flat(ranks, mask, comp) and _is_cyclic(ranks, mask)):
-                continue
-            co = comp & ~mask
-            if dual_rank(co) < 2:
-                continue
-            if not matroid._sub_connected(mask, rank_of):
-                continue
-            if not matroid._sub_connected(co, dual_rank):
+            if comp is None or not _locked_in(matroid, mask, comp, ranks):
                 continue
             found.append(ElementSubset(ground, mask))
             if cap is not None and len(found) > cap:

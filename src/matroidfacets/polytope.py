@@ -4,8 +4,9 @@ Two routes to the facets of the bases polytope P(M), the convex hull of
 the basis incidence vectors:
 
 * ``predicted_facets_bases`` builds the structural description: the rank
-  equality x(E) = r(E), one upper bound per parallel closure, one lower
-  bound per coparallel closure, and one upper bound per locked subset.
+  equality x(E) = r(E), an upper bound per parallel closure P with M/P
+  connected, a lower bound per coparallel closure S with M|(E-S)
+  connected, and an upper bound per locked subset.
 * ``oracle_facets_bases`` finds the facets by brute force from the vertex
   set, with no structural knowledge: every candidate inequality is
   classified by the affine dimension of the vertices it holds with
@@ -16,14 +17,16 @@ different inequalities cut the same facet, so facet identity is the
 *tight set*: the set of bases satisfying the constraint with equality.
 Two constraints with the same tight set are the same facet.
 
-All arithmetic is exact: vertices are 0/1 integer vectors and affine
-dimensions come from fraction-free integer elimination (for the bases
-oracle, of the tight vertices' Gram matrix, whose size is bounded by the
-ground set rather than by the number of vertices).  Both oracles first
-count the coordinates that vary over a candidate's tight vertices, which
-bounds its dimension, and eliminate only candidates that could reach a
-facet's dimension; the screen uses the vertices alone, no matroid
-theory.  Points handed to ``separate`` should be ints or fractions.
+One brute-force oracle serves both polytopes.  It reads nothing but the
+vertex masks (the bases, or the independent sets): candidates are
+x_i >= 0 and x(A) <= max_v |v ∩ A|, and tight sets are bitmasks over
+vertex indices.  All arithmetic is exact: affine dimensions come from
+fraction-free elimination of the tight vertices' Gram matrix, at most
+(n+1)-square whatever the number of vertices.  One screen runs before
+each elimination: with k the coordinates that vary over the tight
+vertices, a candidate is skipped when max(k - d, 0) < dim - 1, where d
+is 1 when all vertices share a coordinate sum (the bases) and 0
+otherwise.  Points handed to ``separate`` should be ints or fractions.
 """
 
 from __future__ import annotations
@@ -190,49 +193,94 @@ def _integer_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def _mask_vector(mask: int, n: int) -> list[int]:
-    return [mask >> i & 1 for i in range(n)]
+def _vertex_columns(vertex_masks: Sequence[int], n: int) -> list[int]:
+    """Per coordinate, a bitmask over vertex indices of the vertices
+    holding it."""
+    columns = [0] * n
+    for j, v in enumerate(vertex_masks):
+        for i in _bit_indices(v):
+            columns[i] |= 1 << j
+    return columns
 
 
-def _affine_dimension_of_masks(masks: Sequence[int], n: int) -> int:
-    """Affine dimension of a set of 0/1 points; -1 for the empty set."""
-    if not masks:
-        return -1
-    base = _mask_vector(masks[0], n)
-    rows = []
-    for m in masks[1:]:
-        vec = _mask_vector(m, n)
-        rows.append([a - b for a, b in zip(vec, base)])
-    return _integer_rank(rows)
+def _max_and_tight(m: int, columns: Sequence[int], every: int) -> tuple[int, int]:
+    """The largest |v ∩ m| over the vertices, and a bitmask over vertex
+    indices of the vertices reaching it (``every`` picks them all).  The
+    counts are added up for all vertices at once, one bitmask per binary
+    digit, over the columns of the coordinates in m; the maximum and the
+    vertices that reach it are then read off digit by digit from the top."""
+    digits: list[int] = []
+    for i in _bit_indices(m):
+        carry = columns[i]
+        for k, digit in enumerate(digits):
+            digits[k] = digit ^ carry
+            carry &= digit
+            if not carry:
+                break
+        else:
+            digits.append(carry)
+    tight = every
+    top = 0
+    for k in range(len(digits) - 1, -1, -1):
+        hit = tight & digits[k]
+        if hit:
+            tight = hit
+            top |= 1 << k
+    return top, tight
 
 
 def _varying_columns(tight: int, columns: Sequence[int]) -> list[int]:
-    """The columns restricted to the bases picked by ``tight``, keeping
-    only the elements held by some but not all of those bases."""
+    """The columns restricted to the vertices picked by ``tight``, keeping
+    only the coordinates held by some but not all of those vertices."""
     size = tight.bit_count()
     return [c for c in (tight & col for col in columns) if 0 < c.bit_count() < size]
 
 
 def _gram_rank(size: int, varying: Sequence[int]) -> int:
+    """Rank of the picked vertices' matrix with a leading 1 on each
+    vertex, which is their affine dimension plus one (0 for none).
+
+    That rank is the rank of the matrix's Gram matrix, whose entries
+    count the picked vertices holding a coordinate, or two.  A coordinate
+    held by all or none of them is a multiple of the leading column and
+    is left out, so the matrix is at most (n+1)-square whatever the
+    number of vertices.
+    """
     rows = [[size, *(c.bit_count() for c in varying)]]
     rows += [[a.bit_count(), *((a & b).bit_count() for b in varying)] for a in varying]
     return _integer_rank(rows)
 
 
-def _affine_dimension_of_tight(tight: int, columns: Sequence[int]) -> int:
-    """Affine dimension of the bases picked by the bits of ``tight``
-    (``columns`` as from ``Matroid._basis_columns``); -1 for none.
-
-    With a leading 1 on each vertex, the points' affine dimension is the
-    rank of their matrix minus one, and that rank is the rank of its Gram
-    matrix, whose entries count the picked bases holding an element, or
-    two.  An element in all or none of the picked bases is constant on
-    them, a multiple of the leading column, and is left out.
+def _facet_oracle(vertex_masks: Sequence[int], n: int) -> tuple[int, frozenset]:
+    """Brute-force facets of the convex hull of 0/1 vertices in n
+    coordinates: its dimension, and the tight sets of the facets among
+    x_i >= 0 and x(A) <= max_v |v ∩ A| for every nonempty A, as
+    bitmasks over vertex indices.  Reads the vertices and nothing else.
     """
-    size = tight.bit_count()
-    if not size:
-        return -1
-    return _gram_rank(size, _varying_columns(tight, columns)) - 1
+    columns = _vertex_columns(vertex_masks, n)
+    every = (1 << len(vertex_masks)) - 1
+    dim = _gram_rank(len(vertex_masks), _varying_columns(every, columns)) - 1
+    # vertices that share a coordinate sum obey one equation more
+    shared = 1 if len({v.bit_count() for v in vertex_masks}) == 1 else 0
+    tight_sets = {every & ~col for col in columns}
+    for sub in range(1, 1 << n):
+        tight_sets.add(_max_and_tight(sub, columns, every)[1])
+    facets = set()
+    for t in tight_sets:
+        varying = _varying_columns(t, columns)
+        # Exact screen: the tight vertices are fixed outside the k varying
+        # coordinates, so their dimension is at most k, and at most
+        # max(k - 1, 0) when the vertices share a coordinate sum.
+        if max(len(varying) - shared, 0) < dim - 1:
+            continue
+        if _gram_rank(t.bit_count(), varying) - 1 == dim - 1:
+            facets.add(t)
+    return dim, frozenset(facets)
+
+
+def _indices(tight: int) -> TightSet:
+    """A tight-set bitmask as the frozenset of its vertex indices."""
+    return frozenset(_bit_indices(tight))
 
 
 def polytope_dimension(vertices: Iterable[ElementSubset]) -> int:
@@ -240,14 +288,17 @@ def polytope_dimension(vertices: Iterable[ElementSubset]) -> int:
     vertices = list(vertices)
     if not vertices:
         raise ValueError("no vertices")
-    n = len(vertices[0].ground)
-    return _affine_dimension_of_masks([v.mask for v in vertices], n)
+    masks = [v.mask for v in vertices]
+    columns = _vertex_columns(masks, len(vertices[0].ground))
+    return _gram_rank(len(masks), _varying_columns((1 << len(masks)) - 1, columns)) - 1
 
 
-def _tight_indices(constraint_mask: int, rhs: int, vertex_masks: Sequence[int]) -> TightSet:
-    return frozenset(
-        i for i, v in enumerate(vertex_masks) if (v & constraint_mask).bit_count() == rhs
-    )
+def _tight_mask(constraint_mask: int, rhs: int, vertex_masks: Sequence[int]) -> int:
+    tight = 0
+    for j, v in enumerate(vertex_masks):
+        if (v & constraint_mask).bit_count() == rhs:
+            tight |= 1 << j
+    return tight
 
 
 def predicted_facets_bases(matroid: Matroid) -> FacetSystem:
@@ -256,8 +307,11 @@ def predicted_facets_bases(matroid: Matroid) -> FacetSystem:
     Needs a connected, loopless, coloopless matroid.  A parallel or
     coparallel closure equal to the whole ground set would make its
     constraint coincide with the rank equality; such constraints are
-    recorded in ``collapsed`` rather than emitted as facets (certify
-    treats discrepancies explainable this way as degenerate, not wrong).
+    recorded in ``collapsed`` rather than emitted as facets.  The bound
+    x(P) <= 1 of a parallel closure P cuts the face P(M|P ⊕ M/P), a facet
+    only when M/P (dually M*|(E-P)) is connected; the bound of a
+    coparallel closure S is x(E-S) <= r(E-S), a facet only when M|(E-S)
+    is connected.  Other closures emit nothing.
     """
     loops = matroid.loops()
     if loops:
@@ -270,18 +324,24 @@ def predicted_facets_bases(matroid: Matroid) -> FacetSystem:
     # the scan comes first so that the partitions read its rank table
     locked_sets = enumerate_locked(matroid)
     ground = matroid.ground
-    full = ground.full
+    full = ground.full_mask
     equality = LinearConstraint.on_subset(
-        full, "=", matroid.rank_value, Origin.RANK_EQUALITY
+        ground.full, "=", matroid.rank_value, Origin.RANK_EQUALITY
     )
     facets: list[LinearConstraint] = []
     collapsed: list[LinearConstraint] = []
     for p in matroid.parallel_closures():
         c = LinearConstraint.on_subset(p, "<=", 1, Origin.PARALLEL_UPPER)
-        (collapsed if p.mask == ground.full_mask else facets).append(c)
+        if p.mask == full:
+            collapsed.append(c)
+        elif matroid._sub_connected(full ^ p.mask, matroid._dual_rank_mask):
+            facets.append(c)
     for s in matroid.coparallel_closures():
         c = LinearConstraint.on_subset(s, ">=", len(s) - 1, Origin.COPARALLEL_LOWER)
-        (collapsed if s.mask == ground.full_mask else facets).append(c)
+        if s.mask == full:
+            collapsed.append(c)
+        elif matroid._sub_connected(full ^ s.mask, matroid._rank_mask):
+            facets.append(c)
     for locked in locked_sets:
         facets.append(
             LinearConstraint.on_subset(
@@ -293,35 +353,18 @@ def predicted_facets_bases(matroid: Matroid) -> FacetSystem:
 
 def bases_tight_set(matroid: Matroid, constraint: LinearConstraint) -> TightSet:
     """Indices (into matroid.bases order) of bases tight for the constraint."""
-    return _tight_indices(constraint.support_mask, constraint.rhs, matroid._basis_masks)
+    return _indices(_tight_mask(constraint.support_mask, constraint.rhs, matroid._basis_masks))
 
 
 def _bases_oracle(matroid: Matroid) -> tuple[int, frozenset]:
+    """The dimension of the bases polytope and its facet tight sets, as
+    bitmasks over basis indices."""
     if not matroid.is_connected():
         raise NotConnected("the facet oracle needs a connected matroid")
-    masks = matroid._basis_masks
-    if len(masks) < 2:
+    if len(matroid._basis_masks) < 2:
         raise DegeneratePolytope("a single basis leaves nothing to certify")
-    matroid._rank_table()
-    columns = matroid._basis_columns()
-    every = (1 << len(masks)) - 1
-    dim = _affine_dimension_of_tight(every, columns)
-    # Candidates are tight sets as bitmasks over basis indices: the
-    # nonnegativity bounds, then x(A) <= r(A) for each nonempty A.
-    tight_sets = {every & ~col for col in columns}
-    for sub in range(1, matroid.ground.full_mask + 1):
-        tight_sets.add(matroid._rank_and_tight(sub)[1])
-    facets = set()
-    for t in tight_sets:
-        varying = _varying_columns(t, columns)
-        # Exact screen: the tight vertices are fixed outside the k varying
-        # coordinates, and every vertex sums to r, so when k > 0 the
-        # varying ones obey one more equation: dim(T) <= max(k - 1, 0).
-        if max(len(varying) - 1, 0) < dim - 1:
-            continue
-        if _gram_rank(t.bit_count(), varying) - 1 == dim - 1:
-            facets.add(frozenset(_bit_indices(t)))
-    return dim, frozenset(facets)
+    matroid._rank_table()  # refuses ground sets above the scan cap
+    return _facet_oracle(matroid._basis_masks, len(matroid.ground))
 
 
 def oracle_facets_bases(matroid: Matroid) -> frozenset:
@@ -333,18 +376,21 @@ def oracle_facets_bases(matroid: Matroid) -> frozenset:
     equivalent modulo the rank equality collapse automatically because
     they share a tight set.
     """
-    return _bases_oracle(matroid)[1]
+    return frozenset(map(_indices, _bases_oracle(matroid)[1]))
 
 
 @dataclass
 class CertificationReport:
-    """Outcome of comparing predicted and oracle facet systems."""
+    """Outcome of comparing predicted and oracle facet systems.
+    ``excused`` holds the missing tight sets that a collapse accounts
+    for: those of x_e >= 0 and x_e <= 1 for e in a collapsed support."""
 
     ground: GroundSet
     dimension: int
     predicted: tuple[tuple[LinearConstraint, TightSet], ...]
     oracle: frozenset
     missing: tuple[TightSet, ...]
+    excused: tuple[TightSet, ...]
     extra: tuple[tuple[LinearConstraint, TightSet], ...]
     collapsed: tuple[LinearConstraint, ...]
     lemma_violations: tuple[ElementSubset, ...]
@@ -366,9 +412,7 @@ class CertificationReport:
     def passed(self) -> bool:
         if self.extra or self.lemma_violations:
             return False
-        # Oracle facets with no predicted partner are only excusable when
-        # a degenerate collapse removed structural constraints.
-        return not self.missing or bool(self.collapsed)
+        return len(self.excused) == len(self.missing)
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -386,12 +430,16 @@ def certify(matroid: Matroid, *, check: bool = False) -> CertificationReport:
     a facet).  With ``check=True`` a failed comparison raises."""
     system = predicted_facets_bases(matroid)
     dim, oracle = _bases_oracle(matroid)
-    predicted = tuple((c, bases_tight_set(matroid, c)) for c in system.facets)
-    predicted_tights = {t for _, t in predicted}
-    missing = tuple(sorted(oracle - predicted_tights, key=sorted))
-    extra = tuple(pair for pair in predicted if pair[1] not in oracle)
+    vertices = matroid._basis_masks
+    predicted = [(c, _tight_mask(c.support_mask, c.rhs, vertices)) for c in system.facets]
+    missing = sorted(oracle - {t for _, t in predicted}, key=_bit_indices)
+    excusable = set()
+    for c in system.collapsed:
+        for i in _bit_indices(c.support_mask):
+            excusable.add(_tight_mask(1 << i, 0, vertices))
+            excusable.add(_tight_mask(1 << i, 1, vertices))
+    excused = [t for t in missing if t in excusable]
     lemma_violations = []
-    oracle_masks = {sum(1 << j for j in t) for t in oracle}
     ranks = matroid._rank_table()
     rank_of = ranks.__getitem__
     full = matroid.ground.full_mask
@@ -402,22 +450,23 @@ def certify(matroid: Matroid, *, check: bool = False) -> CertificationReport:
             continue
         if matroid._sub_connected(full ^ sub, matroid._dual_rank_mask):
             continue
-        if matroid._rank_and_tight(sub)[1] in oracle_masks:
+        if _tight_mask(sub, ranks[sub], vertices) in oracle:
             lemma_violations.append(ElementSubset(matroid.ground, sub))
     notes = []
     for c in system.collapsed:
         notes.append(f"degenerate collapse: {c.canonical()} coincides with the rank equality")
-    if missing and system.collapsed:
+    if excused:
         notes.append(
-            f"{len(missing)} oracle facet(s) unmatched; attributed to the degenerate collapse"
+            f"{len(excused)} oracle facet(s) unmatched; attributed to the degenerate collapse"
         )
     report = CertificationReport(
         ground=matroid.ground,
         dimension=dim,
-        predicted=predicted,
-        oracle=oracle,
-        missing=missing,
-        extra=extra,
+        predicted=tuple((c, _indices(t)) for c, t in predicted),
+        oracle=frozenset(map(_indices, oracle)),
+        missing=tuple(map(_indices, missing)),
+        excused=tuple(map(_indices, excused)),
+        extra=tuple((c, _indices(t)) for c, t in predicted if t not in oracle),
         collapsed=system.collapsed,
         lemma_violations=tuple(lemma_violations),
         notes=tuple(notes),
@@ -461,40 +510,18 @@ def predicted_facets_independence(matroid: Matroid) -> FacetSystem:
 
 
 def independence_tight_set(matroid: Matroid, constraint: LinearConstraint) -> TightSet:
-    return _tight_indices(constraint.support_mask, constraint.rhs, matroid._independent_masks())
+    vertices = matroid._independent_masks()
+    return _indices(_tight_mask(constraint.support_mask, constraint.rhs, vertices))
 
 
 def oracle_facets_independence(matroid: Matroid) -> frozenset:
-    """Brute-force facet tight sets of the independence polytope.  A
-    candidate is eliminated only when at least dim - 1 coordinates vary
-    over its tight vertices, since the others are constant there."""
+    """Brute-force facet tight sets of the independence polytope, from
+    the same oracle as the bases polytope run on the independent sets."""
     loops = matroid.loops()
     if loops:
         raise LoopPresent(next(iter(loops)))
-    vertex_masks = [v.mask for v in independence_vertices(matroid)]
-    ranks = matroid._rank_table()
-    n = len(matroid.ground)
-    dim = _affine_dimension_of_masks(vertex_masks, n)
-    tight_sets = set()
-    for i in range(n):
-        bit = 1 << i
-        tight_sets.add(frozenset(j for j, v in enumerate(vertex_masks) if not v & bit))
-    for sub in range(1, matroid.ground.full_mask + 1):
-        tight_sets.add(_tight_indices(sub, ranks[sub], vertex_masks))
-    facets = set()
-    for t in tight_sets:
-        if not t:
-            continue
-        points = [vertex_masks[j] for j in sorted(t)]
-        held_by_all = held_by_some = points[0]
-        for v in points:
-            held_by_all &= v
-            held_by_some |= v
-        if (held_by_some ^ held_by_all).bit_count() < dim - 1:
-            continue
-        if _affine_dimension_of_masks(points, n) == dim - 1:
-            facets.add(t)
-    return frozenset(facets)
+    _, facets = _facet_oracle(matroid._independent_masks(), len(matroid.ground))
+    return frozenset(map(_indices, facets))
 
 
 def separate(system: FacetSystem, point: Sequence) -> LinearConstraint | None:

@@ -117,6 +117,18 @@ def test_enumeration_matches_naive_on_the_pool(uniformity_pool):
         assert got == set(naive.all_locked(ground, bases)), name
 
 
+def test_membership_agrees_with_the_enumeration_on_the_pool(uniformity_pool):
+    # one predicate: a proper subset of one component, locked in it (for
+    # U_2_4+U_2_4 no component is locked; for MK4+U_2_4 the triangles are)
+    pool = [*uniformity_pool, ("MK4+U24", direct_sum(catalog_get("MK4").matroid, uniform(2, 4)))]
+    for name, m in pool:
+        ground, bases = naive.as_pair(m)
+        locked = set(naive.all_locked(ground, bases))
+        for sub in range(1, m.ground.full_mask):
+            s = m.ground.from_mask(sub)
+            assert is_locked(m, s) == (frozenset(s.labels()) in locked), (name, s)
+
+
 def test_cap_stops_the_scan_early():
     m = catalog_get("V8").matroid
     assert len(enumerate_locked(m, cap=2)) == 3  # one past the cap is enough
