@@ -69,6 +69,35 @@ def circuits(ground, bases):
     return found
 
 
+def cyclic_flats(ground, bases):
+    """Sets equal to their closure and to the union of the circuits
+    inside them, by growing size."""
+    circs = circuits(ground, bases)
+    out = []
+    for size in range(len(ground) + 1):
+        for c in combinations(sorted(ground), size):
+            s = frozenset(c)
+            if closure(ground, bases, s) != s:
+                continue
+            if frozenset().union(*(x for x in circs if x <= s)) == s:
+                out.append(s)
+    return out
+
+
+def three_connected(ground, bases):
+    """Connected, and no split into two sides of at least two elements
+    each with r(X) + r(E - X) <= r(E) + 1."""
+    if not connected(ground, bases):
+        return False
+    full = rank(bases, ground)
+    for size in range(2, len(ground) - 1):
+        for c in combinations(sorted(ground), size):
+            a = frozenset(c)
+            if rank(bases, a) + rank(bases, ground - a) <= full + 1:
+                return False
+    return True
+
+
 def components(ground, bases):
     """Partition by circuit reachability: e ~ f iff some circuit holds both."""
     parent = {e: e for e in ground}

@@ -19,11 +19,15 @@ from matroidfacets import (
     LoopPresent,
     Matroid,
     MatroidError,
+    Origin,
     UnequalBasisSizes,
     catalog_get,
     circuit_hyperplanes,
     direct_sum,
+    enumerate_locked,
     graphic,
+    is_locked,
+    predicted_facets_independence,
     relax,
     two_sum,
     uniform,
@@ -468,3 +472,71 @@ def test_connectivity_of_restrictions_matches_naive_on_drawn_matroids(m):
     ground, bases = naive.as_pair(m)
     got = [frozenset(c.labels()) for c in m.components()]
     assert sorted(got, key=sorted) == naive.components(ground, bases)
+
+
+@st.composite
+def _with_a_summand(draw):
+    """A drawn matroid with up to two loops or coloops, summed with a
+    small uniform or graphic one or not: loops then sit inside the ground
+    set, and the summand adds a component of its own."""
+    m = draw(_with_loops_and_coloops())
+    pieces = [uniform(1, 2), uniform(2, 3), uniform(2, 4), uniform(3, 4), catalog_get("MK4").matroid]
+    # at most 11 elements in all, so that the naive scans stay quick
+    summand = draw(st.sampled_from([None, *(p for p in pieces if len(m.ground) + len(p.ground) <= 11)]))
+    return m if summand is None else direct_sum(m, summand)
+
+
+def _by_index(m):
+    """Sets of labels in the package's order: by size, then by the
+    sorted ground-set indices."""
+    index = m.ground.index
+    return lambda s: (len(s), sorted(index[e] for e in s))
+
+
+def _check_scans_against_naive(m):
+    ground, bases = naive.as_pair(m)
+    key = _by_index(m)
+    full = m.ground.full_mask
+
+    def as_sets(subsets):
+        return [frozenset(s.labels()) for s in subsets]
+
+    subsets = sorted(
+        (frozenset(m.ground.from_mask(x).labels()) for x in range(full + 1)), key=key
+    )
+    locked = sorted(naive.all_locked(ground, bases), key=key)
+    assert as_sets(enumerate_locked(m)) == locked
+    for k in range(len(locked) + 1):
+        assert as_sets(enumerate_locked(m, cap=k)) == locked[: k + 1]
+    for x in range(1, full):
+        sub = m.ground.from_mask(x)
+        assert is_locked(m, sub) == (frozenset(sub.labels()) in locked), sub
+    r = m.rank_value
+    closed_circuits = [
+        c for c in naive.circuits(ground, bases)
+        if len(c) == r and naive.closure(ground, bases, c) == c
+    ]
+    assert as_sets(circuit_hyperplanes(m)) == sorted(closed_circuits, key=key)
+    if m.loops():
+        with pytest.raises(LoopPresent):
+            predicted_facets_independence(m)
+    else:
+        supports = [
+            frozenset(c.support().labels())
+            for c in predicted_facets_independence(m).facets
+            if c.origin is Origin.RANK_UPPER
+        ]
+        ranks = {s: naive.rank(bases, s) for s in subsets}
+        assert supports == [
+            s for s in subsets
+            if s
+            and all(ranks[s | {e}] > ranks[s] for e in ground - s)
+            and naive.connected(s, bases)
+        ]
+    assert m.is_3_connected() == naive.three_connected(ground, bases)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_with_a_summand())
+def test_exhaustive_scans_match_naive_definitions_on_drawn_matroids(m):
+    _check_scans_against_naive(m)

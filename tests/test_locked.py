@@ -135,6 +135,13 @@ def test_cap_stops_the_scan_early():
     assert len(enumerate_locked(m, cap=0)) == 1
 
 
+def test_cap_truncates_the_full_enumeration(uniformity_pool):
+    for name, m in uniformity_pool:
+        found = enumerate_locked(m)
+        for k in range(len(found) + 1):
+            assert enumerate_locked(m, cap=k) == found[: k + 1], (name, k)
+
+
 def test_locked_structure_holds_partitions_and_ranks():
     m = catalog_get("MK4").matroid
     s = locked_structure(m)
