@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .core import ElementSubset, GroundSet, MatroidError, Matroid, subsets_by_size
+from .core import ElementSubset, GroundSet, MatroidError, Matroid
 
 
 class BadParameters(MatroidError):
@@ -132,12 +132,11 @@ def _is_circuit_hyperplane(matroid: Matroid, subset: ElementSubset) -> bool:
 def circuit_hyperplanes(matroid: Matroid) -> tuple[ElementSubset, ...]:
     """Closed circuits of cardinality r(E), in lexicographic element
     order.  These are exactly the sets whose promotion to a basis
-    (relaxation) again yields a matroid."""
-    matroid._rank_table()
-    ground = matroid.ground
-    r = matroid.rank_value
-    candidates = (ElementSubset(ground, m) for m in subsets_by_size(ground, r, r))
-    return tuple(s for s in candidates if _is_circuit_hyperplane(matroid, s))
+    (relaxation) again yields a matroid: the cyclic flats of size r(E)
+    and rank r(E) - 1, each of which holds one circuit, itself."""
+    ranks, r = matroid._rank_table(), matroid.rank_value
+    keep = [f for f in matroid._cyclic_flats() if f.bit_count() == r and ranks[f] == r - 1]
+    return tuple(ElementSubset(matroid.ground, f) for f in keep)
 
 
 def relax(matroid: Matroid, target: ElementSubset) -> Matroid:

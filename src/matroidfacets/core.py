@@ -15,15 +15,23 @@ sets never pay for 2^n work.  Components come from the bases alone,
 and connectivity of a restriction from the fundamental graph of one of
 its bases: O(|X|^2) rank reads for M|X, where the definition scans all
 2^|X| bipartitions.
+
+No scan walks the 2^n subsets in Python: each reads the table whole, as
+one int of 2^n bytes.  n such passes find the cyclic flats (closed unions
+of circuits), the only candidates the other scans need: locked sets,
+connected flats and circuit-hyperplanes are cyclic flats (Bonin and de
+Mier, "The lattice of cyclic flats of a matroid", 2008).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
 MAX_SCAN_SIZE = 24
+_PLUS_ONE = bytes(range(1, 256)) + b"\x00"
 
 
 class MatroidError(Exception):
@@ -222,14 +230,6 @@ class RankQueryResult:
     witness: ElementSubset
 
 
-def _submasks_below(mask: int) -> Iterator[int]:
-    """All proper submasks of mask, including 0, in decreasing order."""
-    s = mask
-    while s:
-        s = (s - 1) & mask
-        yield s
-
-
 def _build_rank_table(n: int, bases: Iterable[int], r: int) -> bytes:
     """The ranks of all 2^n subsets of an n-element ground set, as one
     byte per subset mask, from the basis masks of a rank-r matroid.
@@ -313,32 +313,6 @@ def _fundamental_cells(basis: int, ground: int, is_basis) -> list[int]:
     return cells
 
 
-def _is_flat(ranks: bytes, m: int, within: int) -> bool:
-    """No element of ``within`` outside m is spanned by m, read from a
-    rank table: m is closed in the restriction to ``within``."""
-    r = ranks[m]
-    rest = within & ~m
-    while rest:
-        bit = rest & -rest
-        if ranks[m | bit] == r:
-            return False
-        rest ^= bit
-    return True
-
-
-def _is_cyclic(ranks: bytes, m: int) -> bool:
-    """Every element of m lies in a circuit inside m, read from a rank
-    table: removing no single element lowers the rank."""
-    r = ranks[m]
-    rest = m
-    while rest:
-        bit = rest & -rest
-        if ranks[m ^ bit] < r:
-            return False
-        rest ^= bit
-    return True
-
-
 class Matroid:
     """A matroid given by its full basis family.
 
@@ -359,6 +333,7 @@ class Matroid:
         "_basis_index",
         "_ranks",
         "_independent",
+        "_cyclic",
         "_dual",
         "_components",
         "_bases",
@@ -383,6 +358,7 @@ class Matroid:
         self._basis_index = {m: i for i, m in enumerate(masks)}
         self._ranks: bytes | None = None
         self._independent: tuple[int, ...] | None = None
+        self._cyclic: tuple[int, ...] | None = None
         self._dual: Matroid | None = None
         self._components: tuple[ElementSubset, ...] | None = None
         self._bases: tuple[ElementSubset, ...] | None = None
@@ -581,6 +557,38 @@ class Matroid:
             self._independent = tuple(m for m in range(len(ranks)) if ranks[m] == m.bit_count())
         return self._independent
 
+    def _cyclic_flats(self) -> tuple[int, ...]:
+        """The masks of all cyclic flats by size, then lexicographically
+        by index, read off the rank table on first use and kept.
+
+        Each e adds 1 to Z(X) when it lies outside X but in its closure,
+        or is a coloop of X: Z(X) = |E-X| + n*r(X) - sum_e r(X^e), as rank
+        grows by steps of 0 or 1.  The cyclic flats are the X with Z(X) = 0.
+        One pass per e lines up every X with X^e, 2^e bytes away; partial
+        sums overflow their bytes, but every byte of Z ends in 0..n.
+        """
+        if self._cyclic is None:
+            ranks = self._rank_table()
+            n = len(self.ground)
+            size = len(ranks)
+            # |X| at every X, one element at a time; read backwards, |E-X|
+            counts = b"\x00"
+            for _ in range(n):
+                counts += counts.translate(_PLUS_ONE)
+            table = int.from_bytes(ranks, "little")
+            z = int.from_bytes(counts, "big") + n * table
+            del counts
+            # lanes: 0xff at each X without e, from the top element down
+            lanes = (1 << 4 * size) - 1
+            for e in range(n - 1, -1, -1):
+                shift = 8 << e
+                z -= (table & lanes) << shift
+                z -= (table >> shift) & lanes
+                lanes ^= lanes << (shift >> 1)
+            found = [m.start() for m in re.finditer(b"\x00", z.to_bytes(size, "little"))]
+            self._cyclic = tuple(sorted(found, key=lambda m: (m.bit_count(), _bit_indices(m))))
+        return self._cyclic
+
     def _sub_connected(self, sub: int, rank_of) -> bool:
         """Connectivity of the restriction to sub, under the given rank
         function: one cell in the fundamental graph of a basis of sub,
@@ -629,17 +637,15 @@ class Matroid:
             return True
         ranks = self._rank_table()
         full = self.ground.full_mask
-        r = self.rank_value
-        anchor = 1
-        rest = full ^ anchor
-        for t in _submasks_below(rest):
-            x = anchor | t
-            k = x.bit_count()
-            if k < 2 or n - k < 2:
-                continue
-            if ranks[x] + ranks[full ^ x] <= r + 1:
-                return False
-        return True
+        # r(X) + r(E-X) at every X at once: the table read backwards holds
+        # r(E-X) at X, and no byte of the sum carries
+        sums = int.from_bytes(ranks, "little") + int.from_bytes(ranks, "big")
+        low = bytes(v <= self.rank_value + 1 for v in range(256))
+        split = bytearray(sums.to_bytes(len(ranks), "little").translate(low))
+        # a 2-separation needs two elements on each side
+        for x in (0, *(1 << i for i in range(n))):
+            split[x] = split[full ^ x] = 0
+        return 1 not in split
 
     # -- parallel structure -------------------------------------------------
 

@@ -9,17 +9,17 @@ Locked subsets, together with the parallel and coparallel partitions,
 pin down the nontrivial facets of the bases polytope; their count is the
 "locked number" of the matroid.
 
-A locked set is a cyclic flat of its component, so the predicate first
-screens with |C| rank reads and runs the two connectivity tests,
-O(|C|^2) reads each, only on cyclic flats.
+A locked set is a cyclic flat of its component, so both run the two
+connectivity tests, O(|C|^2) rank reads each, only on the matroid's
+cyclic flats.  Loops lie in every flat, so a locked L is listed there as
+L ∪ loops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .core import ElementSubset, Matroid, NotProperSubset, _is_cyclic, _is_flat
+from .core import ElementSubset, Matroid, NotProperSubset
 
 
 @dataclass
@@ -58,18 +58,18 @@ class KLockedVerdict:
         return self.structure is None
 
 
-def _locked_in(matroid: Matroid, mask: int, comp: int, ranks: bytes) -> bool:
-    """The locked predicate for a nonempty subset of the component comp.
+def _locked_in(matroid: Matroid, mask: int) -> bool:
+    """The locked predicate for a loop-free L with L ∪ loops a cyclic flat
+    of M, so that L is a cyclic flat of M|C for any component C holding it.
 
-    Only cyclic flats of M|C reach the two connectivity tests: an
-    element of cl(L)-L is a coloop of M*|(C-L), an element of L in no
-    circuit of L is a coloop of M|L, and either one disconnects its
-    side.  Rank is additive over separators, so inside C the dual rank
-    of M|C is the dual rank of M.
+    Only cyclic flats can be locked: an element of cl(L)-L is a coloop
+    of M*|(C-L), an element of L in no circuit of L is a coloop of M|L,
+    and either one disconnects its side.  Rank is additive over
+    separators, so inside C the dual rank of M|C is the dual rank of M.
     """
-    if mask == comp or ranks[mask] < 2:
-        return False
-    if not (_is_flat(ranks, mask, comp) and _is_cyclic(ranks, mask)):
+    comp = next((c.mask for c in matroid.components() if mask & ~c.mask == 0), None)
+    ranks = matroid._rank_table()
+    if comp is None or mask == comp or ranks[mask] < 2:
         return False
     co = comp & ~mask
     dual_rank = matroid._dual_rank_mask
@@ -85,43 +85,36 @@ def is_locked(matroid: Matroid, subset: ElementSubset) -> bool:
     mask = matroid._coerce(subset)
     if mask == 0 or mask == matroid.ground.full_mask:
         raise NotProperSubset("locked subsets are proper and nonempty")
-    comp = next((c.mask for c in matroid.components() if mask & ~c.mask == 0), None)
-    return comp is not None and _locked_in(matroid, mask, comp, matroid._rank_table())
+    loops = matroid.loops().mask
+    if mask & loops or mask | loops not in matroid._cyclic_flats():
+        return False
+    return _locked_in(matroid, mask)
 
 
 def enumerate_locked(matroid: Matroid, cap: int | None = None) -> tuple[ElementSubset, ...]:
     """All locked subsets, scanned by increasing cardinality and then
     lexicographic element order, so truncated runs are reproducible.
+    Taking the same loops out of every cyclic flat keeps that order.
 
     With ``cap`` given, the scan stops as soon as cap + 1 locked subsets
     have been found (the bounded oracle only needs to know the count
     exceeded its threshold).
     """
-    ranks = matroid._rank_table()
-    n = len(matroid.ground)
-    ground = matroid.ground
-    components = [c.mask for c in matroid.components()]
+    loops = matroid.loops().mask
     found: list[ElementSubset] = []
-    for k in range(2, n - 1):
-        for combo in combinations(range(n), k):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            comp = next((c for c in components if mask & ~c == 0), None)
-            if comp is None or not _locked_in(matroid, mask, comp, ranks):
-                continue
-            found.append(ElementSubset(ground, mask))
+    for flat in matroid._cyclic_flats():
+        if _locked_in(matroid, flat & ~loops):
+            found.append(ElementSubset(matroid.ground, flat & ~loops))
             if cap is not None and len(found) > cap:
-                return tuple(found)
+                break
     return tuple(found)
 
 
-def _structure(
-    matroid: Matroid,
-    parallel: tuple[ElementSubset, ...],
-    coparallel: tuple[ElementSubset, ...],
-    locked: tuple[ElementSubset, ...],
-) -> LockedStructure:
+def _structure(matroid: Matroid, locked: tuple[ElementSubset, ...]) -> LockedStructure:
+    """The structure around locked sets already found, so that the
+    partitions read the scan's rank table."""
+    parallel = matroid.parallel_closures()
+    coparallel = matroid.coparallel_closures()
     rho: dict[ElementSubset, int] = {}
     for s in (*parallel, *coparallel, *locked):
         rho[s] = matroid._rank_mask(s.mask)
@@ -133,11 +126,7 @@ def _structure(
 def locked_structure(matroid: Matroid) -> LockedStructure:
     """The full locked structure.  Needs a loopless, coloopless matroid
     (the partitions are undefined otherwise)."""
-    # the scan comes first so that the partitions read its rank table
-    locked = enumerate_locked(matroid)
-    return _structure(
-        matroid, matroid.parallel_closures(), matroid.coparallel_closures(), locked
-    )
+    return _structure(matroid, enumerate_locked(matroid))
 
 
 def k_locked_oracle(matroid: Matroid, k: int) -> KLockedVerdict:
@@ -151,10 +140,7 @@ def k_locked_oracle(matroid: Matroid, k: int) -> KLockedVerdict:
     found = enumerate_locked(matroid, cap=threshold)
     if len(found) > threshold:
         return KLockedVerdict(k, threshold, None)
-    structure = _structure(
-        matroid, matroid.parallel_closures(), matroid.coparallel_closures(), found
-    )
-    return KLockedVerdict(k, threshold, structure)
+    return KLockedVerdict(k, threshold, _structure(matroid, found))
 
 
 def locked_number_oracle(matroid: Matroid) -> LockedNumbers:

@@ -27,6 +27,10 @@ each elimination: with k the coordinates that vary over the tight
 vertices, a candidate is skipped when max(k - d, 0) < dim - 1, where d
 is 1 when all vertices share a coordinate sum (the bases) and 0
 otherwise.  Points handed to ``separate`` should be ints or fractions.
+
+The independence facets and certify's lemma scan range over the flats
+with a connected restriction: the singleton flats, and the cyclic flats
+with a connected restriction, since a connected set is cyclic.
 """
 
 from __future__ import annotations
@@ -44,8 +48,6 @@ from .core import (
     Matroid,
     MatroidError,
     _bit_indices,
-    _is_flat,
-    subsets_by_size,
 )
 from .locked import enumerate_locked
 
@@ -301,6 +303,17 @@ def _tight_mask(constraint_mask: int, rhs: int, vertex_masks: Sequence[int]) -> 
     return tight
 
 
+def _connected_flats(matroid: Matroid) -> list[int]:
+    """The nonempty flats of a loopless matroid with a connected
+    restriction, by size and then lexicographically by index.  {e} is a
+    flat when e lies in no rank-1 cyclic flat, a parallel class."""
+    ranks = matroid._rank_table()
+    flats = matroid._cyclic_flats()
+    paired = sum(f for f in flats if ranks[f] == 1)  # disjoint classes
+    singletons = [1 << i for i in range(len(matroid.ground)) if not paired >> i & 1]
+    return singletons + [f for f in flats if f and matroid._sub_connected(f, ranks.__getitem__)]
+
+
 def predicted_facets_bases(matroid: Matroid) -> FacetSystem:
     """The structural facet description of the bases polytope.
 
@@ -441,14 +454,9 @@ def certify(matroid: Matroid, *, check: bool = False) -> CertificationReport:
     excused = [t for t in missing if t in excusable]
     lemma_violations = []
     ranks = matroid._rank_table()
-    rank_of = ranks.__getitem__
     full = matroid.ground.full_mask
-    for sub in range(1, full):
-        if not _is_flat(ranks, sub, full):
-            continue
-        if not matroid._sub_connected(sub, rank_of):
-            continue
-        if matroid._sub_connected(full ^ sub, matroid._dual_rank_mask):
+    for sub in sorted(_connected_flats(matroid)):
+        if sub == full or matroid._sub_connected(full ^ sub, matroid._dual_rank_mask):
             continue
         if _tight_mask(sub, ranks[sub], vertices) in oracle:
             lemma_violations.append(ElementSubset(matroid.ground, sub))
@@ -496,11 +504,7 @@ def predicted_facets_independence(matroid: Matroid) -> FacetSystem:
         LinearConstraint.on_subset(ground.singleton(lab), ">=", 0, Origin.NONNEGATIVITY)
         for lab in ground.labels
     ]
-    for mask in subsets_by_size(ground, 1):
-        if not _is_flat(ranks, mask, ground.full_mask):
-            continue
-        if not matroid._sub_connected(mask, ranks.__getitem__):
-            continue
+    for mask in _connected_flats(matroid):
         facets.append(
             LinearConstraint.on_subset(
                 ElementSubset(ground, mask), "<=", ranks[mask], Origin.RANK_UPPER

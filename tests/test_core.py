@@ -504,6 +504,8 @@ def _check_scans_against_naive(m):
     subsets = sorted(
         (frozenset(m.ground.from_mask(x).labels()) for x in range(full + 1)), key=key
     )
+    flats = [frozenset(m.ground.from_mask(f).labels()) for f in m._cyclic_flats()]
+    assert flats == sorted(naive.cyclic_flats(ground, bases), key=key)
     locked = sorted(naive.all_locked(ground, bases), key=key)
     assert as_sets(enumerate_locked(m)) == locked
     for k in range(len(locked) + 1):
