@@ -90,6 +90,8 @@ def cmd_info(args) -> int:
 
 def cmd_locked(args) -> int:
     started = time.perf_counter()
+    if args.k is not None and args.k < 0:
+        raise ParseError(f"--k must be nonnegative, got {args.k}")
     matroid, mf = _load(args.file)
     if args.k is not None:
         verdict = k_locked_oracle(matroid, args.k)

@@ -70,6 +70,13 @@ def test_locked_oracle_verdicts(capsys, mk4_file):
     assert doc["results"]["verdict"] == "no"
 
 
+def test_negative_k_is_an_input_error(capsys, mk4_file):
+    code, out, err = run(capsys, "locked", mk4_file, "--k", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--k" in err
+
+
 def test_facets_text_is_canonical(capsys, mk4_file):
     code, out, err = run(capsys, "facets", mk4_file)
     assert code == 0
