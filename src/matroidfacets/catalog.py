@@ -134,7 +134,8 @@ def circuit_hyperplanes(matroid: Matroid) -> tuple[ElementSubset, ...]:
     order.  These are exactly the sets whose promotion to a basis
     (relaxation) again yields a matroid: the cyclic flats of size r(E)
     and rank r(E) - 1, each of which holds one circuit, itself."""
-    ranks, r = matroid._rank_table(), matroid.rank_value
+    ranks = matroid._rank_table()
+    r = matroid.rank_value
     keep = [f for f in matroid._cyclic_flats() if f.bit_count() == r and ranks[f] == r - 1]
     return tuple(ElementSubset(matroid.ground, f) for f in keep)
 

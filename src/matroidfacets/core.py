@@ -17,10 +17,10 @@ its bases: O(|X|^2) rank reads for M|X, where the definition scans all
 2^|X| bipartitions.
 
 No scan walks the 2^n subsets in Python: each reads the table whole, as
-one int of 2^n bytes.  n such passes find the cyclic flats (closed unions
-of circuits), the only candidates the other scans need: locked sets,
-connected flats and circuit-hyperplanes are cyclic flats (Bonin and de
-Mier, "The lattice of cyclic flats of a matroid", 2008).
+one big int.  n passes over its parity bits find the cyclic flats (closed
+unions of circuits), the only candidates the other scans need: locked
+sets, connected flats and circuit-hyperplanes are cyclic flats (Bonin
+and de Mier, "The lattice of cyclic flats of a matroid", 2008).
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 MAX_SCAN_SIZE = 24
-_PLUS_ONE = bytes(range(1, 256)) + b"\x00"
+# the digit "0" or "1" of each byte value's parity
+_PARITY_DIGITS = bytes(ord("0") + (v & 1) for v in range(256))
 
 
 class MatroidError(Exception):
@@ -561,31 +562,29 @@ class Matroid:
         """The masks of all cyclic flats by size, then lexicographically
         by index, read off the rank table on first use and kept.
 
-        Each e adds 1 to Z(X) when it lies outside X but in its closure,
-        or is a coloop of X: Z(X) = |E-X| + n*r(X) - sum_e r(X^e), as rank
-        grows by steps of 0 or 1.  The cyclic flats are the X with Z(X) = 0.
-        One pass per e lines up every X with X^e, 2^e bytes away; partial
-        sums overflow their bytes, but every byte of Z ends in 0..n.
+        One pass per element e finds d = r(X+e) - r(X) at every X without
+        e at once: d = 0 marks X as not closed, d = 1 marks X+e as not
+        cyclic, and the cyclic flats are the sets that no pass marks.
+        Rank grows by steps of 0 or 1, so d is the XOR of the two ranks'
+        parities, and the passes run on one parity bit per set: an int of
+        2^n bits, 2 MiB at n = 24.
         """
         if self._cyclic is None:
             ranks = self._rank_table()
-            n = len(self.ground)
             size = len(ranks)
-            # |X| at every X, one element at a time; read backwards, |E-X|
-            counts = b"\x00"
-            for _ in range(n):
-                counts += counts.translate(_PLUS_ONE)
-            table = int.from_bytes(ranks, "little")
-            z = int.from_bytes(counts, "big") + n * table
-            del counts
-            # lanes: 0xff at each X without e, from the top element down
-            lanes = (1 << 4 * size) - 1
-            for e in range(n - 1, -1, -1):
-                shift = 8 << e
-                z -= (table & lanes) << shift
-                z -= (table >> shift) & lanes
-                lanes ^= lanes << (shift >> 1)
-            found = [m.start() for m in re.finditer(b"\x00", z.to_bytes(size, "little"))]
+            # bit X is the parity of r(X); int() reads the lowest bit last
+            parity = int(ranks.translate(_PARITY_DIGITS)[::-1], 2)
+            marked = 0
+            # lanes: the sets without e, from the top element down
+            lanes = (1 << (size >> 1)) - 1
+            for e in range(len(self.ground) - 1, -1, -1):
+                step = 1 << e
+                d = (parity ^ (parity >> step)) & lanes
+                marked |= (lanes ^ d) | (d << step)
+                lanes ^= lanes << (step >> 1)
+            # the unmarked bits, lowest first; a leading 1 keeps every digit
+            digits = bin(marked | 1 << size)[:2:-1]
+            found = [m.start() for m in re.finditer("0", digits)]
             self._cyclic = tuple(sorted(found, key=lambda m: (m.bit_count(), _bit_indices(m))))
         return self._cyclic
 

@@ -103,8 +103,9 @@ def enumerate_locked(matroid: Matroid, cap: int | None = None) -> tuple[ElementS
     loops = matroid.loops().mask
     found: list[ElementSubset] = []
     for flat in matroid._cyclic_flats():
-        if _locked_in(matroid, flat & ~loops):
-            found.append(ElementSubset(matroid.ground, flat & ~loops))
+        mask = flat & ~loops
+        if _locked_in(matroid, mask):
+            found.append(ElementSubset(matroid.ground, mask))
             if cap is not None and len(found) > cap:
                 break
     return tuple(found)

@@ -482,7 +482,8 @@ def _with_a_summand(draw):
     m = draw(_with_loops_and_coloops())
     pieces = [uniform(1, 2), uniform(2, 3), uniform(2, 4), uniform(3, 4), catalog_get("MK4").matroid]
     # at most 11 elements in all, so that the naive scans stay quick
-    summand = draw(st.sampled_from([None, *(p for p in pieces if len(m.ground) + len(p.ground) <= 11)]))
+    pieces = [p for p in pieces if len(m.ground) + len(p.ground) <= 11]
+    summand = draw(st.sampled_from([None, *pieces]))
     return m if summand is None else direct_sum(m, summand)
 
 
@@ -493,7 +494,9 @@ def _by_index(m):
     return lambda s: (len(s), sorted(index[e] for e in s))
 
 
-def _check_scans_against_naive(m):
+@settings(max_examples=60, deadline=None)
+@given(_with_a_summand())
+def test_exhaustive_scans_match_naive_definitions_on_drawn_matroids(m):
     ground, bases = naive.as_pair(m)
     key = _by_index(m)
     full = m.ground.full_mask
@@ -504,7 +507,7 @@ def _check_scans_against_naive(m):
     subsets = sorted(
         (frozenset(m.ground.from_mask(x).labels()) for x in range(full + 1)), key=key
     )
-    flats = [frozenset(m.ground.from_mask(f).labels()) for f in m._cyclic_flats()]
+    flats = as_sets(m.ground.from_mask(f) for f in m._cyclic_flats())
     assert flats == sorted(naive.cyclic_flats(ground, bases), key=key)
     locked = sorted(naive.all_locked(ground, bases), key=key)
     assert as_sets(enumerate_locked(m)) == locked
@@ -536,9 +539,3 @@ def _check_scans_against_naive(m):
             and naive.connected(s, bases)
         ]
     assert m.is_3_connected() == naive.three_connected(ground, bases)
-
-
-@settings(max_examples=60, deadline=None)
-@given(_with_a_summand())
-def test_exhaustive_scans_match_naive_definitions_on_drawn_matroids(m):
-    _check_scans_against_naive(m)
