@@ -31,8 +31,8 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 MAX_SCAN_SIZE = 24
-# the digit "0" or "1" of each byte value's parity
-_PARITY_DIGITS = bytes(ord("0") + (v & 1) for v in range(256))
+# per bit position k, the digit "0" or "1" of bit k of each byte value
+_BIT_DIGITS = [bytes(ord("0") + (v >> k & 1) for v in range(256)) for k in range(8)]
 
 
 class MatroidError(Exception):
@@ -275,13 +275,17 @@ def _build_rank_table(n: int, bases: Iterable[int], r: int) -> bytes:
 
 
 def _bit_indices(mask: int) -> list[int]:
+    """The indices of the set bits, lowest first.  A mask of elements
+    walks its set bits; a longer one, such as a set of vertices, is read
+    from its binary digits in one pass, since each step of the walk
+    copies the whole int."""
+    if mask.bit_length() > 64:
+        return [i for i, digit in enumerate(bin(mask)[:1:-1]) if digit == "1"]
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
@@ -573,7 +577,7 @@ class Matroid:
             ranks = self._rank_table()
             size = len(ranks)
             # bit X is the parity of r(X); int() reads the lowest bit last
-            parity = int(ranks.translate(_PARITY_DIGITS)[::-1], 2)
+            parity = int(ranks.translate(_BIT_DIGITS[0])[::-1], 2)
             marked = 0
             # lanes: the sets without e, from the top element down
             lanes = (1 << (size >> 1)) - 1

@@ -19,7 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ElementSubset, Matroid, NotProperSubset
+from .core import ElementSubset, Matroid, MatroidError, NotProperSubset
+
+
+class NegativeExponent(MatroidError, ValueError):
+    """The bounded locked oracle's threshold |E|**k needs k >= 0."""
 
 
 @dataclass
@@ -136,7 +140,7 @@ def k_locked_oracle(matroid: Matroid, k: int) -> KLockedVerdict:
     enumeration is complete when it stays within the threshold, so it
     runs once."""
     if k < 0:
-        raise ValueError("k must be nonnegative")
+        raise NegativeExponent(f"k must be nonnegative, got {k}")
     threshold = len(matroid.ground) ** k
     found = enumerate_locked(matroid, cap=threshold)
     if len(found) > threshold:

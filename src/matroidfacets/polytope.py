@@ -20,13 +20,15 @@ Two constraints with the same tight set are the same facet.
 One brute-force oracle serves both polytopes.  It reads nothing but the
 vertex masks (the bases, or the independent sets): candidates are
 x_i >= 0 and x(A) <= max_v |v ∩ A|, and tight sets are bitmasks over
-vertex indices.  All arithmetic is exact: affine dimensions come from
-fraction-free elimination of the tight vertices' Gram matrix, at most
-(n+1)-square whatever the number of vertices.  One screen runs before
-each elimination: with k the coordinates that vary over the tight
-vertices, a candidate is skipped when max(k - d, 0) < dim - 1, where d
-is 1 when all vertices share a coordinate sum (the bases) and 0
-otherwise.  Points handed to ``separate`` should be ints or fractions.
+vertex indices.  The counts |v ∩ A| are bit-sliced, one bitmask per
+binary digit, and built depth first over the subsets A, one column per
+step.  Each tight set is screened as it comes and kept only if it
+passes, so memory does not grow with 2^n; the survivors' dimensions come
+from fraction-free elimination of their Gram matrix, at most
+(n+1)-square.  The other tight sets (predicted constraints, collapse
+excuses, the lemma scan) are read from the same counts.  ``separate``
+reads coordinates exactly with ``Fraction``, floats included, and
+compares integer gaps on the point scaled by the lcm of its denominators.
 
 The independence facets and certify's lemma scan range over the flats
 with a connected restriction: the singleton flats, and the cyclic flats
@@ -38,7 +40,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import reduce
+from itertools import compress
+from math import lcm
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     ColoopPresent,
@@ -47,6 +52,7 @@ from .core import (
     LoopPresent,
     Matroid,
     MatroidError,
+    _BIT_DIGITS,
     _bit_indices,
 )
 from .locked import enumerate_locked
@@ -108,11 +114,7 @@ class LinearConstraint:
 
     @property
     def support_mask(self) -> int:
-        m = 0
-        for i, c in enumerate(self.coeffs):
-            if c:
-                m |= 1 << i
-        return m
+        return sum(1 << i for i, c in enumerate(self.coeffs) if c)
 
     def support(self) -> ElementSubset:
         return ElementSubset(self.ground, self.support_mask)
@@ -120,21 +122,16 @@ class LinearConstraint:
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != len(self.coeffs):
             raise DimensionMismatch("point dimension != ground-set size")
-        total = Fraction(0)
-        for c, v in zip(self.coeffs, point):
-            if c:
-                total += v
-        return total
+        return sum(compress(point, self.coeffs), Fraction(0))
 
     def violation(self, point: Sequence) -> Fraction:
         """How far the point is on the wrong side (0 when satisfied).
         For the equality sense this is the absolute gap."""
-        gap = self.evaluate(point) - self.rhs
-        if self.sense == "<=":
-            return max(Fraction(0), gap)
-        if self.sense == ">=":
-            return max(Fraction(0), -gap)
-        return abs(gap)
+        return max(Fraction(0), self._excess(self.evaluate(point) - self.rhs))
+
+    def _excess(self, gap):
+        """The gap x(S) - rhs read against the sense: positive when violated."""
+        return gap if self.sense == "<=" else -gap if self.sense == ">=" else abs(gap)
 
     def satisfied_by(self, point: Sequence) -> bool:
         return self.violation(point) == 0
@@ -197,45 +194,61 @@ def _integer_rank(rows: list[list[int]]) -> int:
 
 def _vertex_columns(vertex_masks: Sequence[int], n: int) -> list[int]:
     """Per coordinate, a bitmask over vertex indices of the vertices
-    holding it."""
-    columns = [0] * n
-    for j, v in enumerate(vertex_masks):
-        for i in _bit_indices(v):
-            columns[i] |= 1 << j
-    return columns
+    holding it, read at once from all the vertices packed into bytes."""
+    width = (n + 7) // 8
+    packed = b"".join(v.to_bytes(width, "little") for v in vertex_masks)
+    # int() reads the lowest vertex last
+    return [int(packed[i >> 3 :: width].translate(_BIT_DIGITS[i & 7])[::-1], 2) for i in range(n)]
 
 
-def _max_and_tight(m: int, columns: Sequence[int], every: int) -> tuple[int, int]:
-    """The largest |v ∩ m| over the vertices, and a bitmask over vertex
-    indices of the vertices reaching it (``every`` picks them all).  The
-    counts are added up for all vertices at once, one bitmask per binary
-    digit, over the columns of the coordinates in m; the maximum and the
-    vertices that reach it are then read off digit by digit from the top."""
-    digits: list[int] = []
-    for i in _bit_indices(m):
-        carry = columns[i]
-        for k, digit in enumerate(digits):
-            digits[k] = digit ^ carry
-            carry &= digit
-            if not carry:
-                break
-        else:
-            digits.append(carry)
-    tight = every
-    top = 0
+def _plus(digits: Sequence[int], column: int) -> list[int]:
+    """Bit-sliced counts, one bitmask over vertex indices per binary
+    digit, with one more column added: a single carry ripple."""
+    out = list(digits)
+    for k, digit in enumerate(out):
+        out[k] = digit ^ column
+        column &= digit
+        if not column:
+            return out
+    return [*out, column]
+
+
+def _tight(digits: Sequence[int], every: int, rhs: int | None = None) -> int:
+    """The vertices picked by ``every`` whose bit-sliced count equals
+    ``rhs``, or with ``rhs`` None those reaching the largest count, read
+    digit by digit from the top."""
+    if rhs is not None and rhs >> len(digits):
+        return 0  # negative, or beyond every count
     for k in range(len(digits) - 1, -1, -1):
-        hit = tight & digits[k]
-        if hit:
-            tight = hit
-            top |= 1 << k
-    return top, tight
+        hit = every & digits[k]
+        if hit if rhs is None else rhs >> k & 1:
+            every = hit
+        elif hit:
+            every ^= hit
+    return every
 
 
-def _varying_columns(tight: int, columns: Sequence[int]) -> list[int]:
+def _tight_reader(vertex_masks: Sequence[int], n: int) -> Callable[[int, int], int]:
+    """The function taking (m, rhs) to the bitmask over vertex indices of
+    the vertices v with |v ∩ m| = rhs, counted for all of them at once."""
+    cols = _vertex_columns(vertex_masks, n)
+    every = (1 << len(vertex_masks)) - 1
+    return lambda m, rhs: _tight(reduce(_plus, [cols[i] for i in _bit_indices(m)], []), every, rhs)
+
+
+def _varying_columns(tight: int, columns: Sequence[int], need: int = 0) -> list[int] | None:
     """The columns restricted to the vertices picked by ``tight``, keeping
-    only the coordinates held by some but not all of those vertices."""
-    size = tight.bit_count()
-    return [c for c in (tight & col for col in columns) if 0 < c.bit_count() < size]
+    only the coordinates held by some but not all of those vertices; None
+    as soon as the constant ones leave fewer than ``need``."""
+    varying = []
+    spare = len(columns) - need
+    for col in columns:
+        c = tight & col
+        if c and c != tight:
+            varying.append(c)
+        elif (spare := spare - 1) < 0:
+            return None
+    return varying
 
 
 def _gram_rank(size: int, varying: Sequence[int]) -> int:
@@ -262,22 +275,27 @@ def _facet_oracle(vertex_masks: Sequence[int], n: int) -> tuple[int, frozenset]:
     columns = _vertex_columns(vertex_masks, n)
     every = (1 << len(vertex_masks)) - 1
     dim = _gram_rank(len(vertex_masks), _varying_columns(every, columns)) - 1
-    # vertices that share a coordinate sum obey one equation more
+    # Exact screen: a facet's dimension, dim - 1, is at most its k varying
+    # coordinates, or max(k - 1, 0) when the vertices share a coordinate sum
     shared = 1 if len({v.bit_count() for v in vertex_masks}) == 1 else 0
-    tight_sets = {every & ~col for col in columns}
-    for sub in range(1, 1 << n):
-        tight_sets.add(_max_and_tight(sub, columns, every)[1])
-    facets = set()
-    for t in tight_sets:
-        varying = _varying_columns(t, columns)
-        # Exact screen: the tight vertices are fixed outside the k varying
-        # coordinates, so their dimension is at most k, and at most
-        # max(k - 1, 0) when the vertices share a coordinate sum.
-        if max(len(varying) - shared, 0) < dim - 1:
-            continue
-        if _gram_rank(t.bit_count(), varying) - 1 == dim - 1:
-            facets.add(t)
-    return dim, frozenset(facets)
+    need = dim - 1 + shared if dim > 1 else 0
+    verdicts: dict[int, bool] = {}  # the tight sets that pass the screen
+
+    def screen(t: int) -> None:
+        varying = _varying_columns(t, columns, need)
+        if varying is not None and t not in verdicts:
+            verdicts[t] = _gram_rank(t.bit_count(), varying) == dim
+
+    def walk(digits: list[int], start: int) -> None:
+        for i in range(start, n):
+            child = _plus(digits, columns[i])
+            screen(_tight(child, every))
+            walk(child, i + 1)
+
+    for col in columns:
+        screen(every & ~col)
+    walk([], 0)
+    return dim, frozenset(t for t, facet in verdicts.items() if facet)
 
 
 def _indices(tight: int) -> TightSet:
@@ -293,14 +311,6 @@ def polytope_dimension(vertices: Iterable[ElementSubset]) -> int:
     masks = [v.mask for v in vertices]
     columns = _vertex_columns(masks, len(vertices[0].ground))
     return _gram_rank(len(masks), _varying_columns((1 << len(masks)) - 1, columns)) - 1
-
-
-def _tight_mask(constraint_mask: int, rhs: int, vertex_masks: Sequence[int]) -> int:
-    tight = 0
-    for j, v in enumerate(vertex_masks):
-        if (v & constraint_mask).bit_count() == rhs:
-            tight |= 1 << j
-    return tight
 
 
 def _connected_flats(matroid: Matroid) -> list[int]:
@@ -338,9 +348,8 @@ def predicted_facets_bases(matroid: Matroid) -> FacetSystem:
     locked_sets = enumerate_locked(matroid)
     ground = matroid.ground
     full = ground.full_mask
-    equality = LinearConstraint.on_subset(
-        ground.full, "=", matroid.rank_value, Origin.RANK_EQUALITY
-    )
+    rank = matroid.rank_value
+    equality = LinearConstraint.on_subset(ground.full, "=", rank, Origin.RANK_EQUALITY)
     facets: list[LinearConstraint] = []
     collapsed: list[LinearConstraint] = []
     for p in matroid.parallel_closures():
@@ -356,17 +365,15 @@ def predicted_facets_bases(matroid: Matroid) -> FacetSystem:
         elif matroid._sub_connected(full ^ s.mask, matroid._rank_mask):
             facets.append(c)
     for locked in locked_sets:
-        facets.append(
-            LinearConstraint.on_subset(
-                locked, "<=", matroid._rank_mask(locked.mask), Origin.LOCKED_UPPER
-            )
-        )
+        rhs = matroid._rank_mask(locked.mask)
+        facets.append(LinearConstraint.on_subset(locked, "<=", rhs, Origin.LOCKED_UPPER))
     return FacetSystem(ground, equality, tuple(facets), tuple(collapsed))
 
 
 def bases_tight_set(matroid: Matroid, constraint: LinearConstraint) -> TightSet:
     """Indices (into matroid.bases order) of bases tight for the constraint."""
-    return _indices(_tight_mask(constraint.support_mask, constraint.rhs, matroid._basis_masks))
+    tight = _tight_reader(matroid._basis_masks, len(matroid.ground))
+    return _indices(tight(constraint.support_mask, constraint.rhs))
 
 
 def _bases_oracle(matroid: Matroid) -> tuple[int, frozenset]:
@@ -443,14 +450,12 @@ def certify(matroid: Matroid, *, check: bool = False) -> CertificationReport:
     a facet).  With ``check=True`` a failed comparison raises."""
     system = predicted_facets_bases(matroid)
     dim, oracle = _bases_oracle(matroid)
-    vertices = matroid._basis_masks
-    predicted = [(c, _tight_mask(c.support_mask, c.rhs, vertices)) for c in system.facets]
+    tight = _tight_reader(matroid._basis_masks, len(matroid.ground))
+    predicted = [(c, tight(c.support_mask, c.rhs)) for c in system.facets]
     missing = sorted(oracle - {t for _, t in predicted}, key=_bit_indices)
-    excusable = set()
-    for c in system.collapsed:
-        for i in _bit_indices(c.support_mask):
-            excusable.add(_tight_mask(1 << i, 0, vertices))
-            excusable.add(_tight_mask(1 << i, 1, vertices))
+    # x_e >= 0 and x_e <= 1 for each e of a collapsed support
+    elements = [i for c in system.collapsed for i in _bit_indices(c.support_mask)]
+    excusable = {tight(1 << i, rhs) for i in elements for rhs in (0, 1)}
     excused = [t for t in missing if t in excusable]
     lemma_violations = []
     ranks = matroid._rank_table()
@@ -458,7 +463,7 @@ def certify(matroid: Matroid, *, check: bool = False) -> CertificationReport:
     for sub in sorted(_connected_flats(matroid)):
         if sub == full or matroid._sub_connected(full ^ sub, matroid._dual_rank_mask):
             continue
-        if _tight_mask(sub, ranks[sub], vertices) in oracle:
+        if tight(sub, ranks[sub]) in oracle:
             lemma_violations.append(ElementSubset(matroid.ground, sub))
     notes = []
     for c in system.collapsed:
@@ -467,14 +472,16 @@ def certify(matroid: Matroid, *, check: bool = False) -> CertificationReport:
         notes.append(
             f"{len(excused)} oracle facet(s) unmatched; attributed to the degenerate collapse"
         )
+    # one index set per tight set, shared by the report's fields
+    as_set = {t: _indices(t) for t in oracle.union(t for _, t in predicted)}
     report = CertificationReport(
         ground=matroid.ground,
         dimension=dim,
-        predicted=tuple((c, _indices(t)) for c, t in predicted),
-        oracle=frozenset(map(_indices, oracle)),
-        missing=tuple(map(_indices, missing)),
-        excused=tuple(map(_indices, excused)),
-        extra=tuple((c, _indices(t)) for c, t in predicted if t not in oracle),
+        predicted=tuple((c, as_set[t]) for c, t in predicted),
+        oracle=frozenset(as_set[t] for t in oracle),
+        missing=tuple(as_set[t] for t in missing),
+        excused=tuple(as_set[t] for t in excused),
+        extra=tuple((c, as_set[t]) for c, t in predicted if t not in oracle),
         collapsed=system.collapsed,
         lemma_violations=tuple(lemma_violations),
         notes=tuple(notes),
@@ -505,17 +512,14 @@ def predicted_facets_independence(matroid: Matroid) -> FacetSystem:
         for lab in ground.labels
     ]
     for mask in _connected_flats(matroid):
-        facets.append(
-            LinearConstraint.on_subset(
-                ElementSubset(ground, mask), "<=", ranks[mask], Origin.RANK_UPPER
-            )
-        )
+        flat = ElementSubset(ground, mask)
+        facets.append(LinearConstraint.on_subset(flat, "<=", ranks[mask], Origin.RANK_UPPER))
     return FacetSystem(ground, None, tuple(facets), ())
 
 
 def independence_tight_set(matroid: Matroid, constraint: LinearConstraint) -> TightSet:
-    vertices = matroid._independent_masks()
-    return _indices(_tight_mask(constraint.support_mask, constraint.rhs, vertices))
+    tight = _tight_reader(matroid._independent_masks(), len(matroid.ground))
+    return _indices(tight(constraint.support_mask, constraint.rhs))
 
 
 def oracle_facets_independence(matroid: Matroid) -> frozenset:
@@ -533,23 +537,19 @@ def separate(system: FacetSystem, point: Sequence) -> LinearConstraint | None:
     None when the point satisfies everything.  The equality is treated as
     its two inequality halves, so the returned constraint always has an
     inequality sense.  Ties go to the earliest constraint in canonical
-    order."""
+    order.  Coordinates are read exactly by ``Fraction``, floats too."""
     if len(point) != len(system.ground):
         raise DimensionMismatch("point dimension != ground-set size")
-    candidates: list[LinearConstraint] = []
-    if system.equality is not None:
-        eq = system.equality
-        candidates.append(
-            LinearConstraint(eq.ground, eq.coeffs, "<=", eq.rhs, Origin.RANK_EQUALITY)
-        )
-        candidates.append(
-            LinearConstraint(eq.ground, eq.coeffs, ">=", eq.rhs, Origin.RANK_EQUALITY)
-        )
-    candidates.extend(system.facets)
-    best: LinearConstraint | None = None
-    worst = Fraction(0)
-    for c in candidates:
-        v = c.violation(point)
-        if v > worst:
-            best, worst = c, v
+    values = [Fraction(v) for v in point]
+    # scaled by the lcm of the denominators, every comparison is of ints
+    scale = lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (scale // v.denominator) for v in values]
+    best, worst = None, 0
+    for c in system.constraints():
+        gap = sum(compress(scaled, c.coeffs)) - c.rhs * scale
+        excess = c._excess(gap)
+        if excess > worst:
+            best, worst, sense = c, excess, "<=" if gap > 0 else ">="
+    if best is not None and best is system.equality:
+        return LinearConstraint(best.ground, best.coeffs, sense, best.rhs, Origin.RANK_EQUALITY)
     return best

@@ -206,6 +206,26 @@ def facet_tight_sets(ground, vertices):
     return dim, frozenset(facets)
 
 
+def tight_set(vertices, support, rhs):
+    """Indices of the vertices (label sets) holding exactly rhs labels
+    of the support, one vertex at a time."""
+    return frozenset(j for j, v in enumerate(vertices) if len(v & support) == rhs)
+
+
+def most_violated(rows, point):
+    """The index of the first row (support labels, sense, rhs) that the
+    point (a dict from label to value) violates the most, with Fraction
+    arithmetic, or None when it violates none.  An "=" row counts its
+    absolute gap."""
+    best, worst = None, Fraction(0)
+    for k, (support, sense, rhs) in enumerate(rows):
+        gap = sum((Fraction(point[e]) for e in support), Fraction(0)) - rhs
+        excess = {"<=": gap, ">=": -gap, "=": abs(gap)}[sense]
+        if excess > worst:
+            best, worst = k, excess
+    return best
+
+
 def _package_order(ground, sets):
     """Equal-size sets in the package's order: as binary numbers with one
     digit per element and the last element most significant, that is,

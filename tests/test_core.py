@@ -1,5 +1,6 @@
 """Ground sets, subsets, and the basis-family matroid type."""
 
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -32,7 +33,7 @@ from matroidfacets import (
     two_sum,
     uniform,
 )
-from matroidfacets.core import subsets_by_size
+from matroidfacets.core import _bit_indices, subsets_by_size
 
 
 def mk4():
@@ -148,19 +149,25 @@ class TestRank:
     @pytest.mark.parametrize("name", ["Q6", "V8", "U_3_7"])
     def test_rank_and_tight_bases_match_naive(self, name):
         # the facet oracle's bit-sliced count, run on the bases, gives the
-        # rank and the bases reaching it
+        # rank and the bases reaching it, and the bases at every count
         m = uniform(3, 7) if name == "U_3_7" else catalog_get(name).matroid
         _, bases = naive.as_pair(m)
         listed = [frozenset(b.labels()) for b in m.bases]
         columns = polytope._vertex_columns(m._basis_masks, len(m.ground))
         every = (1 << len(listed)) - 1
+        read = polytope._tight_reader(m._basis_masks, len(m.ground))
         for size in range(len(m.ground) + 1):
             for c in combinations(m.ground.labels, size):
                 x = frozenset(c)
                 r = naive.rank(bases, x)
                 tight = sum(1 << j for j, b in enumerate(listed) if len(b & x) == r)
                 mask = m.ground.subset(list(c)).mask
-                assert polytope._max_and_tight(mask, columns, every) == (r, tight)
+                held = [col for i, col in enumerate(columns) if mask >> i & 1]
+                assert polytope._tight(reduce(polytope._plus, held, []), every) == tight
+                assert read(mask, r) == tight and read(mask, r + 1) == 0
+                for k in range(-1, size + 2):
+                    at_k = sum(1 << j for j, b in enumerate(listed) if len(b & x) == k)
+                    assert read(mask, k) == at_k
 
     def test_rank_is_monotone_and_submodular(self):
         m = catalog_get("P6").matroid
@@ -539,3 +546,16 @@ def test_exhaustive_scans_match_naive_definitions_on_drawn_matroids(m):
             and naive.connected(s, bases)
         ]
     assert m.is_3_connected() == naive.three_connected(ground, bases)
+
+
+_MASKS = st.one_of(
+    st.integers(0, 1 << 66),  # element masks, and either side of 64 bits
+    st.integers(0, 1 << 1500),  # dense sets of vertices
+    st.lists(st.integers(0, 3000), max_size=40).map(lambda bits: sum(1 << b for b in set(bits))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_MASKS)
+def test_bit_indices_are_the_set_bits_in_order(mask):
+    assert _bit_indices(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]

@@ -9,6 +9,8 @@ import matroidfacets.locked as locked_module
 from matroidfacets import (
     ColoopPresent,
     LoopPresent,
+    MatroidError,
+    NegativeExponent,
     NotProperSubset,
     catalog_get,
     direct_sum,
@@ -172,6 +174,14 @@ def test_k_locked_oracle_thresholds():
     no = k_locked_oracle(mk4, 0)  # threshold 1 < 4
     assert no.is_no
     assert no.structure is None
+
+
+def test_k_locked_oracle_refuses_a_negative_k():
+    with pytest.raises(NegativeExponent) as info:
+        k_locked_oracle(catalog_get("MK4").matroid, -1)
+    # a package error, and still a ValueError for older callers
+    assert isinstance(info.value, MatroidError)
+    assert isinstance(info.value, ValueError)
 
 
 def test_locked_number_oracle_counts():

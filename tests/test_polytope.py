@@ -1,5 +1,6 @@
 """Facet systems, brute-force oracles, certification, separation."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from matroidfacets import (
     ColoopPresent,
     DegeneratePolytope,
     DimensionMismatch,
+    FacetSystem,
     LinearConstraint,
     LoopPresent,
     Matroid,
@@ -402,3 +404,127 @@ class TestSeparate:
         system = predicted_facets_bases(uniform(2, 4))
         with pytest.raises(DimensionMismatch):
             separate(system, [0, 0])
+
+
+def test_tight_sets_match_a_per_vertex_loop(uniformity_pool):
+    # every predicted constraint of both polytopes, the collapsed ones
+    # and the coparallel x(S) >= |S| - 1 bounds among them
+    duals = [(name + "*", m.dual()) for name, m in uniformity_pool]
+    origins = set()
+    for name, m in [*uniformity_pool, *duals]:
+        checks = []
+        if not m.loops():
+            verts = [frozenset(v.labels()) for v in independence_vertices(m)]
+            system = predicted_facets_independence(m)
+            checks += [(independence_tight_set, verts, c) for c in system.facets]
+        if not (m.loops() or m.coloops()) and m.is_connected():
+            verts = [frozenset(b.labels()) for b in m.bases]
+            system = predicted_facets_bases(m)
+            checks += [(bases_tight_set, verts, c) for c in (*system.constraints(), *system.collapsed)]
+        for tight_set, verts, c in checks:
+            want = naive.tight_set(verts, frozenset(c.support().labels()), c.rhs)
+            assert tight_set(m, c) == want, (name, c.canonical())
+            origins.add(c.origin)
+    assert origins == set(Origin)
+
+
+def _rows(system):
+    """The system as separate reads it: the equality's two halves, then
+    the facets, as (support labels, sense, rhs)."""
+    rows = []
+    if system.equality is not None:
+        eq = system.equality
+        rows += [(eq, "<="), (eq, ">=")]
+    rows += [(c, c.sense) for c in system.facets]
+    return [(c, sense, (frozenset(c.support().labels()), sense, c.rhs)) for c, sense in rows]
+
+
+def _check_separate(system, point):
+    """separate against the Fraction reference; returns the reference's
+    row index and whether the largest violation was tied."""
+    rows = _rows(system)
+    labels = system.ground.labels
+    k = naive.most_violated([row for _, _, row in rows], dict(zip(labels, point)))
+    got = separate(system, point)
+    if k is None:
+        assert got is None
+        return None, False
+    c, sense, row = rows[k]
+    assert got is not None and got.sense == sense, (point, got)
+    assert got.coeffs == c.coeffs and got.rhs == c.rhs
+    assert got.origin == (Origin.RANK_EQUALITY if c is system.equality else c.origin)
+    if c is not system.equality:
+        assert got is c
+    worst = got.violation(point)
+    tied = sum(1 for c2, s2, _ in rows if _halves(c2, s2).violation(point) == worst) > 1
+    return k, tied
+
+
+def _halves(c, sense):
+    return LinearConstraint(c.ground, c.coeffs, sense, c.rhs, c.origin)
+
+
+def _mixed_point(rng, n):
+    # ints and fractions of small denominators, so that ties are common
+    return [
+        rng.randint(-1, 2) if rng.random() < 0.4 else Fraction(rng.randint(-2, 8), rng.choice((2, 3, 4)))
+        for _ in range(n)
+    ]
+
+
+class TestSeparateAgainstFractions:
+    def test_seeded_points_on_catalog_systems(self, catalog):
+        rng = random.Random(20)
+        seen = set()
+        ties = 0
+        for name, entry in sorted(catalog.items()):
+            system = predicted_facets_bases(entry.matroid)
+            n = len(system.ground)
+            for _ in range(150):
+                k, tied = _check_separate(system, _mixed_point(rng, n))
+                ties += tied
+                if k is not None and k < 2:
+                    seen.add(k)
+        assert seen == {0, 1}  # both halves of the equality were returned
+        assert ties > 0
+
+    def test_ties_go_to_the_earliest_constraint(self):
+        m = catalog_get("MK4").matroid
+        system = predicted_facets_bases(m)
+        # every triangle at 3/4 per edge: all four locked bounds are
+        # violated by 1/4, and x(E) = 9/2 also breaks the equality by 3/2
+        point = [Fraction(3, 4)] * 6
+        cut = separate(system, point)
+        assert cut.sense == "<=" and cut.origin == Origin.RANK_EQUALITY
+        # on the equality, x(ab) <= 1, x(cd) >= 0 and the triangles abc
+        # and abd are all broken by 1/2: the first of them wins
+        half = Fraction(1, 2)
+        point = [3 * half, half, half, half, half, -half]
+        k, tied = _check_separate(system, point)
+        assert tied
+        assert separate(system, point).canonical() == "x(ab) <= 1 [parallel-upper]"
+        system = FacetSystem(system.ground, system.equality, system.facets[12:])
+        assert separate(system, point).canonical() == "x(ab ac bc) <= 2 [locked-upper]"
+
+    def test_equality_sense_facet(self):
+        ground = uniform(2, 4).ground
+        eq = LinearConstraint.on_subset(ground.subset(["1", "2"]), "=", 1, Origin.RANK_UPPER)
+        low = LinearConstraint.on_subset(ground.singleton("3"), ">=", 0, Origin.NONNEGATIVITY)
+        system = FacetSystem(ground, None, (low, eq))
+        assert separate(system, [Fraction(3, 2), 1, Fraction(-1, 2), 0]) is eq  # |5/2 - 1|
+        assert separate(system, [0, 0, Fraction(-1, 2), 0]) is eq  # |0 - 1| beats 1/2
+        assert separate(system, [0, Fraction(1, 2), -1, 0]) is low  # 1/2 < 1: nonnegativity
+        rng = random.Random(21)
+        for _ in range(200):
+            _check_separate(system, _mixed_point(rng, 4))
+
+    def test_floats_are_read_exactly(self):
+        # ten 0.1s add up to just under 1 in floats, but the float 0.1 is
+        # a little over 1/10, so exactly they break x(E) <= 1
+        assert sum([0.1] * 10) < 1 < sum(map(Fraction, [0.1] * 10))
+        assert separate(predicted_facets_bases(uniform(1, 10)), [0.1] * 10).sense == "<="
+        system = predicted_facets_bases(uniform(2, 4))
+        assert separate(system, [0.5, 0.5, 0.5, 0.5]) is None
+        rng = random.Random(22)
+        for _ in range(100):
+            _check_separate(system, [rng.choice((0.25, 0.5, 0.75, 1.0, -0.5)) for _ in range(4)])
