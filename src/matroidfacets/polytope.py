@@ -122,7 +122,7 @@ class LinearConstraint:
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != len(self.coeffs):
             raise DimensionMismatch("point dimension != ground-set size")
-        return sum(compress(point, self.coeffs), Fraction(0))
+        return sum(map(Fraction, compress(point, self.coeffs)), Fraction(0))
 
     def violation(self, point: Sequence) -> Fraction:
         """How far the point is on the wrong side (0 when satisfied).

@@ -522,7 +522,8 @@ class TestSeparateAgainstFractions:
         # ten 0.1s add up to just under 1 in floats, but the float 0.1 is
         # a little over 1/10, so exactly they break x(E) <= 1
         assert sum([0.1] * 10) < 1 < sum(map(Fraction, [0.1] * 10))
-        assert separate(predicted_facets_bases(uniform(1, 10)), [0.1] * 10).sense == "<="
+        cut = separate(predicted_facets_bases(uniform(1, 10)), [0.1] * 10)
+        assert cut.sense == "<=" and not cut.satisfied_by([0.1] * 10)
         system = predicted_facets_bases(uniform(2, 4))
         assert separate(system, [0.5, 0.5, 0.5, 0.5]) is None
         rng = random.Random(22)
