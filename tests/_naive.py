@@ -212,18 +212,15 @@ def tight_set(vertices, support, rhs):
     return frozenset(j for j, v in enumerate(vertices) if len(v & support) == rhs)
 
 
-def most_violated(rows, point):
-    """The index of the first row (support labels, sense, rhs) that the
-    point (a dict from label to value) violates the most, with Fraction
-    arithmetic, or None when it violates none.  An "=" row counts its
-    absolute gap."""
-    best, worst = None, Fraction(0)
-    for k, (support, sense, rhs) in enumerate(rows):
+def violations(rows, point):
+    """How far the point (a dict from label to value) lies on the wrong
+    side of each row (support labels, sense, rhs), with Fraction
+    arithmetic; an "=" row counts its absolute gap."""
+    out = []
+    for support, sense, rhs in rows:
         gap = sum((Fraction(point[e]) for e in support), Fraction(0)) - rhs
-        excess = {"<=": gap, ">=": -gap, "=": abs(gap)}[sense]
-        if excess > worst:
-            best, worst = k, excess
-    return best
+        out.append(max(Fraction(0), {"<=": gap, ">=": -gap, "=": abs(gap)}[sense]))
+    return out
 
 
 def _package_order(ground, sets):

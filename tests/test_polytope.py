@@ -420,7 +420,8 @@ def test_tight_sets_match_a_per_vertex_loop(uniformity_pool):
         if not (m.loops() or m.coloops()) and m.is_connected():
             verts = [frozenset(b.labels()) for b in m.bases]
             system = predicted_facets_bases(m)
-            checks += [(bases_tight_set, verts, c) for c in (*system.constraints(), *system.collapsed)]
+            constraints = (*system.constraints(), *system.collapsed)
+            checks += [(bases_tight_set, verts, c) for c in constraints]
         for tight_set, verts, c in checks:
             want = naive.tight_set(verts, frozenset(c.support().labels()), c.rhs)
             assert tight_set(m, c) == want, (name, c.canonical())
@@ -440,36 +441,31 @@ def _rows(system):
 
 
 def _check_separate(system, point):
-    """separate against the Fraction reference; returns the reference's
-    row index and whether the largest violation was tied."""
+    """separate against the Fraction reference; returns the index of the
+    row it should return (None inside) and whether that row's violation
+    is tied by a later one."""
     rows = _rows(system)
-    labels = system.ground.labels
-    k = naive.most_violated([row for _, _, row in rows], dict(zip(labels, point)))
+    found = naive.violations([row for _, _, row in rows], dict(zip(system.ground.labels, point)))
+    worst = max(found)
     got = separate(system, point)
-    if k is None:
+    if worst == 0:
         assert got is None
         return None, False
-    c, sense, row = rows[k]
+    k = found.index(worst)  # the earliest of the most violated
+    c, sense, _ = rows[k]
     assert got is not None and got.sense == sense, (point, got)
     assert got.coeffs == c.coeffs and got.rhs == c.rhs
     assert got.origin == (Origin.RANK_EQUALITY if c is system.equality else c.origin)
     if c is not system.equality:
         assert got is c
-    worst = got.violation(point)
-    tied = sum(1 for c2, s2, _ in rows if _halves(c2, s2).violation(point) == worst) > 1
-    return k, tied
-
-
-def _halves(c, sense):
-    return LinearConstraint(c.ground, c.coeffs, sense, c.rhs, c.origin)
+    return k, found.count(worst) > 1
 
 
 def _mixed_point(rng, n):
     # ints and fractions of small denominators, so that ties are common
-    return [
-        rng.randint(-1, 2) if rng.random() < 0.4 else Fraction(rng.randint(-2, 8), rng.choice((2, 3, 4)))
-        for _ in range(n)
-    ]
+    ints = [rng.randint(-1, 2) for _ in range(n)]
+    fractions = [Fraction(rng.randint(-2, 8), rng.randint(2, 4)) for _ in range(n)]
+    return [rng.choice(pair) for pair in zip(ints, fractions)]
 
 
 class TestSeparateAgainstFractions:
