@@ -275,18 +275,10 @@ def _build_rank_table(n: int, bases: Iterable[int], r: int) -> bytes:
 
 
 def _bit_indices(mask: int) -> list[int]:
-    """The indices of the set bits, lowest first.  A mask of elements
-    walks its set bits; a longer one, such as a set of vertices, is read
-    from its binary digits in one pass, since each step of the walk
-    copies the whole int."""
-    if mask.bit_length() > 64:
-        return [i for i, digit in enumerate(bin(mask)[:1:-1]) if digit == "1"]
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    """The indices of the set bits, lowest first, read from the binary
+    digits in one pass: linear in the length of the mask, where shifting
+    or clearing one bit at a time copies the whole int at every step."""
+    return [i for i, digit in enumerate(bin(mask)[:1:-1]) if digit == "1"]
 
 
 def _fundamental_cells(basis: int, ground: int, is_basis) -> list[int]:

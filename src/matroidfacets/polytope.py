@@ -114,7 +114,11 @@ class LinearConstraint:
 
     @property
     def support_mask(self) -> int:
-        return sum(1 << i for i, c in enumerate(self.coeffs) if c)
+        m = 0
+        for i, c in enumerate(self.coeffs):
+            if c:
+                m |= 1 << i
+        return m
 
     def support(self) -> ElementSubset:
         return ElementSubset(self.ground, self.support_mask)
@@ -122,7 +126,11 @@ class LinearConstraint:
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != len(self.coeffs):
             raise DimensionMismatch("point dimension != ground-set size")
-        return sum(map(Fraction, compress(point, self.coeffs)), Fraction(0))
+        total = Fraction(0)
+        for c, v in zip(self.coeffs, point):
+            if c:
+                total += Fraction(v)
+        return total
 
     def violation(self, point: Sequence) -> Fraction:
         """How far the point is on the wrong side (0 when satisfied).
@@ -131,7 +139,11 @@ class LinearConstraint:
 
     def _excess(self, gap):
         """The gap x(S) - rhs read against the sense: positive when violated."""
-        return gap if self.sense == "<=" else -gap if self.sense == ">=" else abs(gap)
+        if self.sense == "<=":
+            return gap
+        if self.sense == ">=":
+            return -gap
+        return abs(gap)
 
     def satisfied_by(self, point: Sequence) -> bool:
         return self.violation(point) == 0
@@ -230,10 +242,17 @@ def _tight(digits: Sequence[int], every: int, rhs: int | None = None) -> int:
 
 def _tight_reader(vertex_masks: Sequence[int], n: int) -> Callable[[int, int], int]:
     """The function taking (m, rhs) to the bitmask over vertex indices of
-    the vertices v with |v ∩ m| = rhs, counted for all of them at once."""
+    the vertices v with |v ∩ m| = rhs, counted for all of them at once.
+    An integral rhs of another type (1.0, Fraction(1)) reads as its int."""
     cols = _vertex_columns(vertex_masks, n)
     every = (1 << len(vertex_masks)) - 1
-    return lambda m, rhs: _tight(reduce(_plus, [cols[i] for i in _bit_indices(m)], []), every, rhs)
+
+    def tight(m: int, rhs) -> int:
+        if rhs % 1:
+            return 0  # no count is fractional
+        return _tight(reduce(_plus, [cols[i] for i in _bit_indices(m)], []), every, int(rhs))
+
+    return tight
 
 
 def _varying_columns(tight: int, columns: Sequence[int], need: int = 0) -> list[int] | None:
@@ -348,8 +367,9 @@ def predicted_facets_bases(matroid: Matroid) -> FacetSystem:
     locked_sets = enumerate_locked(matroid)
     ground = matroid.ground
     full = ground.full_mask
-    rank = matroid.rank_value
-    equality = LinearConstraint.on_subset(ground.full, "=", rank, Origin.RANK_EQUALITY)
+    equality = LinearConstraint.on_subset(
+        ground.full, "=", matroid.rank_value, Origin.RANK_EQUALITY
+    )
     facets: list[LinearConstraint] = []
     collapsed: list[LinearConstraint] = []
     for p in matroid.parallel_closures():
@@ -365,8 +385,11 @@ def predicted_facets_bases(matroid: Matroid) -> FacetSystem:
         elif matroid._sub_connected(full ^ s.mask, matroid._rank_mask):
             facets.append(c)
     for locked in locked_sets:
-        rhs = matroid._rank_mask(locked.mask)
-        facets.append(LinearConstraint.on_subset(locked, "<=", rhs, Origin.LOCKED_UPPER))
+        facets.append(
+            LinearConstraint.on_subset(
+                locked, "<=", matroid._rank_mask(locked.mask), Origin.LOCKED_UPPER
+            )
+        )
     return FacetSystem(ground, equality, tuple(facets), tuple(collapsed))
 
 
@@ -512,8 +535,11 @@ def predicted_facets_independence(matroid: Matroid) -> FacetSystem:
         for lab in ground.labels
     ]
     for mask in _connected_flats(matroid):
-        flat = ElementSubset(ground, mask)
-        facets.append(LinearConstraint.on_subset(flat, "<=", ranks[mask], Origin.RANK_UPPER))
+        facets.append(
+            LinearConstraint.on_subset(
+                ElementSubset(ground, mask), "<=", ranks[mask], Origin.RANK_UPPER
+            )
+        )
     return FacetSystem(ground, None, tuple(facets), ())
 
 

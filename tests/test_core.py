@@ -549,7 +549,7 @@ def test_exhaustive_scans_match_naive_definitions_on_drawn_matroids(m):
 
 
 _MASKS = st.one_of(
-    st.integers(0, 1 << 66),  # element masks, and either side of 64 bits
+    st.integers(0, 1 << 66),  # element masks, and a little longer
     st.integers(0, 1 << 1500),  # dense sets of vertices
     st.lists(st.integers(0, 3000), max_size=40).map(lambda bits: sum(1 << b for b in set(bits))),
 )

@@ -429,6 +429,17 @@ def test_tight_sets_match_a_per_vertex_loop(uniformity_pool):
     assert origins == set(Origin)
 
 
+def test_tight_sets_read_an_integral_rhs_of_any_type():
+    m = catalog_get("MK4").matroid
+    c = predicted_facets_bases(m).facets[-1]  # a locked bound, x(S) <= 2
+    for tight_set in (bases_tight_set, independence_tight_set):
+        want = tight_set(m, c)
+        assert want
+        for rhs, tight in [(Fraction(2), want), (2.0, want), (Fraction(3, 2), frozenset())]:
+            other = LinearConstraint(c.ground, c.coeffs, c.sense, rhs, c.origin)
+            assert tight_set(m, other) == tight, (tight_set.__name__, rhs)
+
+
 def _rows(system):
     """The system as separate reads it: the equality's two halves, then
     the facets, as (support labels, sense, rhs)."""
