@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .core import ElementSubset, GroundSet, MatroidError, Matroid
+from .core import ElementSubset, GroundSet, MatroidError, Matroid, subsets_by_size
 
 
 class BadParameters(MatroidError):
@@ -55,13 +55,7 @@ def uniform(r: int, n: int) -> Matroid:
     if n < 1 or r < 0 or r > n:
         raise BadParameters(f"uniform needs 0 <= r <= n and n >= 1, got r={r} n={n}")
     ground = GroundSet(str(i) for i in range(1, n + 1))
-    masks = []
-    for combo in combinations(range(n), r):
-        m = 0
-        for i in combo:
-            m |= 1 << i
-        masks.append(m)
-    return Matroid._from_masks(ground, masks)
+    return Matroid._from_masks(ground, subsets_by_size(ground, r, r))
 
 
 class _UnionFind:
@@ -219,23 +213,19 @@ def direct_sum(matroid1: Matroid, matroid2: Matroid) -> Matroid:
     return Matroid._from_masks(ground, masks)
 
 
+def _all_but(labels: tuple[str, ...], r: int, nonbases: tuple[tuple[str, ...], ...]) -> Matroid:
+    """The matroid whose bases are all r-subsets of labels but nonbases."""
+    ground = GroundSet(labels)
+    excluded = {ground.subset(nb).mask for nb in nonbases}
+    return Matroid._from_masks(ground, (m for m in subsets_by_size(ground, r, r) if m not in excluded))
+
+
 @lru_cache(maxsize=None)
 def _mk4() -> Matroid:
     # Edges of the complete graph on vertices a, b, c, d; the non-bases
     # among the 3-subsets are the four triangles.
-    ground = GroundSet(("ab", "ac", "ad", "bc", "bd", "cd"))
-    triangles = (
-        frozenset(("ab", "ac", "bc")),
-        frozenset(("ab", "ad", "bd")),
-        frozenset(("ac", "ad", "cd")),
-        frozenset(("bc", "bd", "cd")),
-    )
-    bases = [
-        ground.subset(combo)
-        for combo in combinations(ground.labels, 3)
-        if frozenset(combo) not in triangles
-    ]
-    return Matroid(ground, bases)
+    triangles = (("ab", "ac", "bc"), ("ab", "ad", "bd"), ("ac", "ad", "cd"), ("bc", "bd", "cd"))
+    return _all_but(("ab", "ac", "ad", "bc", "bd", "cd"), 3, triangles)
 
 
 @lru_cache(maxsize=None)
@@ -252,20 +242,14 @@ def _chain(steps: int) -> Matroid:
 def vamos() -> Matroid:
     """Rank 4 on eight elements in four tagged pairs; exactly five pair
     unions fail to be bases and there is no representation over any field."""
-    ground = GroundSet(("a", "a'", "b", "b'", "c", "c'", "d", "d'"))
     nonbases = (
-        frozenset(("a", "a'", "b", "b'")),
-        frozenset(("a", "a'", "c", "c'")),
-        frozenset(("a", "a'", "d", "d'")),
-        frozenset(("b", "b'", "c", "c'")),
-        frozenset(("b", "b'", "d", "d'")),
+        ("a", "a'", "b", "b'"),
+        ("a", "a'", "c", "c'"),
+        ("a", "a'", "d", "d'"),
+        ("b", "b'", "c", "c'"),
+        ("b", "b'", "d", "d'"),
     )
-    bases = [
-        ground.subset(combo)
-        for combo in combinations(ground.labels, 4)
-        if frozenset(combo) not in nonbases
-    ]
-    return Matroid(ground, bases)
+    return _all_but(("a", "a'", "b", "b'", "c", "c'", "d", "d'"), 4, nonbases)
 
 
 _UNIFORM_NAME = re.compile(r"^U_(\d+)_(\d+)$")

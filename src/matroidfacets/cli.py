@@ -1,7 +1,9 @@
 """Command-line interface.
 
-Every command reads matroid files (see ``files``), prints an aligned text
-report or, with ``--json``, a canonically serialized JSON document, and
+Every command reads matroid files (see ``files``) and prints an aligned
+text report or, with ``--json``, one canonically serialized JSON document
+(``indent=2``, sorted keys) with four keys: ``command`` (the subcommand),
+``inputs`` (its arguments), ``results`` and ``timing`` (``seconds``).  It
 exits 0 on success / positive verdict, 1 on a negative verdict (failed
 certification, refused k-locked oracle, not uniform), 2 on input errors.
 """
@@ -27,50 +29,48 @@ from .polytope import (
 from .uniformity import test_uniformity
 
 
-def _canonical_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.json:
-        print(_canonical_json(payload))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _load(path: str) -> tuple[Matroid, MatroidFile]:
-    return load(path)
-
-
 def _subset_str(subset) -> str:
     return "{%s}" % " ".join(subset)
 
 
-def cmd_info(args) -> int:
+def _run(args) -> int:
+    """Time one command body and print its report.  A body returns
+    ``(results, text_lines, exit_code)``; ``inputs`` are its arguments as
+    the body left them, so a body may store them in normal form."""
     started = time.perf_counter()
-    matroid, mf = _load(args.file)
+    results, text, code = args.func(args)
+    if args.json:
+        payload = {
+            "command": args.command,
+            "inputs": {k: v for k, v in vars(args).items() if k not in ("command", "json", "func")},
+            "results": results,
+            "timing": {"seconds": time.perf_counter() - started},
+        }
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        for line in text:
+            print(line)
+    return code
+
+
+def cmd_info(args):
+    matroid, mf = load(args.file)
     components = matroid.components()
     loops = matroid.loops()
     coloops = matroid.coloops()
     connected = matroid.is_connected()
     three = matroid.is_3_connected()
-    payload = {
-        "command": "info",
-        "inputs": {"file": args.file},
-        "results": {
-            "name": mf.name,
-            "elements": list(matroid.ground.labels),
-            "size": len(matroid.ground),
-            "rank": matroid.rank_value,
-            "bases": matroid.basis_count(),
-            "loops": list(loops),
-            "coloops": list(coloops),
-            "connected": connected,
-            "three_connected": three,
-            "components": [list(c) for c in components],
-        },
-        "timing": {"seconds": time.perf_counter() - started},
+    results = {
+        "name": mf.name,
+        "elements": list(matroid.ground.labels),
+        "size": len(matroid.ground),
+        "rank": matroid.rank_value,
+        "bases": matroid.basis_count(),
+        "loops": list(loops),
+        "coloops": list(coloops),
+        "connected": connected,
+        "three_connected": three,
+        "components": [list(c) for c in components],
     }
     text = [
         f"name: {mf.name}",
@@ -84,88 +84,51 @@ def cmd_info(args) -> int:
         f"3-connected: {'yes' if three else 'no'}",
         f"components: {' '.join(_subset_str(c) for c in components)}",
     ]
-    _emit(args, payload, text)
-    return 0
+    return results, text, 0
 
 
-def cmd_locked(args) -> int:
-    started = time.perf_counter()
+def cmd_locked(args):
     if args.k is not None and args.k < 0:
         raise ParseError(f"--k must be nonnegative, got {args.k}")
-    matroid, mf = _load(args.file)
-    if args.k is not None:
+    matroid, mf = load(args.file)
+    results = {"name": mf.name}
+    text = [f"name: {mf.name}"]
+    if args.k is None:
+        structure = locked_structure(matroid)
+    else:
         verdict = k_locked_oracle(matroid, args.k)
-        results = {
-            "name": mf.name,
-            "k": verdict.k,
-            "threshold": verdict.threshold,
-            "verdict": "no" if verdict.is_no else "structure",
-        }
-        text = [
-            f"name: {mf.name}",
-            f"k: {verdict.k}",
-            f"threshold: {verdict.threshold}",
-        ]
-        code = 0
+        results.update(
+            k=verdict.k,
+            threshold=verdict.threshold,
+            verdict="no" if verdict.is_no else "structure",
+        )
+        text += [f"k: {verdict.k}", f"threshold: {verdict.threshold}"]
         if verdict.is_no:
             results["locked_count_exceeds"] = verdict.threshold
             text.append(f"verdict: No (more than {verdict.threshold} locked subsets)")
-            code = 1
-        else:
-            structure = verdict.structure
-            results.update(_structure_results(structure, matroid))
-            text.append("verdict: structure")
-            text.extend(_structure_text(structure))
-        payload = {
-            "command": "locked",
-            "inputs": {"file": args.file, "k": args.k},
-            "results": results,
-            "timing": {"seconds": time.perf_counter() - started},
-        }
-        _emit(args, payload, text)
-        return code
-    structure = locked_structure(matroid)
-    payload = {
-        "command": "locked",
-        "inputs": {"file": args.file, "k": None},
-        "results": {"name": mf.name, **_structure_results(structure, matroid)},
-        "timing": {"seconds": time.perf_counter() - started},
-    }
-    text = [f"name: {mf.name}"]
-    text.extend(_structure_text(structure))
-    _emit(args, payload, text)
-    return 0
-
-
-def _structure_results(structure, matroid) -> dict:
-    return {
-        "rank": matroid.rank_value,
-        "locked_count": len(structure.locked),
-        "parallel_count": len(structure.parallel),
-        "coparallel_count": len(structure.coparallel),
-        "parallel": [list(p) for p in structure.parallel],
-        "coparallel": [list(s) for s in structure.coparallel],
-        "locked": [
-            {"set": list(locked), "rank": structure.rho[locked]}
-            for locked in structure.locked
-        ],
-    }
-
-
-def _structure_text(structure) -> list[str]:
-    lines = [
+            return results, text, 1
+        structure = verdict.structure
+        text.append("verdict: structure")
+    results.update(
+        rank=matroid.rank_value,
+        locked_count=len(structure.locked),
+        parallel_count=len(structure.parallel),
+        coparallel_count=len(structure.coparallel),
+        parallel=[list(p) for p in structure.parallel],
+        coparallel=[list(s) for s in structure.coparallel],
+        locked=[{"set": list(s), "rank": structure.rho[s]} for s in structure.locked],
+    )
+    text += [
         f"parallel closures: {' '.join(_subset_str(p) for p in structure.parallel)}",
         f"coparallel closures: {' '.join(_subset_str(s) for s in structure.coparallel)}",
         f"locked count: {len(structure.locked)}",
     ]
-    for locked in structure.locked:
-        lines.append(f"locked: {_subset_str(locked)} rank {structure.rho[locked]}")
-    return lines
+    text += [f"locked: {_subset_str(s)} rank {structure.rho[s]}" for s in structure.locked]
+    return results, text, 0
 
 
-def cmd_facets(args) -> int:
-    started = time.perf_counter()
-    matroid, mf = _load(args.file)
+def cmd_facets(args):
+    matroid, mf = load(args.file)
     if args.polytope == "bases":
         system = predicted_facets_bases(matroid)
     else:
@@ -173,18 +136,13 @@ def cmd_facets(args) -> int:
     by_origin: dict[str, int] = {}
     for c in system.facets:
         by_origin[c.origin.value] = by_origin.get(c.origin.value, 0) + 1
-    payload = {
-        "command": "facets",
-        "inputs": {"file": args.file, "polytope": args.polytope},
-        "results": {
-            "name": mf.name,
-            "equality": system.equality.canonical() if system.equality else None,
-            "facets": [c.canonical() for c in system.facets],
-            "facet_count": len(system.facets),
-            "by_origin": by_origin,
-            "collapsed": [c.canonical() for c in system.collapsed],
-        },
-        "timing": {"seconds": time.perf_counter() - started},
+    results = {
+        "name": mf.name,
+        "equality": system.equality.canonical() if system.equality else None,
+        "facets": [c.canonical() for c in system.facets],
+        "facet_count": len(system.facets),
+        "by_origin": by_origin,
+        "collapsed": [c.canonical() for c in system.collapsed],
     }
     text = [f"name: {mf.name}", f"polytope: {args.polytope}"]
     if system.equality is not None:
@@ -193,30 +151,23 @@ def cmd_facets(args) -> int:
     text.extend(f"  {c.canonical()}" for c in system.facets)
     for c in system.collapsed:
         text.append(f"collapsed: {c.canonical()}")
-    _emit(args, payload, text)
-    return 0
+    return results, text, 0
 
 
-def cmd_certify(args) -> int:
-    started = time.perf_counter()
-    matroid, mf = _load(args.file)
+def cmd_certify(args):
+    matroid, mf = load(args.file)
     report = certify(matroid)
-    payload = {
-        "command": "certify",
-        "inputs": {"file": args.file},
-        "results": {
-            "name": mf.name,
-            "passed": report.passed,
-            "dimension": report.dimension,
-            "predicted_count": report.predicted_count,
-            "oracle_count": report.oracle_count,
-            "matched_count": report.matched_count,
-            "missing_count": len(report.missing),
-            "extra": [c.canonical() for c, _ in report.extra],
-            "lemma_violations": [list(s) for s in report.lemma_violations],
-            "notes": list(report.notes),
-        },
-        "timing": {"seconds": time.perf_counter() - started},
+    results = {
+        "name": mf.name,
+        "passed": report.passed,
+        "dimension": report.dimension,
+        "predicted_count": report.predicted_count,
+        "oracle_count": report.oracle_count,
+        "matched_count": report.matched_count,
+        "missing_count": len(report.missing),
+        "extra": [c.canonical() for c, _ in report.extra],
+        "lemma_violations": [list(s) for s in report.lemma_violations],
+        "notes": list(report.notes),
     }
     text = [
         f"name: {mf.name}",
@@ -234,32 +185,26 @@ def cmd_certify(args) -> int:
     for s in report.lemma_violations:
         text.append(f"lemma violation: {_subset_str(s)}")
     text.append("result: PASS" if report.passed else "result: FAIL")
-    _emit(args, payload, text)
-    return 0 if report.passed else 1
+    return results, text, 0 if report.passed else 1
 
 
-def cmd_mwbp(args) -> int:
-    started = time.perf_counter()
-    matroid, mf = _load(args.file)
+def cmd_mwbp(args):
+    matroid, mf = load(args.file)
     try:
         values = [Fraction(w) for w in args.weights.split(",")]
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"cannot parse weights {args.weights!r}") from None
     weights = WeightFunction.from_values(matroid.ground, values)
     result = greedy_max_basis(matroid, weights)
-    payload = {
-        "command": "mwbp",
-        "inputs": {"file": args.file, "weights": [str(v) for v in values]},
-        "results": {
-            "name": mf.name,
-            "basis": list(result.basis),
-            "value": str(result.value),
-            "trace": [
-                {"element": s.label, "weight": str(s.weight), "accepted": s.accepted}
-                for s in result.trace
-            ],
-        },
-        "timing": {"seconds": time.perf_counter() - started},
+    args.weights = [str(v) for v in values]
+    results = {
+        "name": mf.name,
+        "basis": list(result.basis),
+        "value": str(result.value),
+        "trace": [
+            {"element": s.label, "weight": str(s.weight), "accepted": s.accepted}
+            for s in result.trace
+        ],
     }
     text = [
         f"name: {mf.name}",
@@ -268,33 +213,26 @@ def cmd_mwbp(args) -> int:
     ]
     for s in result.trace:
         text.append(f"  {'accept' if s.accepted else 'reject'} {s.label} (weight {s.weight})")
-    _emit(args, payload, text)
-    return 0
+    return results, text, 0
 
 
-def cmd_uniform(args) -> int:
-    started = time.perf_counter()
-    matroid, mf = _load(args.file)
+def cmd_uniform(args):
+    matroid, mf = load(args.file)
     verdict = test_uniformity(matroid)
     numbers = verdict.inputs_used
-    payload = {
-        "command": "uniform",
-        "inputs": {"file": args.file},
-        "results": {
-            "name": mf.name,
-            "uniform": verdict.uniform,
-            "witness_condition": verdict.witness_condition,
-            "note": verdict.note,
-            "locked_numbers": None
-            if numbers is None
-            else {
-                "ell": numbers.ell,
-                "rank": numbers.rank,
-                "parallel_count": numbers.parallel_count,
-                "coparallel_count": numbers.coparallel_count,
-            },
+    results = {
+        "name": mf.name,
+        "uniform": verdict.uniform,
+        "witness_condition": verdict.witness_condition,
+        "note": verdict.note,
+        "locked_numbers": None
+        if numbers is None
+        else {
+            "ell": numbers.ell,
+            "rank": numbers.rank,
+            "parallel_count": numbers.parallel_count,
+            "coparallel_count": numbers.coparallel_count,
         },
-        "timing": {"seconds": time.perf_counter() - started},
     }
     text = [
         f"name: {mf.name}",
@@ -308,8 +246,7 @@ def cmd_uniform(args) -> int:
         )
     if verdict.note:
         text.append(f"note: {verdict.note}")
-    _emit(args, payload, text)
-    return 0 if verdict.uniform else 1
+    return results, text, 0 if verdict.uniform else 1
 
 
 def _write_or_print(args, matroid: Matroid, name: str) -> list[str]:
@@ -321,66 +258,47 @@ def _write_or_print(args, matroid: Matroid, name: str) -> list[str]:
     return [text.rstrip("\n")]
 
 
-def cmd_two_sum(args) -> int:
-    started = time.perf_counter()
-    m1, mf1 = _load(args.file1)
-    m2, mf2 = _load(args.file2)
-    parts = args.base.split(",")
-    if len(parts) != 2:
+def cmd_two_sum(args):
+    m1, mf1 = load(args.file1)
+    m2, mf2 = load(args.file2)
+    args.base = args.base.split(",")
+    if len(args.base) != 2:
         raise ParseError("--base needs two comma-separated labels: p1,p2")
-    result = two_sum(m1, parts[0], m2, parts[1])
+    result = two_sum(m1, args.base[0], m2, args.base[1])
     name = f"{mf1.name}+{mf2.name}"
     lines = _write_or_print(args, result, name)
-    payload = {
-        "command": "two-sum",
-        "inputs": {
-            "file1": args.file1,
-            "file2": args.file2,
-            "base": parts,
-            "output": args.output,
-        },
-        "results": {
-            "name": name,
-            "elements": list(result.ground.labels),
-            "rank": result.rank_value,
-            "bases": result.basis_count(),
-        },
-        "timing": {"seconds": time.perf_counter() - started},
+    results = {
+        "name": name,
+        "elements": list(result.ground.labels),
+        "rank": result.rank_value,
+        "bases": result.basis_count(),
     }
     text = [
         f"name: {name}",
         f"elements: {' '.join(result.ground.labels)}",
         f"rank: {result.rank_value}",
         f"bases: {result.basis_count()}",
-    ] + lines
-    _emit(args, payload, text)
-    return 0
+    ]
+    return results, text + lines, 0
 
 
-def cmd_catalog(args) -> int:
-    started = time.perf_counter()
+def cmd_catalog(args):
     entry = catalog_get(args.name)
     lines = _write_or_print(args, entry.matroid, entry.name)
-    payload = {
-        "command": "catalog",
-        "inputs": {"name": args.name, "output": args.output},
-        "results": {
-            "name": entry.name,
-            "elements": list(entry.matroid.ground.labels),
-            "rank": entry.matroid.rank_value,
-            "bases": entry.matroid.basis_count(),
-            "expected_locked_number": entry.expected_locked_number,
-        },
-        "timing": {"seconds": time.perf_counter() - started},
+    results = {
+        "name": entry.name,
+        "elements": list(entry.matroid.ground.labels),
+        "rank": entry.matroid.rank_value,
+        "bases": entry.matroid.basis_count(),
+        "expected_locked_number": entry.expected_locked_number,
     }
     text = [
         f"name: {entry.name}",
         f"rank: {entry.matroid.rank_value}",
         f"bases: {entry.matroid.basis_count()}",
         f"expected locked number: {entry.expected_locked_number}",
-    ] + lines
-    _emit(args, payload, text)
-    return 0
+    ]
+    return results, text + lines, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -431,14 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except MatroidError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+        return _run(args)
+    except (MatroidError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -361,7 +361,7 @@ class Matroid:
         self._bases: tuple[ElementSubset, ...] | None = None
         self._hash = hash((ground, self._basis_masks))
         if validate:
-            self._check_exchange()
+            self.validate()
 
     @classmethod
     def _from_masks(cls, ground: GroundSet, masks: Iterable[int]) -> "Matroid":
@@ -396,9 +396,9 @@ class Matroid:
 
     # -- validation -------------------------------------------------------
 
-    def _check_exchange(self) -> None:
-        """Basis exchange: for B1, B2 and e in B1-B2 there is f in B2-B1
-        with B1-e+f again a basis.
+    def validate(self) -> None:
+        """Check basis exchange: for B1, B2 and e in B1-B2 there is f in
+        B2-B1 with B1-e+f again a basis.
 
         Fix B1 and e in B1, and let J be the elements f outside B1 with
         B1-e+f a basis.  Exchange fails at (B1, B2, e) exactly when B2
@@ -431,10 +431,6 @@ class Matroid:
                     ElementSubset(ground, b2).labels(),
                     ground.labels[i],
                 )
-
-    def validate(self) -> None:
-        """Run the basis-exchange validation on demand."""
-        self._check_exchange()
 
     # -- rank and friends -------------------------------------------------
 
@@ -698,9 +694,6 @@ def subsets_by_size(ground: GroundSet, smallest: int = 0, largest: int | None = 
     n = len(ground)
     if largest is None:
         largest = n
+    bits = [1 << i for i in range(n)]
     for k in range(smallest, largest + 1):
-        for combo in combinations(range(n), k):
-            m = 0
-            for i in combo:
-                m |= 1 << i
-            yield m
+        yield from map(sum, combinations(bits, k))

@@ -23,11 +23,10 @@ corrupted file fails on load rather than poisoning later computations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 from pathlib import Path
 
-from .core import GroundSet, Matroid, MatroidError
+from .core import ElementSubset, GroundSet, Matroid, MatroidError, subsets_by_size
 
 
 class ParseError(MatroidError):
@@ -49,17 +48,17 @@ class MatroidFile:
         if self.bases is not None:
             family = [ground.subset(b) for b in self.bases]
         else:
-            excluded = {frozenset(nb) for nb in self.nonbases}
-            for nb in excluded:
-                if len(nb) != self.rank:
+            for nb in self.nonbases:
+                if len(set(nb)) != self.rank:
                     raise ParseError(
-                        f"nonbasis {{{' '.join(sorted(nb))}}} does not have rank cardinality"
+                        f"nonbasis {{{' '.join(sorted(set(nb)))}}} does not have rank cardinality"
                     )
-            family = [
-                ground.subset(combo)
-                for combo in combinations(self.labels, self.rank)
-                if frozenset(combo) not in excluded
-            ]
+            excluded = {ground.subset(nb).mask for nb in self.nonbases}
+            family = (
+                ElementSubset(ground, m)
+                for m in subsets_by_size(ground, self.rank, self.rank)
+                if m not in excluded
+            )
         matroid = Matroid(ground, family, validate=validate)
         if matroid.rank_value != self.rank:
             raise ParseError(f"declared rank {self.rank} != basis size {matroid.rank_value}")
@@ -80,14 +79,11 @@ class MatroidFile:
         if encoding == "bases":
             bases = tuple(b.labels() for b in matroid.bases)
         else:
-            family = matroid._basis_index
-            bits = [1 << i for i in range(len(labels))]
-            # Both generators yield the r-subsets in the same order, so the
-            # mask of each label tuple is the sum of its paired bits.
+            ground = matroid.ground
             nonbases = tuple(
-                combo
-                for combo, combo_bits in zip(combinations(labels, r), combinations(bits, r))
-                if sum(combo_bits) not in family
+                ElementSubset(ground, m).labels()
+                for m in subsets_by_size(ground, r, r)
+                if m not in matroid._basis_index
             )
         return cls(name=name, labels=labels, rank=r, bases=bases, nonbases=nonbases)
 

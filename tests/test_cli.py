@@ -39,6 +39,42 @@ def run_json(capsys, *argv):
     return code, doc
 
 
+# Each subcommand's argv, its expected ``inputs`` and exit code, given the
+# MK4 file and an output path.
+ENVELOPES = {
+    "info": lambda f, out: (["info", f], {"file": f}, 0),
+    "locked": lambda f, out: (["locked", f], {"file": f, "k": None}, 0),
+    "facets": lambda f, out: (
+        ["facets", f, "--polytope", "independence"],
+        {"file": f, "polytope": "independence"},
+        0,
+    ),
+    "certify": lambda f, out: (["certify", f], {"file": f}, 0),
+    "mwbp": lambda f, out: (
+        ["mwbp", f, "--weights=1/2,0.5,-1,2/4,0,3.0"],
+        {"file": f, "weights": ["1/2", "1/2", "-1", "1/2", "0", "3"]},
+        0,
+    ),
+    "uniform": lambda f, out: (["uniform", f], {"file": f}, 1),
+    "two-sum": lambda f, out: (
+        ["two-sum", f, f, "--base", "cd,ab", "-o", out],
+        {"file1": f, "file2": f, "base": ["cd", "ab"], "output": out},
+        0,
+    ),
+    "catalog": lambda f, out: (["catalog", "MK4"], {"name": "MK4", "output": None}, 0),
+}
+
+
+@pytest.mark.parametrize("command", ENVELOPES)
+def test_json_envelope(capsys, tmp_path, mk4_file, command):
+    argv, inputs, want_code = ENVELOPES[command](mk4_file, str(tmp_path / "out.txt"))
+    code, doc = run_json(capsys, *argv)
+    assert code == want_code
+    assert set(doc) == {"command", "inputs", "results", "timing"}
+    assert doc["command"] == command
+    assert doc["inputs"] == inputs
+
+
 def test_info(capsys, mk4_file):
     code, out, err = run(capsys, "info", mk4_file)
     assert code == 0
