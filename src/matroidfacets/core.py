@@ -21,14 +21,18 @@ one big int.  n passes over its parity bits find the cyclic flats (closed
 unions of circuits), the only candidates the other scans need: locked
 sets, connected flats and circuit-hyperplanes are cyclic flats (Bonin
 and de Mier, "The lattice of cyclic flats of a matroid", 2008).
+
+Constructions take matroids to matroids and check only their
+preconditions; ``Matroid.validate()`` checks a family built by hand, and
+``files.load`` checks every file, since files come from outside.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Iterator
+from itertools import combinations, filterfalse
+from typing import Container, Iterable, Iterator
 
 MAX_SCAN_SIZE = 24
 # per bit position k, the digit "0" or "1" of bit k of each byte value
@@ -313,11 +317,10 @@ def _fundamental_cells(basis: int, ground: int, is_basis) -> list[int]:
 class Matroid:
     """A matroid given by its full basis family.
 
-    Immutable after construction.  Cheap structural checks (nonempty
-    family, equal basis sizes, membership in the ground set) always run;
-    the basis-exchange validation runs when ``validate=True``.  It costs
-    O(|B|·r·(n−r)) basis lookups plus one pass over the bases per
-    hyperplane, and reports the first failing (B1, B2, e) in mask order.
+    Immutable after construction.  Construction runs only the cheap
+    structural checks (nonempty family, equal basis sizes, membership in
+    the ground set); the basis-exchange check is ``validate()``, as the
+    module docstring says.
 
     The first exhaustive scan builds the rank table (2^n bytes) and keeps
     it; until then a rank query costs one pass over the bases.
@@ -337,22 +340,31 @@ class Matroid:
         "_hash",
     )
 
-    def __init__(self, ground: GroundSet, bases: Iterable[ElementSubset], *, validate: bool = False):
+    def __init__(self, ground: GroundSet, bases: Iterable[ElementSubset]):
         masks = []
         for b in bases:
             if b.ground != ground:
                 raise ForeignElement("basis built over a different ground set")
             masks.append(b.mask)
-        if not masks:
+        self._fill(ground, masks)
+
+    @classmethod
+    def _from_masks(cls, ground: GroundSet, masks: Iterable[int]) -> "Matroid":
+        matroid = cls.__new__(cls)
+        matroid._fill(ground, masks)
+        return matroid
+
+    def _fill(self, ground: GroundSet, masks: Iterable[int]) -> None:
+        index = frozenset(masks)
+        if not index:
             raise EmptyBasisFamily("a matroid needs at least one basis")
-        masks = sorted(set(masks))
-        sizes = {m.bit_count() for m in masks}
+        sizes = {m.bit_count() for m in index}
         if len(sizes) != 1:
             raise UnequalBasisSizes(f"basis sizes differ: {sorted(sizes)}")
         self.ground = ground
         self.rank_value = sizes.pop()
-        self._basis_masks = tuple(masks)
-        self._basis_index = {m: i for i, m in enumerate(masks)}
+        self._basis_masks = tuple(sorted(index))
+        self._basis_index = index
         self._ranks: bytes | None = None
         self._independent: tuple[int, ...] | None = None
         self._cyclic: tuple[int, ...] | None = None
@@ -360,12 +372,6 @@ class Matroid:
         self._components: tuple[ElementSubset, ...] | None = None
         self._bases: tuple[ElementSubset, ...] | None = None
         self._hash = hash((ground, self._basis_masks))
-        if validate:
-            self.validate()
-
-    @classmethod
-    def _from_masks(cls, ground: GroundSet, masks: Iterable[int]) -> "Matroid":
-        return cls(ground, (ElementSubset(ground, m) for m in masks))
 
     # -- identity ---------------------------------------------------------
 
@@ -403,8 +409,10 @@ class Matroid:
         Fix B1 and e in B1, and let J be the elements f outside B1 with
         B1-e+f a basis.  Exchange fails at (B1, B2, e) exactly when B2
         misses e and all of J, so one scan of the family per distinct set
-        e+J (memoized across B1) settles every B2 at once.  The witness
-        is the first failure in (B1, B2, e) order, bases in mask order.
+        e+J (memoized across B1) settles every B2 at once: O(|B|·r·(n−r))
+        basis lookups plus one pass over the bases per hyperplane.  The
+        witness is the first failure in (B1, B2, e) order, bases in mask
+        order.
         """
         masks = self._basis_masks
         family = self._basis_index
@@ -697,3 +705,8 @@ def subsets_by_size(ground: GroundSet, smallest: int = 0, largest: int | None = 
     bits = [1 << i for i in range(n)]
     for k in range(smallest, largest + 1):
         yield from map(sum, combinations(bits, k))
+
+
+def r_subsets_except(ground: GroundSet, r: int, excluded: Container[int]) -> Iterator[int]:
+    """Masks of the r-subsets not in ``excluded``, in subsets_by_size order."""
+    return filterfalse(excluded.__contains__, subsets_by_size(ground, r, r))

@@ -15,7 +15,8 @@ section running to the end of the file::
 
 The section is ``bases:`` (one basis per line) or ``nonbases:`` (the
 r-subsets that are NOT bases; an empty section encodes a uniform
-matroid).  Labels are whitespace-separated.  Loading rebuilds the basis
+matroid).  Labels are whitespace-separated; under ``rank 0`` an empty
+``bases:`` section is the one empty basis.  Loading rebuilds the basis
 family and, by default, validates it against the exchange axiom, so a
 corrupted file fails on load rather than poisoning later computations.
 """
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from math import comb
 from pathlib import Path
 
-from .core import ElementSubset, GroundSet, Matroid, MatroidError, subsets_by_size
+from .core import ElementSubset, GroundSet, Matroid, MatroidError, r_subsets_except
 
 
 class ParseError(MatroidError):
@@ -46,7 +47,7 @@ class MatroidFile:
     def to_matroid(self, *, validate: bool = True) -> Matroid:
         ground = GroundSet(self.labels)
         if self.bases is not None:
-            family = [ground.subset(b) for b in self.bases]
+            masks = [ground.subset(b).mask for b in self.bases]
         else:
             for nb in self.nonbases:
                 if len(set(nb)) != self.rank:
@@ -54,12 +55,10 @@ class MatroidFile:
                         f"nonbasis {{{' '.join(sorted(set(nb)))}}} does not have rank cardinality"
                     )
             excluded = {ground.subset(nb).mask for nb in self.nonbases}
-            family = (
-                ElementSubset(ground, m)
-                for m in subsets_by_size(ground, self.rank, self.rank)
-                if m not in excluded
-            )
-        matroid = Matroid(ground, family, validate=validate)
+            masks = r_subsets_except(ground, self.rank, excluded)
+        matroid = Matroid._from_masks(ground, masks)
+        if validate:
+            matroid.validate()
         if matroid.rank_value != self.rank:
             raise ParseError(f"declared rank {self.rank} != basis size {matroid.rank_value}")
         return matroid
@@ -82,8 +81,7 @@ class MatroidFile:
             ground = matroid.ground
             nonbases = tuple(
                 ElementSubset(ground, m).labels()
-                for m in subsets_by_size(ground, r, r)
-                if m not in matroid._basis_index
+                for m in r_subsets_except(ground, r, matroid._basis_index)
             )
         return cls(name=name, labels=labels, rank=r, bases=bases, nonbases=nonbases)
 
@@ -157,7 +155,9 @@ def loads(text: str) -> MatroidFile:
         if len(set(row)) != len(row):
             raise ParseError(f"repeated element in set: {' '.join(row)}")
     if section == "bases" and not rows:
-        raise ParseError("a bases section needs at least one basis")
+        if rank:
+            raise ParseError("a bases section needs at least one basis")
+        rows = [()]  # the empty basis, written as a blank line
     return MatroidFile(
         name=name,
         labels=labels,

@@ -103,11 +103,11 @@ class TestConstruction:
     def test_exchange_violation_reported_with_witness(self):
         g = GroundSet(("a", "b", "c", "d"))
         with pytest.raises(ExchangeAxiomViolated) as info:
-            Matroid(g, [g.subset(["a", "b"]), g.subset(["c", "d"])], validate=True)
+            Matroid(g, [g.subset(["a", "b"]), g.subset(["c", "d"])]).validate()
         # the first failure in (B1, B2, e) order, bases in mask order
         witness = (info.value.basis1, info.value.basis2, info.value.element)
         assert witness == (("a", "b"), ("c", "d"), "a")
-        # without the flag the cheap checks still run, the exchange check not
+        # construction alone runs the cheap checks, not the exchange check
         m = Matroid(g, [g.subset(["a", "b"]), g.subset(["c", "d"])])
         with pytest.raises(ExchangeAxiomViolated):
             m.validate()

@@ -81,7 +81,9 @@ def test_writer_matches_a_naive_encoder(encoding):
     for name, m in _encoder_pool():
         bases = [frozenset(b.labels()) for b in m.bases]
         expected = naive.file_text(name, m.ground.labels, m.rank_value, bases, encoding)
-        assert dumps(MatroidFile.from_matroid(m, name, encoding)) == expected, name
+        text = dumps(MatroidFile.from_matroid(m, name, encoding))
+        assert text == expected, name
+        assert loads(text).to_matroid() == m, name
 
 
 def test_comments_and_blank_lines_ignored():
