@@ -24,19 +24,25 @@ and de Mier, "The lattice of cyclic flats of a matroid", 2008).
 
 Constructions take matroids to matroids and check only their
 preconditions; ``Matroid.validate()`` checks a family built by hand, and
-``files.load`` checks every file, since files come from outside.
+``files.load`` checks every file, since files come from outside.  The
+exchange check reads the bases alone, with no rank table: for each
+(r-1)-set I inside a basis, the fan of x with I+x a basis (a cocircuit,
+in a matroid) must meet every basis, and per-element columns over basis
+indices test that with one |B|-bit OR per element of each distinct fan.
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations, filterfalse
-from typing import Container, Iterable, Iterator
+from typing import Container, Iterable, Iterator, Sequence
 
 MAX_SCAN_SIZE = 24
 # per bit position k, the digit "0" or "1" of bit k of each byte value
 _BIT_DIGITS = [bytes(ord("0") + (v >> k & 1) for v in range(256)) for k in range(8)]
+_PLUS_ONE = bytes((v + 1) & 255 for v in range(256))
 
 
 class MatroidError(Exception):
@@ -285,6 +291,17 @@ def _bit_indices(mask: int) -> list[int]:
     return [i for i, digit in enumerate(bin(mask)[:1:-1]) if digit == "1"]
 
 
+def _vertex_columns(vertex_masks: Sequence[int], n: int) -> list[int]:
+    """Per coordinate, a bitmask over vertex indices of the vertices
+    holding it, read at once from all the vertices packed into bytes.
+    The vertices are bases or independent sets, so the validation and
+    the facet oracle share these columns."""
+    width = (n + 7) // 8
+    packed = b"".join(v.to_bytes(width, "little") for v in vertex_masks)
+    # int() reads the lowest vertex last
+    return [int(packed[i >> 3 :: width].translate(_BIT_DIGITS[i & 7])[::-1], 2) for i in range(n)]
+
+
 def _fundamental_cells(basis: int, ground: int, is_basis) -> list[int]:
     """The components of a matroid on the elements of ``ground``, given
     one basis and a test ``is_basis`` of sets of the basis's size.
@@ -395,6 +412,9 @@ class Matroid:
         return self._hash
 
     def __repr__(self) -> str:
+        # _fill sets _hash last, so a Matroid without it raised in _fill
+        if not hasattr(self, "_hash"):
+            return "Matroid(not built)"
         return (
             f"Matroid(rank {self.rank_value}, {len(self._basis_masks)} bases "
             f"on {len(self.ground)} elements)"
@@ -406,37 +426,48 @@ class Matroid:
         """Check basis exchange: for B1, B2 and e in B1-B2 there is f in
         B2-B1 with B1-e+f again a basis.
 
-        Fix B1 and e in B1, and let J be the elements f outside B1 with
-        B1-e+f a basis.  Exchange fails at (B1, B2, e) exactly when B2
-        misses e and all of J, so one scan of the family per distinct set
-        e+J (memoized across B1) settles every B2 at once: O(|B|·r·(n−r))
-        basis lookups plus one pass over the bases per hyperplane.  The
-        witness is the first failure in (B1, B2, e) order, bases in mask
-        order.
+        Fix B1 and e in B1.  The fan of I = B1-e is the set of x with I+x
+        a basis: e and every f that exchanges for it.  Exchange fails at
+        (B1, B2, e) exactly when B2 misses the whole fan.  (In a matroid
+        the fan is a cocircuit, the complement of the hyperplane cl(I), so
+        every basis meets it.)  Every fan comes from |B|·r dict updates,
+        one per basis and element of it.  Per distinct fan, the bases
+        that miss it are the bits left clear by the OR of its elements'
+        columns, bitmasks over basis indices.  No rank table is built.
+        Only on a failure are the bases walked again, to name the first
+        failure in (B1, B2, e) order, bases in mask order.
         """
         masks = self._basis_masks
-        family = self._basis_index
         ground = self.ground
-        first_missing: dict[int, int | None] = {}
+        fans: dict[int, int] = defaultdict(int)
+        for i in range(len(ground)):
+            bit = 1 << i
+            for b in masks:
+                if b & bit:
+                    fans[b ^ bit] |= bit
+        columns = _vertex_columns(masks, len(ground))
+        every = (1 << len(masks)) - 1
+        missed: dict[int, int] = {}
+        for fan in set(fans.values()):
+            covered = 0
+            for j in _bit_indices(fan):
+                covered |= columns[j]
+            if covered != every:
+                missed[fan] = every & ~covered
+        if not missed:
+            return
         for b1 in masks:
-            swaps_in = [1 << j for j in _bit_indices(ground.full_mask & ~b1)]
-            witness = None
-            for i in _bit_indices(b1):
-                removed = b1 ^ (1 << i)
-                hit = 1 << i
-                for f in swaps_in:
-                    if removed | f in family:
-                        hit |= f
-                if hit not in first_missing:
-                    first_missing[hit] = next((b for b in masks if not b & hit), None)
-                b2 = first_missing[hit]
-                if b2 is not None and (witness is None or b2 < witness[0]):
-                    witness = (b2, i)
-            if witness is not None:
-                b2, i = witness
+            # per e in B1, the lowest set bit: the first basis, in mask order
+            found = [
+                (avoid & -avoid, i)
+                for i in _bit_indices(b1)
+                if (avoid := missed.get(fans[b1 ^ (1 << i)]))
+            ]
+            if found:
+                low, i = min(found)
                 raise ExchangeAxiomViolated(
                     ElementSubset(ground, b1).labels(),
-                    ElementSubset(ground, b2).labels(),
+                    ElementSubset(ground, masks[low.bit_length() - 1]).labels(),
                     ground.labels[i],
                 )
 
@@ -552,10 +583,20 @@ class Matroid:
 
     def _independent_masks(self) -> tuple[int, ...]:
         """The masks of all independent sets in increasing order, read off
-        the rank table on first use and kept."""
+        the rank table on first use and kept.
+
+        X is independent when |X| - r(X) is 0.  The 2^n sizes are built
+        as bytes by doubling (the sets with element i are those without it,
+        one larger), the table is taken off them as one int, with no
+        borrow since r(X) <= |X|, and the zero bytes are read at once."""
         if self._independent is None:
             ranks = self._rank_table()
-            self._independent = tuple(m for m in range(len(ranks)) if ranks[m] == m.bit_count())
+            sizes = b"\0"
+            for _ in self.ground:
+                sizes += sizes.translate(_PLUS_ONE)
+            slack = int.from_bytes(sizes, "little") - int.from_bytes(ranks, "little")
+            zeros = re.finditer(b"\0", slack.to_bytes(len(ranks), "little"))
+            self._independent = tuple(m.start() for m in zeros)
         return self._independent
 
     def _cyclic_flats(self) -> tuple[int, ...]:

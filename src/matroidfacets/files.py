@@ -24,6 +24,7 @@ corrupted file fails on load rather than poisoning later computations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import comb
 from pathlib import Path
 
@@ -71,18 +72,18 @@ class MatroidFile:
             raise ValueError("encoding must be auto, bases, or nonbases")
         labels = matroid.ground.labels
         r = matroid.rank_value
+        count = matroid.basis_count()
+        missing = comb(len(labels), r) - count
         if encoding == "auto":
-            count = matroid.basis_count()
-            encoding = "nonbases" if comb(len(labels), r) - count < count else "bases"
+            encoding = "nonbases" if missing < count else "bases"
         bases = nonbases = None
         if encoding == "bases":
             bases = tuple(b.labels() for b in matroid.bases)
         else:
+            # the scan stops at the last nonbasis; a uniform matroid has none
             ground = matroid.ground
-            nonbases = tuple(
-                ElementSubset(ground, m).labels()
-                for m in r_subsets_except(ground, r, matroid._basis_index)
-            )
+            found = islice(r_subsets_except(ground, r, matroid._basis_index), missing)
+            nonbases = tuple(ElementSubset(ground, m).labels() for m in found)
         return cls(name=name, labels=labels, rank=r, bases=bases, nonbases=nonbases)
 
 

@@ -52,8 +52,8 @@ from .core import (
     LoopPresent,
     Matroid,
     MatroidError,
-    _BIT_DIGITS,
     _bit_indices,
+    _vertex_columns,
 )
 from .locked import enumerate_locked
 
@@ -202,15 +202,6 @@ def _integer_rank(rows: list[list[int]]) -> int:
         if rank == len(rows):
             break
     return rank
-
-
-def _vertex_columns(vertex_masks: Sequence[int], n: int) -> list[int]:
-    """Per coordinate, a bitmask over vertex indices of the vertices
-    holding it, read at once from all the vertices packed into bytes."""
-    width = (n + 7) // 8
-    packed = b"".join(v.to_bytes(width, "little") for v in vertex_masks)
-    # int() reads the lowest vertex last
-    return [int(packed[i >> 3 :: width].translate(_BIT_DIGITS[i & 7])[::-1], 2) for i in range(n)]
 
 
 def _plus(digits: Sequence[int], column: int) -> list[int]:

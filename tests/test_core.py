@@ -112,6 +112,13 @@ class TestConstruction:
         with pytest.raises(ExchangeAxiomViolated):
             m.validate()
 
+    def test_repr_after_a_failed_construction(self):
+        g = GroundSet(("a", "b"))
+        m = Matroid.__new__(Matroid)
+        with pytest.raises(UnequalBasisSizes):
+            m.__init__(g, [g.subset(["a"]), g.subset(["a", "b"])])
+        assert repr(m) == "Matroid(not built)"
+
     def test_duplicate_bases_collapse(self):
         g = GroundSet(("a", "b"))
         m = Matroid(g, [g.subset(["a"]), g.subset(["a"]), g.subset(["b"])])
@@ -410,6 +417,25 @@ def test_exchange_check_matches_the_naive_triple_loop(family):
         assert (frozenset(err.basis1), frozenset(err.basis2), err.element) == expected
     else:
         assert expected is None
+
+
+def test_exchange_witness_pinned_at_eighteen_elements():
+    # V8 2-sum V8 2-sum MK4 (16 904 bases) minus its first basis, where the
+    # naive triple loop is too slow; the witness was recorded with the
+    # earlier check, which looked up every exchange B1-e+f basis by basis
+    m = catalog_get("V8").matroid
+    for right in (catalog_get("V8").matroid, mk4()):
+        m = two_sum(m, m.ground.labels[-1], right, right.ground.labels[0])
+    assert (len(m.ground), m.basis_count()) == (18, 16904)
+    m.validate()
+    broken = Matroid(m.ground, m.bases[1:])
+    with pytest.raises(ExchangeAxiomViolated) as info:
+        broken.validate()
+    common = ("L.L.a", "L.L.a'")
+    rest = ("L.R.a'", "L.R.b", "L.R.c", "R.ac", "R.ad")
+    assert info.value.basis1 == (*common, "L.L.b'", "L.L.c", *rest)
+    assert info.value.basis2 == (*common, "L.L.b", "L.L.c'", *rest)
+    assert info.value.element == "L.L.b'"
 
 
 def _naive_ranks(m):

@@ -13,7 +13,9 @@ from matroidfacets import (
     catalog_get,
     greedy_max_basis,
     independent_via_optimization,
+    load,
     rank_via_optimization,
+    save,
     uniform,
 )
 from matroidfacets.core import subsets_by_size
@@ -115,12 +117,17 @@ class TestGreedy:
                 w = WeightFunction.from_values(m.ground, values)
                 assert greedy_max_basis(m, w).value == brute_force_max_basis(m, w).value
 
-    def test_wide_ground_sets_build_no_rank_table(self):
+    def test_wide_ground_sets_build_no_rank_table(self, tmp_path):
         # greedy makes n point queries; a 2^24-entry table would dwarf them
         m = uniform(22, 24)
         w = WeightFunction.from_values(m.ground, range(24))
         assert greedy_max_basis(m, w).value == sum(range(2, 24))
         assert m._ranks is None
+        # nor does the exchange check that loading a file runs
+        save(tmp_path / "u.txt", m, "U_22_24", encoding="bases")
+        loaded, _ = load(tmp_path / "u.txt")
+        assert loaded == m
+        assert loaded._ranks is None
 
 
 class TestBruteForce:
