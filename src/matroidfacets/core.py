@@ -433,7 +433,8 @@ class Matroid:
         every basis meets it.)  Every fan comes from |B|·r dict updates,
         one per basis and element of it.  Per distinct fan, the bases
         that miss it are the bits left clear by the OR of its elements'
-        columns, bitmasks over basis indices.  No rank table is built.
+        columns, bitmasks over basis indices.  A fan of all of E-I is
+        skipped: no basis fits in I.  No rank table is built.
         Only on a failure are the bases walked again, to name the first
         failure in (B1, B2, e) order, bases in mask order.
         """
@@ -448,7 +449,10 @@ class Matroid:
         columns = _vertex_columns(masks, len(ground))
         every = (1 << len(masks)) - 1
         missed: dict[int, int] = {}
+        full = len(ground) - self.rank_value + 1
         for fan in set(fans.values()):
+            if fan.bit_count() == full:
+                continue  # E - I: a basis has r elements, I only r - 1
             covered = 0
             for j in _bit_indices(fan):
                 covered |= columns[j]

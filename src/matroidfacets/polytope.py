@@ -20,13 +20,18 @@ Two constraints with the same tight set are the same facet.
 One brute-force oracle serves both polytopes.  It reads nothing but the
 vertex masks (the bases, or the independent sets): candidates are
 x_i >= 0 and x(A) <= max_v |v ∩ A|, and tight sets are bitmasks over
-vertex indices.  The counts |v ∩ A| are bit-sliced, one bitmask per
-binary digit, and built depth first over the subsets A, one column per
-step.  Each tight set is screened as it comes and kept only if it
-passes, so memory does not grow with 2^n; the survivors' dimensions come
-from fraction-free elimination of their Gram matrix, at most
-(n+1)-square.  The other tight sets (predicted constraints, collapse
-excuses, the lemma scan) are read from the same counts.  ``separate``
+vertex indices.  Coordinates whose swap maps the vertex set onto itself
+are clones, and such a swap is a symmetry of the polytope, so the
+subsets A are walked one per orbit: Π(|C| + 1) of them over the clone
+classes C, where there are 2^n subsets.  The counts |v ∩ A| are
+bit-sliced, one bitmask per binary digit, and built depth first, one
+column per step.  Each tight set is screened as it comes and kept only
+if it passes, so memory does not grow with 2^n.  Only the maximal ones
+are eliminated, since a face inside another proper face is no facet;
+their dimensions come from fraction-free elimination of their Gram
+matrix, at most (n+1)-square.  A facet's orbit is read off the other
+subsets of its orbit.  The other tight sets (predicted constraints,
+collapse excuses, the lemma scan) are read from the same counts.  ``separate``
 reads coordinates exactly with ``Fraction``, floats included, and
 compares integer gaps on the point scaled by the lcm of its denominators.
 
@@ -40,8 +45,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
-from itertools import compress
+from functools import lru_cache, reduce
+from itertools import combinations, compress, product
 from math import lcm
 from typing import Callable, Iterable, Sequence
 
@@ -231,10 +236,13 @@ def _tight(digits: Sequence[int], every: int, rhs: int | None = None) -> int:
     return every
 
 
+@lru_cache(maxsize=2)
 def _tight_reader(vertex_masks: Sequence[int], n: int) -> Callable[[int, int], int]:
     """The function taking (m, rhs) to the bitmask over vertex indices of
     the vertices v with |v ∩ m| = rhs, counted for all of them at once.
-    An integral rhs of another type (1.0, Fraction(1)) reads as its int."""
+    An integral rhs of another type (1.0, Fraction(1)) reads as its int.
+    Kept for the last two vertex tuples, so that reading one constraint
+    at a time builds the columns once."""
     cols = _vertex_columns(vertex_masks, n)
     every = (1 << len(vertex_masks)) - 1
 
@@ -276,11 +284,45 @@ def _gram_rank(size: int, varying: Sequence[int]) -> int:
     return _integer_rank(rows)
 
 
+def _clone_classes(vertex_masks: Sequence[int], n: int) -> list[list[int]]:
+    """The coordinates in clone classes, each class in increasing order.
+    Coordinates e and f are clones when the swap (e f) maps the vertex
+    set onto itself.  Element f joins the first class whose first member
+    is its clone: (e f)(f g)(e f) = (e g), so being clones is an
+    equivalence, and one test per class is enough."""
+    family = set(vertex_masks)
+    counts = [c.bit_count() for c in _vertex_columns(vertex_masks, n)]
+    classes: list[list[int]] = []
+    for f in range(n):
+        for members in classes:
+            e = members[0]
+            # The swap is injective, and as many vertices hold f but not e
+            # as hold e but not f, so these are the ones to check
+            swap = 1 << e | 1 << f
+            if counts[e] == counts[f] and family.issuperset(
+                v ^ swap for v in vertex_masks if v & swap == 1 << e
+            ):
+                members.append(f)
+                break
+        else:
+            classes.append([f])
+    return classes
+
+
 def _facet_oracle(vertex_masks: Sequence[int], n: int) -> tuple[int, frozenset]:
     """Brute-force facets of the convex hull of 0/1 vertices in n
     coordinates: its dimension, and the tight sets of the facets among
     x_i >= 0 and x(A) <= max_v |v ∩ A| for every nonempty A, as
     bitmasks over vertex indices.  Reads the vertices and nothing else.
+
+    A swap of two clones (``_clone_classes``) is a symmetry of the
+    polytope, taking candidates to candidates and facets to facets.  So
+    the walk takes one candidate per orbit: one x_i >= 0 per class, and
+    the subsets A made of the first few members of each class.  A tight
+    set strictly inside another proper face has a lower dimension than
+    that face, so it is no facet: only the maximal ones are eliminated.
+    Each facet's orbit is then read off every subset with the same count
+    in each class.  With singleton classes this walks every subset.
     """
     columns = _vertex_columns(vertex_masks, n)
     every = (1 << len(vertex_masks)) - 1
@@ -289,23 +331,52 @@ def _facet_oracle(vertex_masks: Sequence[int], n: int) -> tuple[int, frozenset]:
     # coordinates, or max(k - 1, 0) when the vertices share a coordinate sum
     shared = 1 if len({v.bit_count() for v in vertex_masks}) == 1 else 0
     need = dim - 1 + shared if dim > 1 else 0
-    verdicts: dict[int, bool] = {}  # the tight sets that pass the screen
+    classes = _clone_classes(vertex_masks, n)
+    # the tight sets that pass the screen, each with one candidate of its
+    # orbit: the subset A as a mask, or ~i for x_i >= 0
+    passed: dict[int, int] = {}
 
-    def screen(t: int) -> None:
-        varying = _varying_columns(t, columns, need)
-        if varying is not None and t not in verdicts:
-            verdicts[t] = _gram_rank(t.bit_count(), varying) == dim
+    def screen(t: int, candidate: int) -> None:
+        if t not in passed and _varying_columns(t, columns, need) is not None:
+            passed[t] = candidate
 
-    def walk(digits: list[int], start: int) -> None:
-        for i in range(start, n):
-            child = _plus(digits, columns[i])
-            screen(_tight(child, every))
-            walk(child, i + 1)
+    # One step per element: its column, its bit, and the steps after it,
+    # which are the next member of its class and the first of each later one
+    later: list = []
+    for members in reversed(classes):
+        steps = later
+        for i in reversed(members):
+            steps = [(columns[i], 1 << i, steps), *later]
+        later = steps
 
-    for col in columns:
-        screen(every & ~col)
-    walk([], 0)
-    return dim, frozenset(t for t, facet in verdicts.items() if facet)
+    def walk(digits: list[int], sub: int, steps: list) -> None:
+        for column, bit, after in steps:
+            child = _plus(digits, column)
+            screen(_tight(child, every), sub | bit)
+            walk(child, sub | bit, after)
+
+    for members in classes:
+        screen(every & ~columns[members[0]], ~members[0])
+    walk([], 0, later)
+    passed.pop(every, None)  # the whole polytope, no proper face
+    maximal: list[int] = []
+    for t in sorted(passed, key=int.bit_count, reverse=True):
+        if all(t & m != t for m in maximal):
+            maximal.append(t)
+    facets: set[int] = set()
+    for t in maximal:
+        if t in facets or _gram_rank(t.bit_count(), _varying_columns(t, columns)) != dim:
+            continue
+        sub = passed[t]
+        if sub < 0:
+            orbit = next(members for members in classes if ~sub in members)
+            facets.update(every & ~columns[j] for j in orbit)
+            continue
+        picks = [combinations(members, sum(sub >> i & 1 for i in members)) for members in classes]
+        for choice in product(*picks):
+            digits = reduce(_plus, [columns[i] for part in choice for i in part], [])
+            facets.add(_tight(digits, every))
+    return dim, frozenset(facets)
 
 
 def _indices(tight: int) -> TightSet:

@@ -1,9 +1,13 @@
 """Facet systems, brute-force oracles, certification, separation."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _naive as naive
 import matroidfacets.polytope as polytope_mod
@@ -13,6 +17,7 @@ from matroidfacets import (
     DegeneratePolytope,
     DimensionMismatch,
     FacetSystem,
+    GroundSet,
     LinearConstraint,
     LoopPresent,
     Matroid,
@@ -23,6 +28,7 @@ from matroidfacets import (
     certify,
     direct_sum,
     enumerate_locked,
+    graphic,
     independence_tight_set,
     independence_vertices,
     oracle_facets_bases,
@@ -31,6 +37,7 @@ from matroidfacets import (
     predicted_facets_bases,
     predicted_facets_independence,
     separate,
+    two_sum,
     uniform,
 )
 
@@ -216,6 +223,116 @@ def test_face_dimensions_match_the_minor_formula(uniformity_pool):
                 parts += len(m.contract(a).components())
             tight = _tight(m._basis_masks, sub, ranks[sub])
             assert _gram_dimension(tight, columns) == n - parts, (name, a)
+
+
+def _wheel(spokes):
+    rim = [(i, i % spokes + 1) for i in range(1, spokes + 1)]
+    return graphic(spokes + 1, [(0, i) for i in range(1, spokes + 1)] + rim)
+
+
+def _vertex_sets(m):
+    """The bases and the independent sets, as masks and as label sets."""
+    for verts in (m.bases, independence_vertices(m)):
+        yield [v.mask for v in verts], [frozenset(v.labels()) for v in verts]
+
+
+def _clone_classes_by_label(ground, masks):
+    classes = polytope_mod._clone_classes(masks, len(ground))
+    assert sorted(i for c in classes for i in c) == list(range(len(ground)))
+    assert all(c == sorted(c) for c in classes)
+    return frozenset(frozenset(ground.labels[i] for i in c) for c in classes)
+
+
+def test_clone_classes_match_swapping_every_pair(uniformity_pool):
+    for name, m in uniformity_pool:
+        for masks, label_sets in _vertex_sets(m):
+            want = naive.clone_classes(m.ground.labels, label_sets)
+            assert _clone_classes_by_label(m.ground, masks) == want, name
+
+
+@st.composite
+def _with_clones(draw):
+    """A matroid on at most 9 elements with clones: uniform, a direct sum
+    or 2-sum of uniform ones, or a graph whose cycle through every vertex
+    leaves edges in series, and whose repeated chords are in parallel."""
+    kind = draw(st.sampled_from(["uniform", "direct sum", "2-sum", "graph"]))
+    if kind == "uniform":
+        n = draw(st.integers(1, 9))
+        return uniform(draw(st.integers(0, n)), n)
+    if kind == "direct sum":
+        n1 = draw(st.integers(1, 8))
+        n2 = draw(st.integers(1, 9 - n1))
+        return direct_sum(uniform(draw(st.integers(0, n1)), n1), uniform(draw(st.integers(0, n2)), n2))
+    if kind == "2-sum":
+        n1 = draw(st.integers(3, 8))
+        n2 = draw(st.integers(3, 11 - n1))
+        m1 = uniform(draw(st.integers(1, n1 - 1)), n1)
+        return two_sum(m1, "1", uniform(draw(st.integers(1, n2 - 1)), n2), "2")
+    v = draw(st.integers(2, 6))
+    edges = [(i, (i + 1) % v) for i in range(v)]
+    pairs = list(combinations(range(v), 2))
+    return graphic(v, edges + draw(st.lists(st.sampled_from(pairs), max_size=9 - v)))
+
+
+@st.composite
+def _sparse_paving(draw):
+    """U_{r,n} less a seeded family of r-sets that pairwise meet in at
+    most r - 2 elements: a sparse paving matroid whose circuit-hyperplanes
+    are that family (Oxley, Matroid Theory, 2nd ed.).  Such draws seldom
+    have clones."""
+    n = draw(st.integers(4, 9))
+    r = draw(st.integers(2, n - 2))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    ground = GroundSet(str(i) for i in range(n))
+    subsets = [frozenset(c) for c in combinations(ground.labels, r)]
+    rng.shuffle(subsets)
+    family = []
+    for s in subsets[: draw(st.integers(1, len(subsets)))]:
+        if all(len(s & f) <= r - 2 for f in family):
+            family.append(s)
+    return Matroid(ground, [ground.subset(s) for s in subsets if s not in family])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_with_clones(), _sparse_paving()))
+def test_orbit_walk_matches_the_walk_over_every_subset(m):
+    n = len(m.ground)
+    for masks, label_sets in _vertex_sets(m):
+        want = naive.clone_classes(m.ground.labels, label_sets)
+        assert _clone_classes_by_label(m.ground, masks) == want
+        found = polytope_mod._facet_oracle(masks, n)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(polytope_mod, "_clone_classes", lambda _, n: [[i] for i in range(n)])
+            assert polytope_mod._facet_oracle(masks, n) == found
+        if n <= 7 and len(masks) > 1:
+            dim, facets = naive.facet_tight_sets(m.ground.labels, label_sets)
+            assert found == (dim, {sum(1 << j for j in t) for t in facets})
+
+
+def test_orbit_walk_eliminates_only_facets_and_skips_clones(monkeypatch):
+    calls = Counter()
+    for name in ("_gram_rank", "_tight"):
+        real = getattr(polytope_mod, name)
+        counted = lambda *args, real=real, name=name: calls.update([name]) or real(*args)
+        monkeypatch.setattr(polytope_mod, name, counted)
+    dim, facets = polytope_mod._bases_oracle(_wheel(6))
+    # the polytope's dimension, then one elimination per facet: 2|E| + 25 locked
+    assert len(facets) == 49 and calls["_gram_rank"] == 1 + 49
+    calls.clear()
+    polytope_mod._bases_oracle(uniform(4, 12))
+    assert calls["_tight"] < 100  # the walk over every subset reads 4 096
+
+
+def test_one_tight_reader_per_vertex_list(monkeypatch):
+    w5 = _wheel(5)
+    system = predicted_facets_independence(w5)
+    polytope_mod._tight_reader.cache_clear()
+    calls = []
+    real = polytope_mod._vertex_columns
+    monkeypatch.setattr(polytope_mod, "_vertex_columns", lambda *args: calls.append(args) or real(*args))
+    for c in system.facets:
+        independence_tight_set(w5, c)
+    assert len(calls) <= 1
 
 
 class TestCertify:
