@@ -29,11 +29,12 @@ column per step.  Each tight set is screened as it comes and kept only
 if it passes, so memory does not grow with 2^n.  Only the maximal ones
 are eliminated, since a face inside another proper face is no facet;
 their dimensions come from fraction-free elimination of their Gram
-matrix, at most (n+1)-square.  A facet's orbit is read off the other
-subsets of its orbit.  The other tight sets (predicted constraints,
-collapse excuses, the lemma scan) are read from the same counts.  ``separate``
-reads coordinates exactly with ``Fraction``, floats included, and
-compares integer gaps on the point scaled by the lcm of its denominators.
+matrix, at most (n+1)-square.  A facet's orbit is read off the subsets
+with the same count in each class.  The other tight sets (predicted
+constraints, collapse excuses, the lemma scan) are read from the same
+counts.  ``separate`` reads coordinates exactly with ``Fraction``,
+floats included, and compares integer gaps on the point scaled by the
+lcm of its denominators.
 
 The independence facets and certify's lemma scan range over the flats
 with a connected restriction: the singleton flats, and the cyclic flats
@@ -366,7 +367,7 @@ def _facet_oracle(vertex_masks: Sequence[int], n: int) -> tuple[int, frozenset]:
     facets: set[int] = set()
     for t in maximal:
         if t in facets or _gram_rank(t.bit_count(), _varying_columns(t, columns)) != dim:
-            continue
+            continue  # in a facet orbit read already, or no facet
         sub = passed[t]
         if sub < 0:
             orbit = next(members for members in classes if ~sub in members)
