@@ -17,18 +17,20 @@ The section is ``bases:`` (one basis per line) or ``nonbases:`` (the
 r-subsets that are NOT bases; an empty section encodes a uniform
 matroid).  Labels are whitespace-separated; under ``rank 0`` an empty
 ``bases:`` section is the one empty basis.  Loading rebuilds the basis
-family and, by default, validates it against the exchange axiom, so a
+family and always validates it against the exchange axiom, so a
 corrupted file fails on load rather than poisoning later computations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice
 from math import comb
+from operator import or_
 from pathlib import Path
 
-from .core import ElementSubset, GroundSet, Matroid, MatroidError, r_subsets_except
+from .core import ElementSubset, ForeignElement, GroundSet, Matroid, MatroidError, r_subsets_except
 
 
 class ParseError(MatroidError):
@@ -45,10 +47,14 @@ class MatroidFile:
     bases: tuple[tuple[str, ...], ...] | None
     nonbases: tuple[tuple[str, ...], ...] | None
 
-    def to_matroid(self, *, validate: bool = True) -> Matroid:
+    def to_matroid(self) -> Matroid:
         ground = GroundSet(self.labels)
         if self.bases is not None:
-            masks = [ground.subset(b).mask for b in self.bases]
+            bit = {lab: 1 << i for lab, i in ground.index.items()}
+            try:
+                masks = [reduce(or_, map(bit.__getitem__, b), 0) for b in self.bases]
+            except KeyError as err:
+                raise ForeignElement(f"label {err.args[0]!r} is not in the ground set") from None
         else:
             for nb in self.nonbases:
                 if len(set(nb)) != self.rank:
@@ -58,8 +64,7 @@ class MatroidFile:
             excluded = {ground.subset(nb).mask for nb in self.nonbases}
             masks = r_subsets_except(ground, self.rank, excluded)
         matroid = Matroid._from_masks(ground, masks)
-        if validate:
-            matroid.validate()
+        matroid.validate()
         if matroid.rank_value != self.rank:
             raise ParseError(f"declared rank {self.rank} != basis size {matroid.rank_value}")
         return matroid
@@ -172,6 +177,6 @@ def save(path: str | Path, matroid: Matroid, name: str, encoding: str = "auto") 
     Path(path).write_text(dumps(MatroidFile.from_matroid(matroid, name, encoding)))
 
 
-def load(path: str | Path, *, validate: bool = True) -> tuple[Matroid, MatroidFile]:
+def load(path: str | Path) -> tuple[Matroid, MatroidFile]:
     mf = loads(Path(path).read_text())
-    return mf.to_matroid(validate=validate), mf
+    return mf.to_matroid(), mf

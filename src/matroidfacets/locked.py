@@ -135,13 +135,14 @@ def locked_structure(matroid: Matroid) -> LockedStructure:
 
 
 def k_locked_oracle(matroid: Matroid, k: int) -> KLockedVerdict:
-    """Bounded oracle: answer No when the locked number exceeds |E|**k,
-    otherwise hand back the full locked structure.  The capped
-    enumeration is complete when it stays within the threshold, so it
-    runs once."""
+    """Bounded oracle: answer No when the locked number exceeds
+    n**min(k, n), n = |E|, otherwise hand back the full locked structure:
+    at most 2**n - 2 <= n**n proper subsets are locked, so the verdict is
+    that of n**k.  The capped enumeration is complete when it stays
+    within the threshold, so it runs once."""
     if k < 0:
         raise NegativeExponent(f"k must be nonnegative, got {k}")
-    threshold = len(matroid.ground) ** k
+    threshold = len(matroid.ground) ** min(k, len(matroid.ground))
     found = enumerate_locked(matroid, cap=threshold)
     if len(found) > threshold:
         return KLockedVerdict(k, threshold, None)

@@ -15,26 +15,27 @@ the basis incidence vectors:
 ``certify`` runs both and compares.  On the affine hull x(E) = r(E) many
 different inequalities cut the same facet, so facet identity is the
 *tight set*: the set of bases satisfying the constraint with equality.
-Two constraints with the same tight set are the same facet.
+Two constraints with the same tight set are the same facet.  A tight
+set is an int bitmask over vertex indices, in every result too: bit i is
+``matroid.bases[i]``, or ``independence_vertices(matroid)[i]``.
 
 One brute-force oracle serves both polytopes.  It reads nothing but the
 vertex masks (the bases, or the independent sets): candidates are
-x_i >= 0 and x(A) <= max_v |v ∩ A|, and tight sets are bitmasks over
-vertex indices.  Coordinates whose swap maps the vertex set onto itself
-are clones, and such a swap is a symmetry of the polytope, so the
-subsets A are walked one per orbit: Π(|C| + 1) of them over the clone
-classes C, where there are 2^n subsets.  The counts |v ∩ A| are
-bit-sliced, one bitmask per binary digit, and built depth first, one
-column per step.  Each tight set is screened as it comes and kept only
-if it passes, so memory does not grow with 2^n.  Only the maximal ones
-are eliminated, since a face inside another proper face is no facet;
-their dimensions come from fraction-free elimination of their Gram
-matrix, at most (n+1)-square.  A facet's orbit is read off the subsets
-with the same count in each class.  The other tight sets (predicted
-constraints, collapse excuses, the lemma scan) are read from the same
-counts.  ``separate`` reads coordinates exactly with ``Fraction``,
-floats included, and compares integer gaps on the point scaled by the
-lcm of its denominators.
+x_i >= 0 and x(A) <= max_v |v ∩ A|.  Coordinates whose swap maps the
+vertex set onto itself are clones, and such a swap is a symmetry of the
+polytope, so the subsets A are walked one per orbit: Π(|C| + 1) of
+them over the clone classes C, where there are 2^n subsets.  The counts
+|v ∩ A| are bit-sliced, one bitmask per binary digit, and built depth
+first, one column per step.  Each tight set is screened as it comes and
+kept only if it passes, so memory does not grow with 2^n.  Only the
+maximal ones are eliminated, since a face inside another proper face is
+no facet; their dimensions come from fraction-free elimination of their
+Gram matrix, at most (n+1)-square.  A facet's orbit is read off the
+subsets with the same count in each class.  The other tight sets
+(predicted constraints, collapse excuses, the lemma scan) are read from
+the same counts.  ``separate`` reads coordinates exactly with
+``Fraction``, floats included, and compares integer gaps on the point
+scaled by the lcm of its denominators.
 
 The independence facets and certify's lemma scan range over the flats
 with a connected restriction: the singleton flats, and the cyclic flats
@@ -62,8 +63,6 @@ from .core import (
     _vertex_columns,
 )
 from .locked import enumerate_locked
-
-TightSet = frozenset  # of vertex indices
 
 
 class NotConnected(MatroidError):
@@ -285,16 +284,16 @@ def _gram_rank(size: int, varying: Sequence[int]) -> int:
     return _integer_rank(rows)
 
 
-def _clone_classes(vertex_masks: Sequence[int], n: int) -> list[list[int]]:
+def _clone_classes(vertex_masks: Sequence[int], columns: Sequence[int]) -> list[list[int]]:
     """The coordinates in clone classes, each class in increasing order.
     Coordinates e and f are clones when the swap (e f) maps the vertex
     set onto itself.  Element f joins the first class whose first member
     is its clone: (e f)(f g)(e f) = (e g), so being clones is an
     equivalence, and one test per class is enough."""
     family = set(vertex_masks)
-    counts = [c.bit_count() for c in _vertex_columns(vertex_masks, n)]
+    counts = [c.bit_count() for c in columns]
     classes: list[list[int]] = []
-    for f in range(n):
+    for f in range(len(columns)):
         for members in classes:
             e = members[0]
             # The swap is injective, and as many vertices hold f but not e
@@ -332,7 +331,7 @@ def _facet_oracle(vertex_masks: Sequence[int], n: int) -> tuple[int, frozenset]:
     # coordinates, or max(k - 1, 0) when the vertices share a coordinate sum
     shared = 1 if len({v.bit_count() for v in vertex_masks}) == 1 else 0
     need = dim - 1 + shared if dim > 1 else 0
-    classes = _clone_classes(vertex_masks, n)
+    classes = _clone_classes(vertex_masks, columns)
     # the tight sets that pass the screen, each with one candidate of its
     # orbit: the subset A as a mask, or ~i for x_i >= 0
     passed: dict[int, int] = {}
@@ -378,11 +377,6 @@ def _facet_oracle(vertex_masks: Sequence[int], n: int) -> tuple[int, frozenset]:
             digits = reduce(_plus, [columns[i] for part in choice for i in part], [])
             facets.add(_tight(digits, every))
     return dim, frozenset(facets)
-
-
-def _indices(tight: int) -> TightSet:
-    """A tight-set bitmask as the frozenset of its vertex indices."""
-    return frozenset(_bit_indices(tight))
 
 
 def polytope_dimension(vertices: Iterable[ElementSubset]) -> int:
@@ -456,10 +450,10 @@ def predicted_facets_bases(matroid: Matroid) -> FacetSystem:
     return FacetSystem(ground, equality, tuple(facets), tuple(collapsed))
 
 
-def bases_tight_set(matroid: Matroid, constraint: LinearConstraint) -> TightSet:
-    """Indices (into matroid.bases order) of bases tight for the constraint."""
+def bases_tight_set(matroid: Matroid, constraint: LinearConstraint) -> int:
+    """Bases tight for the constraint: bit i is ``matroid.bases[i]``."""
     tight = _tight_reader(matroid._basis_masks, len(matroid.ground))
-    return _indices(tight(constraint.support_mask, constraint.rhs))
+    return tight(constraint.support_mask, constraint.rhs)
 
 
 def _bases_oracle(matroid: Matroid) -> tuple[int, frozenset]:
@@ -473,7 +467,7 @@ def _bases_oracle(matroid: Matroid) -> tuple[int, frozenset]:
     return _facet_oracle(matroid._basis_masks, len(matroid.ground))
 
 
-def oracle_facets_bases(matroid: Matroid) -> frozenset:
+def oracle_facets_bases(matroid: Matroid) -> frozenset[int]:
     """Facets of the bases polytope found by brute force, as tight sets.
 
     Candidates are the nonnegativity bounds and x(A) <= r(A) for every
@@ -482,22 +476,22 @@ def oracle_facets_bases(matroid: Matroid) -> frozenset:
     equivalent modulo the rank equality collapse automatically because
     they share a tight set.
     """
-    return frozenset(map(_indices, _bases_oracle(matroid)[1]))
+    return _bases_oracle(matroid)[1]
 
 
 @dataclass
 class CertificationReport:
-    """Outcome of comparing predicted and oracle facet systems.
-    ``excused`` holds the missing tight sets that a collapse accounts
+    """Outcome of comparing predicted and oracle facet systems by tight
+    set.  ``excused`` holds the missing tight sets that a collapse accounts
     for: those of x_e >= 0 and x_e <= 1 for e in a collapsed support."""
 
     ground: GroundSet
     dimension: int
-    predicted: tuple[tuple[LinearConstraint, TightSet], ...]
-    oracle: frozenset
-    missing: tuple[TightSet, ...]
-    excused: tuple[TightSet, ...]
-    extra: tuple[tuple[LinearConstraint, TightSet], ...]
+    predicted: tuple[tuple[LinearConstraint, int], ...]
+    oracle: frozenset[int]
+    missing: tuple[int, ...]
+    excused: tuple[int, ...]
+    extra: tuple[tuple[LinearConstraint, int], ...]
     collapsed: tuple[LinearConstraint, ...]
     lemma_violations: tuple[ElementSubset, ...]
     notes: tuple[str, ...]
@@ -537,7 +531,7 @@ def certify(matroid: Matroid, *, check: bool = False) -> CertificationReport:
     system = predicted_facets_bases(matroid)
     dim, oracle = _bases_oracle(matroid)
     tight = _tight_reader(matroid._basis_masks, len(matroid.ground))
-    predicted = [(c, tight(c.support_mask, c.rhs)) for c in system.facets]
+    predicted = tuple((c, tight(c.support_mask, c.rhs)) for c in system.facets)
     missing = sorted(oracle - {t for _, t in predicted}, key=_bit_indices)
     # x_e >= 0 and x_e <= 1 for each e of a collapsed support
     elements = [i for c in system.collapsed for i in _bit_indices(c.support_mask)]
@@ -558,16 +552,14 @@ def certify(matroid: Matroid, *, check: bool = False) -> CertificationReport:
         notes.append(
             f"{len(excused)} oracle facet(s) unmatched; attributed to the degenerate collapse"
         )
-    # one index set per tight set, shared by the report's fields
-    as_set = {t: _indices(t) for t in oracle.union(t for _, t in predicted)}
     report = CertificationReport(
         ground=matroid.ground,
         dimension=dim,
-        predicted=tuple((c, as_set[t]) for c, t in predicted),
-        oracle=frozenset(as_set[t] for t in oracle),
-        missing=tuple(as_set[t] for t in missing),
-        excused=tuple(as_set[t] for t in excused),
-        extra=tuple((c, as_set[t]) for c, t in predicted if t not in oracle),
+        predicted=predicted,
+        oracle=oracle,
+        missing=tuple(missing),
+        excused=tuple(excused),
+        extra=tuple((c, t) for c, t in predicted if t not in oracle),
         collapsed=system.collapsed,
         lemma_violations=tuple(lemma_violations),
         notes=tuple(notes),
@@ -606,19 +598,19 @@ def predicted_facets_independence(matroid: Matroid) -> FacetSystem:
     return FacetSystem(ground, None, tuple(facets), ())
 
 
-def independence_tight_set(matroid: Matroid, constraint: LinearConstraint) -> TightSet:
+def independence_tight_set(matroid: Matroid, constraint: LinearConstraint) -> int:
+    """Independent sets tight for the constraint, bit i for vertex i."""
     tight = _tight_reader(matroid._independent_masks(), len(matroid.ground))
-    return _indices(tight(constraint.support_mask, constraint.rhs))
+    return tight(constraint.support_mask, constraint.rhs)
 
 
-def oracle_facets_independence(matroid: Matroid) -> frozenset:
+def oracle_facets_independence(matroid: Matroid) -> frozenset[int]:
     """Brute-force facet tight sets of the independence polytope, from
     the same oracle as the bases polytope run on the independent sets."""
     loops = matroid.loops()
     if loops:
         raise LoopPresent(next(iter(loops)))
-    _, facets = _facet_oracle(matroid._independent_masks(), len(matroid.ground))
-    return frozenset(map(_indices, facets))
+    return _facet_oracle(matroid._independent_masks(), len(matroid.ground))[1]
 
 
 def separate(system: FacetSystem, point: Sequence) -> LinearConstraint | None:

@@ -106,6 +106,14 @@ def test_locked_oracle_verdicts(capsys, mk4_file):
     assert doc["results"]["verdict"] == "no"
 
 
+def test_locked_oracle_takes_a_huge_k(capsys, mk4_file):
+    for k in ("6000", "1000000000000"):
+        code, doc = run_json(capsys, "locked", mk4_file, "--k", k)
+        assert code == 0
+        assert doc["results"]["verdict"] == "structure"
+        assert doc["results"]["threshold"] == 6**6
+
+
 def test_negative_k_is_an_input_error(capsys, mk4_file):
     code, out, err = run(capsys, "locked", mk4_file, "--k", "-1")
     assert code == 2

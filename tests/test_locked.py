@@ -176,6 +176,17 @@ def test_k_locked_oracle_thresholds():
     assert no.structure is None
 
 
+def test_k_locked_oracle_caps_the_threshold_at_n_to_the_n():
+    # MK4 has 6 elements and 4 locked sets: 6**6 already exceeds any
+    # count, so a huge k neither builds 6**k nor changes the verdict
+    mk4 = catalog_get("MK4").matroid
+    for k in (6000, 10**12):
+        verdict = k_locked_oracle(mk4, k)
+        assert not verdict.is_no and verdict.threshold == 6**6
+        assert len(verdict.structure.locked) == 4
+    assert k_locked_oracle(mk4, 6).threshold == 6**6
+
+
 def test_k_locked_oracle_refuses_a_negative_k():
     with pytest.raises(NegativeExponent) as info:
         k_locked_oracle(catalog_get("MK4").matroid, -1)
