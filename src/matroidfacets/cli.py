@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 
 from .catalog import catalog_get, catalog_names, two_sum
@@ -29,14 +30,12 @@ from .polytope import (
 from .uniformity import test_uniformity
 
 
-def _subset_str(subset) -> str:
-    return "{%s}" % " ".join(subset)
-
-
 def _run(args) -> int:
     """Time one command body and print its report.  A body returns
-    ``(results, text_lines, exit_code)``; ``inputs`` are its arguments as
-    the body left them, so a body may store them in normal form."""
+    ``(results, text_lines, exit_code)``.  ``results["name"]`` names the
+    matroid, and the text report opens with it as a ``name:`` line, so a
+    body's text lines start after that header.  ``inputs`` are the body's
+    arguments as it left them, so a body may store them in normal form."""
     started = time.perf_counter()
     results, text, code = args.func(args)
     if args.json:
@@ -48,6 +47,7 @@ def _run(args) -> int:
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
+        print(f"name: {results['name']}")
         for line in text:
             print(line)
     return code
@@ -73,16 +73,15 @@ def cmd_info(args):
         "components": [list(c) for c in components],
     }
     text = [
-        f"name: {mf.name}",
         f"elements: {' '.join(matroid.ground.labels)}",
         f"size: {len(matroid.ground)}",
         f"rank: {matroid.rank_value}",
         f"bases: {matroid.basis_count()}",
-        f"loops: {_subset_str(loops) if loops else '-'}",
-        f"coloops: {_subset_str(coloops) if coloops else '-'}",
+        f"loops: {loops!r}" if loops else "loops: -",
+        f"coloops: {coloops!r}" if coloops else "coloops: -",
         f"connected: {'yes' if connected else 'no'}",
         f"3-connected: {'yes' if three else 'no'}",
-        f"components: {' '.join(_subset_str(c) for c in components)}",
+        f"components: {' '.join(map(repr, components))}",
     ]
     return results, text, 0
 
@@ -92,7 +91,7 @@ def cmd_locked(args):
         raise ParseError(f"--k must be nonnegative, got {args.k}")
     matroid, mf = load(args.file)
     results = {"name": mf.name}
-    text = [f"name: {mf.name}"]
+    text = []
     if args.k is None:
         structure = locked_structure(matroid)
     else:
@@ -119,11 +118,11 @@ def cmd_locked(args):
         locked=[{"set": list(s), "rank": structure.rho[s]} for s in structure.locked],
     )
     text += [
-        f"parallel closures: {' '.join(_subset_str(p) for p in structure.parallel)}",
-        f"coparallel closures: {' '.join(_subset_str(s) for s in structure.coparallel)}",
+        f"parallel closures: {' '.join(map(repr, structure.parallel))}",
+        f"coparallel closures: {' '.join(map(repr, structure.coparallel))}",
         f"locked count: {len(structure.locked)}",
     ]
-    text += [f"locked: {_subset_str(s)} rank {structure.rho[s]}" for s in structure.locked]
+    text += [f"locked: {s!r} rank {structure.rho[s]}" for s in structure.locked]
     return results, text, 0
 
 
@@ -144,7 +143,7 @@ def cmd_facets(args):
         "by_origin": by_origin,
         "collapsed": [c.canonical() for c in system.collapsed],
     }
-    text = [f"name: {mf.name}", f"polytope: {args.polytope}"]
+    text = [f"polytope: {args.polytope}"]
     if system.equality is not None:
         text.append(f"equality: {system.equality.canonical()}")
     text.append(f"facets: {len(system.facets)}")
@@ -170,7 +169,6 @@ def cmd_certify(args):
         "notes": list(report.notes),
     }
     text = [
-        f"name: {mf.name}",
         f"dimension: {report.dimension}",
         f"predicted facets: {report.predicted_count}",
         f"oracle facets: {report.oracle_count}",
@@ -183,20 +181,19 @@ def cmd_certify(args):
     for c, _ in report.extra:
         text.append(f"extra facet: {c.canonical()}")
     for s in report.lemma_violations:
-        text.append(f"lemma violation: {_subset_str(s)}")
+        text.append(f"lemma violation: {s!r}")
     text.append("result: PASS" if report.passed else "result: FAIL")
     return results, text, 0 if report.passed else 1
 
 
 def cmd_mwbp(args):
-    matroid, mf = load(args.file)
     try:
         values = [Fraction(w) for w in args.weights.split(",")]
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"cannot parse weights {args.weights!r}") from None
-    weights = WeightFunction.from_values(matroid.ground, values)
-    result = greedy_max_basis(matroid, weights)
     args.weights = [str(v) for v in values]
+    matroid, mf = load(args.file)
+    result = greedy_max_basis(matroid, WeightFunction.from_values(matroid.ground, values))
     results = {
         "name": mf.name,
         "basis": list(result.basis),
@@ -207,8 +204,7 @@ def cmd_mwbp(args):
         ],
     }
     text = [
-        f"name: {mf.name}",
-        f"basis: {_subset_str(result.basis)}",
+        f"basis: {result.basis!r}",
         f"value: {result.value}",
     ]
     for s in result.trace:
@@ -225,17 +221,9 @@ def cmd_uniform(args):
         "uniform": verdict.uniform,
         "witness_condition": verdict.witness_condition,
         "note": verdict.note,
-        "locked_numbers": None
-        if numbers is None
-        else {
-            "ell": numbers.ell,
-            "rank": numbers.rank,
-            "parallel_count": numbers.parallel_count,
-            "coparallel_count": numbers.coparallel_count,
-        },
+        "locked_numbers": None if numbers is None else asdict(numbers),
     }
     text = [
-        f"name: {mf.name}",
         f"uniform: {'yes' if verdict.uniform else 'no'}",
         f"witness condition: {verdict.witness_condition}",
     ]
@@ -259,11 +247,11 @@ def _write_or_print(args, matroid: Matroid, name: str) -> list[str]:
 
 
 def cmd_two_sum(args):
-    m1, mf1 = load(args.file1)
-    m2, mf2 = load(args.file2)
     args.base = args.base.split(",")
     if len(args.base) != 2:
         raise ParseError("--base needs two comma-separated labels: p1,p2")
+    m1, mf1 = load(args.file1)
+    m2, mf2 = load(args.file2)
     result = two_sum(m1, args.base[0], m2, args.base[1])
     name = f"{mf1.name}+{mf2.name}"
     lines = _write_or_print(args, result, name)
@@ -274,7 +262,6 @@ def cmd_two_sum(args):
         "bases": result.basis_count(),
     }
     text = [
-        f"name: {name}",
         f"elements: {' '.join(result.ground.labels)}",
         f"rank: {result.rank_value}",
         f"bases: {result.basis_count()}",
@@ -293,7 +280,6 @@ def cmd_catalog(args):
         "expected_locked_number": entry.expected_locked_number,
     }
     text = [
-        f"name: {entry.name}",
         f"rank: {entry.matroid.rank_value}",
         f"bases: {entry.matroid.basis_count()}",
         f"expected locked number: {entry.expected_locked_number}",
@@ -348,8 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return _run(args)
     except (MatroidError, OSError) as err:

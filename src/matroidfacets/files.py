@@ -49,20 +49,19 @@ class MatroidFile:
 
     def to_matroid(self) -> Matroid:
         ground = GroundSet(self.labels)
-        if self.bases is not None:
-            bit = {lab: 1 << i for lab, i in ground.index.items()}
-            try:
-                masks = [reduce(or_, map(bit.__getitem__, b), 0) for b in self.bases]
-            except KeyError as err:
-                raise ForeignElement(f"label {err.args[0]!r} is not in the ground set") from None
-        else:
-            for nb in self.nonbases:
-                if len(set(nb)) != self.rank:
+        rows = self.bases if self.bases is not None else self.nonbases
+        bit = {lab: 1 << i for lab, i in ground.index.items()}
+        try:
+            masks = [reduce(or_, map(bit.__getitem__, row), 0) for row in rows]
+        except KeyError as err:
+            raise ForeignElement(f"label {err.args[0]!r} is not in the ground set") from None
+        if self.bases is None:
+            for nb, mask in zip(rows, masks):
+                if mask.bit_count() != self.rank:
                     raise ParseError(
                         f"nonbasis {{{' '.join(sorted(set(nb)))}}} does not have rank cardinality"
                     )
-            excluded = {ground.subset(nb).mask for nb in self.nonbases}
-            masks = r_subsets_except(ground, self.rank, excluded)
+            masks = r_subsets_except(ground, self.rank, set(masks))
         matroid = Matroid._from_masks(ground, masks)
         matroid.validate()
         if matroid.rank_value != self.rank:

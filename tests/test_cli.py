@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from matroidfacets import catalog_get, save
+from matroidfacets import catalog_get, cli, save
 from matroidfacets.cli import main
 
 
@@ -63,6 +63,216 @@ ENVELOPES = {
     ),
     "catalog": lambda f, out: (["catalog", "MK4"], {"name": "MK4", "output": None}, 0),
 }
+
+
+# The full text report of every subcommand on MK4, byte for byte: ``{f}``
+# is the MK4 file and ``{out}`` the output path.
+GOLDEN = [
+    (
+        ["info", "{f}"],
+        """\
+name: MK4
+elements: ab ac ad bc bd cd
+size: 6
+rank: 3
+bases: 16
+loops: -
+coloops: -
+connected: yes
+3-connected: yes
+components: {ab ac ad bc bd cd}
+""",
+        0,
+    ),
+    (
+        ["locked", "{f}"],
+        """\
+name: MK4
+parallel closures: {ab} {ac} {ad} {bc} {bd} {cd}
+coparallel closures: {ab} {ac} {ad} {bc} {bd} {cd}
+locked count: 4
+locked: {ab ac bc} rank 2
+locked: {ab ad bd} rank 2
+locked: {ac ad cd} rank 2
+locked: {bc bd cd} rank 2
+""",
+        0,
+    ),
+    (
+        ["locked", "{f}", "--k", "0"],
+        """\
+name: MK4
+k: 0
+threshold: 1
+verdict: No (more than 1 locked subsets)
+""",
+        1,
+    ),
+    (
+        ["locked", "{f}", "--k", "1"],
+        """\
+name: MK4
+k: 1
+threshold: 6
+verdict: structure
+parallel closures: {ab} {ac} {ad} {bc} {bd} {cd}
+coparallel closures: {ab} {ac} {ad} {bc} {bd} {cd}
+locked count: 4
+locked: {ab ac bc} rank 2
+locked: {ab ad bd} rank 2
+locked: {ac ad cd} rank 2
+locked: {bc bd cd} rank 2
+""",
+        0,
+    ),
+    (
+        ["facets", "{f}"],
+        """\
+name: MK4
+polytope: bases
+equality: x(ab ac ad bc bd cd) = 3 [rank-equality]
+facets: 16
+  x(ab) <= 1 [parallel-upper]
+  x(ac) <= 1 [parallel-upper]
+  x(ad) <= 1 [parallel-upper]
+  x(bc) <= 1 [parallel-upper]
+  x(bd) <= 1 [parallel-upper]
+  x(cd) <= 1 [parallel-upper]
+  x(ab) >= 0 [coparallel-lower]
+  x(ac) >= 0 [coparallel-lower]
+  x(ad) >= 0 [coparallel-lower]
+  x(bc) >= 0 [coparallel-lower]
+  x(bd) >= 0 [coparallel-lower]
+  x(cd) >= 0 [coparallel-lower]
+  x(ab ac bc) <= 2 [locked-upper]
+  x(ab ad bd) <= 2 [locked-upper]
+  x(ac ad cd) <= 2 [locked-upper]
+  x(bc bd cd) <= 2 [locked-upper]
+""",
+        0,
+    ),
+    (
+        ["facets", "{f}", "--polytope", "independence"],
+        """\
+name: MK4
+polytope: independence
+facets: 17
+  x(ab) >= 0 [nonnegativity]
+  x(ac) >= 0 [nonnegativity]
+  x(ad) >= 0 [nonnegativity]
+  x(bc) >= 0 [nonnegativity]
+  x(bd) >= 0 [nonnegativity]
+  x(cd) >= 0 [nonnegativity]
+  x(ab) <= 1 [rank-upper]
+  x(ac) <= 1 [rank-upper]
+  x(ad) <= 1 [rank-upper]
+  x(bc) <= 1 [rank-upper]
+  x(bd) <= 1 [rank-upper]
+  x(cd) <= 1 [rank-upper]
+  x(ab ac bc) <= 2 [rank-upper]
+  x(ab ad bd) <= 2 [rank-upper]
+  x(ac ad cd) <= 2 [rank-upper]
+  x(bc bd cd) <= 2 [rank-upper]
+  x(ab ac ad bc bd cd) <= 3 [rank-upper]
+""",
+        0,
+    ),
+    (
+        ["certify", "{f}"],
+        """\
+name: MK4
+dimension: 5
+predicted facets: 16
+oracle facets: 16
+matched: 16
+missing: 0
+extra: 0
+result: PASS
+""",
+        0,
+    ),
+    (
+        ["mwbp", "{f}", "--weights", "5,4,3,2,1,0"],
+        """\
+name: MK4
+basis: {ab ac ad}
+value: 12
+  accept ab (weight 5)
+  accept ac (weight 4)
+  accept ad (weight 3)
+  reject bc (weight 2)
+  reject bd (weight 1)
+  reject cd (weight 0)
+""",
+        0,
+    ),
+    (
+        ["uniform", "{f}"],
+        """\
+name: MK4
+uniform: no
+witness condition: none
+locked numbers: ell=4 rank=3 parallel=6 coparallel=6
+""",
+        1,
+    ),
+    (
+        ["two-sum", "{f}", "{f}", "--base", "cd,ab", "-o", "{out}"],
+        """\
+name: MK4+MK4
+elements: L.ab L.ac L.ad L.bc L.bd R.ac R.ad R.bc R.bd R.cd
+rank: 5
+bases: 128
+wrote: {out}
+""",
+        0,
+    ),
+    (
+        ["catalog", "W3"],
+        """\
+name: W3
+rank: 3
+bases: 17
+expected locked number: 3
+name W3
+elements ab ac ad bc bd cd
+rank 3
+nonbases:
+ab ad bd
+ac ad cd
+bc bd cd
+""",
+        0,
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, want, want_code", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
+def test_text_report_is_golden(capsys, tmp_path, mk4_file, argv, want, want_code):
+    out_path = str(tmp_path / "out.txt")
+    fill = {"{f}": mk4_file, "{out}": out_path}
+    code, out, err = run(capsys, *(fill.get(a, a) for a in argv))
+    assert (code, out, err) == (want_code, want.replace("{out}", out_path), "")
+
+
+def test_main_builds_no_parser(capsys, monkeypatch, mk4_file):
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+    for argv in (["info", mk4_file], ["catalog", "U_1_2"], ["locked", mk4_file, "--json"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
+def test_argument_errors_come_before_any_load(capsys, tmp_path):
+    missing = str(tmp_path / "missing.txt")
+    code, out, err = run(capsys, "mwbp", missing, "--weights", "a,b")
+    assert code == 2 and out == ""
+    assert "cannot parse weights 'a,b'" in err
+    code, out, err = run(capsys, "two-sum", missing, missing, "--base", "cd")
+    assert code == 2 and out == ""
+    assert "p1,p2" in err
 
 
 @pytest.mark.parametrize("command", ENVELOPES)

@@ -149,3 +149,17 @@ def test_hand_built_bases_refuse_foreign_labels_and_collapse_repeats():
     with pytest.raises(ForeignElement):
         built(("1",), ("z",))
     assert built(("1", "1"), ("2",)) == uniform(1, 2)
+
+
+def test_hand_built_nonbases_read_labels_as_bases_rows_do():
+    # nonbasis rows go through the same label map as basis rows: labels
+    # first, then the size of each row by popcount
+    def built(*nonbases):
+        return MatroidFile("X", ("1", "2", "3"), 2, None, nonbases).to_matroid()
+
+    with pytest.raises(ForeignElement):
+        built(("1", "z", "3"))
+    with pytest.raises(ParseError, match="cardinality"):
+        built(("1", "2", "3"))
+    assert built(("1", "2", "2")) == built(("1", "2"))
+    assert built(("1", "2")).basis_count() == 2
