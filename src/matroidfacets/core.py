@@ -29,6 +29,7 @@ exchange check reads the bases alone, with no rank table: for each
 (r-1)-set I inside a basis, the fan of x with I+x a basis (a cocircuit,
 in a matroid) must meet every basis, and per-element columns over basis
 indices test that with one |B|-bit OR per element of each distinct fan.
+Each vertex family's columns are built once and kept on the matroid.
 """
 
 from __future__ import annotations
@@ -293,9 +294,7 @@ def _bit_indices(mask: int) -> list[int]:
 
 def _vertex_columns(vertex_masks: Sequence[int], n: int) -> list[int]:
     """Per coordinate, a bitmask over vertex indices of the vertices
-    holding it, read at once from all the vertices packed into bytes.
-    The vertices are bases or independent sets, so the validation and
-    the facet oracle share these columns."""
+    holding it, read at once from all the vertices packed into bytes."""
     width = (n + 7) // 8
     packed = b"".join(v.to_bytes(width, "little") for v in vertex_masks)
     # int() reads the lowest vertex last
@@ -350,6 +349,8 @@ class Matroid:
         "_basis_index",
         "_ranks",
         "_independent",
+        "_basis_cols",
+        "_independent_cols",
         "_cyclic",
         "_dual",
         "_components",
@@ -384,6 +385,8 @@ class Matroid:
         self._basis_index = index
         self._ranks: bytes | None = None
         self._independent: tuple[int, ...] | None = None
+        self._basis_cols: list[int] | None = None
+        self._independent_cols: list[int] | None = None
         self._cyclic: tuple[int, ...] | None = None
         self._dual: Matroid | None = None
         self._components: tuple[ElementSubset, ...] | None = None
@@ -446,7 +449,7 @@ class Matroid:
             for b in masks:
                 if b & bit:
                     fans[b ^ bit] |= bit
-        columns = _vertex_columns(masks, len(ground))
+        columns = self._basis_columns()
         every = (1 << len(masks)) - 1
         missed: dict[int, int] = {}
         full = len(ground) - self.rank_value + 1
@@ -602,6 +605,18 @@ class Matroid:
             zeros = re.finditer(b"\0", slack.to_bytes(len(ranks), "little"))
             self._independent = tuple(m.start() for m in zeros)
         return self._independent
+
+    def _basis_columns(self) -> list[int]:
+        """``_vertex_columns`` of the bases, built on first use and kept."""
+        if self._basis_cols is None:
+            self._basis_cols = _vertex_columns(self._basis_masks, len(self.ground))
+        return self._basis_cols
+
+    def _independent_columns(self) -> list[int]:
+        """``_vertex_columns`` of the independent sets, built on first use and kept."""
+        if self._independent_cols is None:
+            self._independent_cols = _vertex_columns(self._independent_masks(), len(self.ground))
+        return self._independent_cols
 
     def _cyclic_flats(self) -> tuple[int, ...]:
         """The masks of all cyclic flats by size, then lexicographically

@@ -1,8 +1,9 @@
 """Flat-file matroid format.
 
 A matroid file is line-oriented text.  Blank lines and lines starting
-with ``#`` are ignored.  Header lines come first, then exactly one set
-section running to the end of the file::
+with ``#`` are ignored, so no element label may start with ``#``: a row
+starting with it would be skipped.  Header lines come first, then
+exactly one set section running to the end of the file::
 
     name MK4
     elements ab ac ad bc bd cd
@@ -92,6 +93,8 @@ class MatroidFile:
 
 
 def dumps(mf: MatroidFile) -> str:
+    if any(lab.startswith("#") for lab in mf.labels):
+        raise ValueError("element labels may not start with '#': rows would read as comments")
     lines = [
         f"name {mf.name}",
         f"elements {' '.join(mf.labels)}",
@@ -135,6 +138,8 @@ def loads(text: str) -> MatroidFile:
                 raise ParseError(f"line {lineno}: empty element list")
             if len(set(labels)) != len(labels):
                 raise ParseError(f"line {lineno}: duplicate element labels")
+            if any(lab.startswith("#") for lab in labels):
+                raise ParseError(f"line {lineno}: element labels may not start with '#'")
         elif key == "rank":
             try:
                 rank = int(value)

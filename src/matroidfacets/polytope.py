@@ -26,7 +26,8 @@ vertex set onto itself are clones, and such a swap is a symmetry of the
 polytope, so the subsets A are walked one per orbit: Π(|C| + 1) of
 them over the clone classes C, where there are 2^n subsets.  The counts
 |v ∩ A| are bit-sliced, one bitmask per binary digit, and built depth
-first, one column per step.  Each tight set is screened as it comes and
+first, one vertex column per step; each family's columns are built once
+and kept on the matroid.  Each tight set is screened as it comes and
 kept only if it passes, so memory does not grow with 2^n.  Only the
 maximal ones are eliminated, since a face inside another proper face is
 no facet; their dimensions come from fraction-free elimination of their
@@ -47,10 +48,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import partial, reduce
 from itertools import combinations, compress, product
 from math import lcm
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     ColoopPresent,
@@ -62,7 +63,7 @@ from .core import (
     _bit_indices,
     _vertex_columns,
 )
-from .locked import enumerate_locked
+from .locked import locked_structure
 
 
 class NotConnected(MatroidError):
@@ -179,9 +180,6 @@ class FacetSystem:
             return self.facets
         return (self.equality, *self.facets)
 
-    def canonical_lines(self) -> tuple[str, ...]:
-        return tuple(c.canonical() for c in self.constraints())
-
 
 def _integer_rank(rows: list[list[int]]) -> int:
     """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
@@ -236,22 +234,13 @@ def _tight(digits: Sequence[int], every: int, rhs: int | None = None) -> int:
     return every
 
 
-@lru_cache(maxsize=2)
-def _tight_reader(vertex_masks: Sequence[int], n: int) -> Callable[[int, int], int]:
-    """The function taking (m, rhs) to the bitmask over vertex indices of
-    the vertices v with |v ∩ m| = rhs, counted for all of them at once.
-    An integral rhs of another type (1.0, Fraction(1)) reads as its int.
-    Kept for the last two vertex tuples, so that reading one constraint
-    at a time builds the columns once."""
-    cols = _vertex_columns(vertex_masks, n)
-    every = (1 << len(vertex_masks)) - 1
-
-    def tight(m: int, rhs) -> int:
-        if rhs % 1:
-            return 0  # no count is fractional
-        return _tight(reduce(_plus, [cols[i] for i in _bit_indices(m)], []), every, int(rhs))
-
-    return tight
+def _tight_set(columns: Sequence[int], every: int, m: int, rhs) -> int:
+    """The vertices picked by ``every`` with |v ∩ m| = rhs, as a bitmask
+    over vertex indices, counted from the vertices' columns at once.  An
+    integral rhs of another type (1.0, Fraction(1)) reads as its int."""
+    if rhs % 1:
+        return 0  # no count is fractional
+    return _tight(reduce(_plus, [columns[i] for i in _bit_indices(m)], []), every, int(rhs))
 
 
 def _varying_columns(tight: int, columns: Sequence[int], need: int = 0) -> list[int] | None:
@@ -309,11 +298,11 @@ def _clone_classes(vertex_masks: Sequence[int], columns: Sequence[int]) -> list[
     return classes
 
 
-def _facet_oracle(vertex_masks: Sequence[int], n: int) -> tuple[int, frozenset]:
-    """Brute-force facets of the convex hull of 0/1 vertices in n
-    coordinates: its dimension, and the tight sets of the facets among
-    x_i >= 0 and x(A) <= max_v |v ∩ A| for every nonempty A, as
-    bitmasks over vertex indices.  Reads the vertices and nothing else.
+def _facet_oracle(vertex_masks: Sequence[int], columns: Sequence[int]) -> tuple[int, frozenset]:
+    """Brute-force facets of the convex hull of 0/1 vertices, from the
+    vertices and their ``_vertex_columns`` alone: its dimension, and the
+    tight sets of the facets among x_i >= 0 and x(A) <= max_v |v ∩ A|
+    for every nonempty A, as bitmasks over vertex indices.
 
     A swap of two clones (``_clone_classes``) is a symmetry of the
     polytope, taking candidates to candidates and facets to facets.  So
@@ -324,7 +313,6 @@ def _facet_oracle(vertex_masks: Sequence[int], n: int) -> tuple[int, frozenset]:
     Each facet's orbit is then read off every subset with the same count
     in each class.  With singleton classes this walks every subset.
     """
-    columns = _vertex_columns(vertex_masks, n)
     every = (1 << len(vertex_masks)) - 1
     dim = _gram_rank(len(vertex_masks), _varying_columns(every, columns)) - 1
     # Exact screen: a facet's dimension, dim - 1, is at most its k varying
@@ -420,8 +408,7 @@ def predicted_facets_bases(matroid: Matroid) -> FacetSystem:
         raise ColoopPresent(next(iter(coloops)))
     if not matroid.is_connected():
         raise NotConnected("bases-polytope description needs a connected matroid")
-    # the scan comes first so that the partitions read its rank table
-    locked_sets = enumerate_locked(matroid)
+    structure = locked_structure(matroid)
     ground = matroid.ground
     full = ground.full_mask
     equality = LinearConstraint.on_subset(
@@ -429,31 +416,29 @@ def predicted_facets_bases(matroid: Matroid) -> FacetSystem:
     )
     facets: list[LinearConstraint] = []
     collapsed: list[LinearConstraint] = []
-    for p in matroid.parallel_closures():
+    for p in structure.parallel:
         c = LinearConstraint.on_subset(p, "<=", 1, Origin.PARALLEL_UPPER)
         if p.mask == full:
             collapsed.append(c)
         elif matroid._sub_connected(full ^ p.mask, matroid._dual_rank_mask):
             facets.append(c)
-    for s in matroid.coparallel_closures():
+    for s in structure.coparallel:
         c = LinearConstraint.on_subset(s, ">=", len(s) - 1, Origin.COPARALLEL_LOWER)
         if s.mask == full:
             collapsed.append(c)
         elif matroid._sub_connected(full ^ s.mask, matroid._rank_mask):
             facets.append(c)
-    for locked in locked_sets:
+    for locked in structure.locked:
         facets.append(
-            LinearConstraint.on_subset(
-                locked, "<=", matroid._rank_mask(locked.mask), Origin.LOCKED_UPPER
-            )
+            LinearConstraint.on_subset(locked, "<=", structure.rho[locked], Origin.LOCKED_UPPER)
         )
     return FacetSystem(ground, equality, tuple(facets), tuple(collapsed))
 
 
 def bases_tight_set(matroid: Matroid, constraint: LinearConstraint) -> int:
     """Bases tight for the constraint: bit i is ``matroid.bases[i]``."""
-    tight = _tight_reader(matroid._basis_masks, len(matroid.ground))
-    return tight(constraint.support_mask, constraint.rhs)
+    columns, every = matroid._basis_columns(), (1 << matroid.basis_count()) - 1
+    return _tight_set(columns, every, constraint.support_mask, constraint.rhs)
 
 
 def _bases_oracle(matroid: Matroid) -> tuple[int, frozenset]:
@@ -464,7 +449,7 @@ def _bases_oracle(matroid: Matroid) -> tuple[int, frozenset]:
     if len(matroid._basis_masks) < 2:
         raise DegeneratePolytope("a single basis leaves nothing to certify")
     matroid._rank_table()  # refuses ground sets above the scan cap
-    return _facet_oracle(matroid._basis_masks, len(matroid.ground))
+    return _facet_oracle(matroid._basis_masks, matroid._basis_columns())
 
 
 def oracle_facets_bases(matroid: Matroid) -> frozenset[int]:
@@ -530,7 +515,7 @@ def certify(matroid: Matroid, *, check: bool = False) -> CertificationReport:
     a facet).  With ``check=True`` a failed comparison raises."""
     system = predicted_facets_bases(matroid)
     dim, oracle = _bases_oracle(matroid)
-    tight = _tight_reader(matroid._basis_masks, len(matroid.ground))
+    tight = partial(_tight_set, matroid._basis_columns(), (1 << matroid.basis_count()) - 1)
     predicted = tuple((c, tight(c.support_mask, c.rhs)) for c in system.facets)
     missing = sorted(oracle - {t for _, t in predicted}, key=_bit_indices)
     # x_e >= 0 and x_e <= 1 for each e of a collapsed support
@@ -600,8 +585,8 @@ def predicted_facets_independence(matroid: Matroid) -> FacetSystem:
 
 def independence_tight_set(matroid: Matroid, constraint: LinearConstraint) -> int:
     """Independent sets tight for the constraint, bit i for vertex i."""
-    tight = _tight_reader(matroid._independent_masks(), len(matroid.ground))
-    return tight(constraint.support_mask, constraint.rhs)
+    columns, every = matroid._independent_columns(), (1 << len(matroid._independent_masks())) - 1
+    return _tight_set(columns, every, constraint.support_mask, constraint.rhs)
 
 
 def oracle_facets_independence(matroid: Matroid) -> frozenset[int]:
@@ -610,7 +595,7 @@ def oracle_facets_independence(matroid: Matroid) -> frozenset[int]:
     loops = matroid.loops()
     if loops:
         raise LoopPresent(next(iter(loops)))
-    return _facet_oracle(matroid._independent_masks(), len(matroid.ground))[1]
+    return _facet_oracle(matroid._independent_masks(), matroid._independent_columns())[1]
 
 
 def separate(system: FacetSystem, point: Sequence) -> LinearConstraint | None:

@@ -1,6 +1,6 @@
 """Ground sets, subsets, and the basis-family matroid type."""
 
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations
 
 import pytest
@@ -162,7 +162,7 @@ class TestRank:
         listed = [frozenset(b.labels()) for b in m.bases]
         columns = polytope._vertex_columns(m._basis_masks, len(m.ground))
         every = (1 << len(listed)) - 1
-        read = polytope._tight_reader(m._basis_masks, len(m.ground))
+        read = partial(polytope._tight_set, m._basis_columns(), every)
         for size in range(len(m.ground) + 1):
             for c in combinations(m.ground.labels, size):
                 x = frozenset(c)

@@ -1,11 +1,15 @@
 """The flat matroid file format: parsing, writing, validation on load."""
 
+from itertools import combinations
+
 import pytest
 
 import _naive as naive
 from matroidfacets import (
     ExchangeAxiomViolated,
     ForeignElement,
+    GroundSet,
+    Matroid,
     MatroidFile,
     ParseError,
     catalog_get,
@@ -17,6 +21,7 @@ from matroidfacets import (
     save,
     uniform,
 )
+from matroidfacets.cli import main
 
 MK4_NONBASES_TEXT = """\
 name MK4
@@ -163,3 +168,20 @@ def test_hand_built_nonbases_read_labels_as_bases_rows_do():
         built(("1", "2", "3"))
     assert built(("1", "2", "2")) == built(("1", "2"))
     assert built(("1", "2")).basis_count() == 2
+
+
+def test_labels_starting_with_a_hash_are_refused(tmp_path, capsys):
+    # a row starting with such a label reads as a comment: U_2_4 on #a b c
+    # d would load back with three bases, exchange intact, and #a a loop
+    ground = GroundSet(["#a", "b", "c", "d"])
+    m = Matroid(ground, [ground.subset(pair) for pair in combinations(ground, 2)])
+    with pytest.raises(ValueError, match="#"):
+        save(tmp_path / "u24.txt", m, "U_2_4", encoding="bases")
+    rows = "".join(f"{x} {y}\n" for x, y in combinations(ground, 2))
+    text = "name U_2_4\nelements #a b c d\nrank 2\nbases:\n" + rows
+    with pytest.raises(ParseError, match="line 2: .*'#'"):
+        loads(text)
+    path = tmp_path / "hashed.txt"
+    path.write_text(text)
+    assert main(["info", str(path)]) == 2
+    assert "'#'" in capsys.readouterr().err

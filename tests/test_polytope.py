@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _naive as naive
+import matroidfacets.core as core_mod
 import matroidfacets.polytope as polytope_mod
+from matroidfacets import cli
 from matroidfacets import (
     CertificationFailed,
     ColoopPresent,
@@ -305,10 +307,11 @@ def test_orbit_walk_matches_the_walk_over_every_subset(m):
     for masks, label_sets in _vertex_sets(m):
         want = naive.clone_classes(m.ground.labels, label_sets)
         assert _clone_classes_by_label(m.ground, masks) == want
-        found = polytope_mod._facet_oracle(masks, n)
+        columns = polytope_mod._vertex_columns(masks, n)
+        found = polytope_mod._facet_oracle(masks, columns)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(polytope_mod, "_clone_classes", lambda _, cols: [[i] for i in range(len(cols))])
-            assert polytope_mod._facet_oracle(masks, n) == found
+            assert polytope_mod._facet_oracle(masks, columns) == found
         if n <= 7 and len(masks) > 1:
             dim, facets = naive.facet_tight_sets(m.ground.labels, label_sets)
             assert found == (dim, set(map(_mask, facets)))
@@ -331,13 +334,37 @@ def test_orbit_walk_eliminates_only_facets_and_skips_clones(monkeypatch):
 def test_one_tight_reader_per_vertex_list(monkeypatch):
     w5 = _wheel(5)
     system = predicted_facets_independence(w5)
-    polytope_mod._tight_reader.cache_clear()
     calls = []
-    real = polytope_mod._vertex_columns
-    monkeypatch.setattr(polytope_mod, "_vertex_columns", lambda *args: calls.append(args) or real(*args))
+    real = core_mod._vertex_columns
+    monkeypatch.setattr(core_mod, "_vertex_columns", lambda *args: calls.append(args) or real(*args))
     for c in system.facets:
         independence_tight_set(w5, c)
     assert len(calls) <= 1
+
+
+def test_one_column_build_per_vertex_family(monkeypatch, tmp_path):
+    calls = []
+    real = core_mod._vertex_columns
+    for module in (core_mod, polytope_mod):
+        monkeypatch.setattr(module, "_vertex_columns", lambda *args: calls.append(args) or real(*args))
+    path = str(tmp_path / "w3.txt")
+    assert cli.main(["catalog", "W3", "-o", path]) == 0
+    calls.clear()
+    # the exchange check on load, the oracle and the tight-set reads
+    assert cli.main(["certify", path]) == 0
+    assert len(calls) == 1
+    w5 = _wheel(5)
+    calls.clear()
+    report = certify(w5)
+    assert report.passed and len(calls) == 1
+    for c, tight in report.predicted:
+        assert bases_tight_set(w5, c) == tight
+    assert len(calls) == 1
+    calls.clear()
+    system = predicted_facets_independence(w5)
+    tights = {independence_tight_set(w5, c) for c in system.facets}
+    assert oracle_facets_independence(w5) == tights
+    assert len(calls) == 1 and calls[0][0] == w5._independent_masks()
 
 
 class TestCertify:
