@@ -1,11 +1,11 @@
 """Named matroids and constructions used throughout the package.
 
-The fixed entries are a rank-3 graphic matroid on six elements (MK4, the
-cycle matroid of the complete graph on four vertices), the chain obtained
-from it by relaxing one circuit-hyperplane at a time (W3, Q6, P6, ending
-at the uniform matroid of rank 3 on 6 elements), and a rank-4 matroid on
-eight elements (V8) defined by five non-basis quadruples.  Uniform
-matroids are available through the U_r_n name pattern.
+The fixed entries are MK4 (the rank-3 cycle matroid of the complete graph
+on four vertices), the chain obtained from it by relaxing one
+circuit-hyperplane at a time (W3, Q6, P6, ending at U_3_6), and V8, of
+rank 4 on eight elements with five non-basis quadruples.  MK4 and V8 are
+nonbasis listings read by ``files.MatroidFile``, so they are
+exchange-checked once, when first built.  Uniform matroids are U_r_n.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .core import ElementSubset, GroundSet, MatroidError, Matroid, r_subsets_except
+from .files import MatroidFile
 
 
 class BadParameters(MatroidError):
@@ -199,10 +200,8 @@ def direct_sum(matroid1: Matroid, matroid2: Matroid) -> Matroid:
 def _mk4() -> Matroid:
     # Edges of the complete graph on vertices a, b, c, d; the non-bases
     # among the 3-subsets are the four triangles.
-    ground = GroundSet(("ab", "ac", "ad", "bc", "bd", "cd"))
     triangles = (("ab", "ac", "bc"), ("ab", "ad", "bd"), ("ac", "ad", "cd"), ("bc", "bd", "cd"))
-    excluded = {ground.subset(t).mask for t in triangles}
-    return Matroid._from_masks(ground, r_subsets_except(ground, 3, excluded))
+    return MatroidFile("MK4", ("ab", "ac", "ad", "bc", "bd", "cd"), 3, None, triangles).to_matroid()
 
 
 @lru_cache(maxsize=None)
@@ -219,7 +218,7 @@ def _chain(steps: int) -> Matroid:
 def vamos() -> Matroid:
     """Rank 4 on eight elements in four tagged pairs; exactly five pair
     unions fail to be bases and there is no representation over any field."""
-    ground = GroundSet(("a", "a'", "b", "b'", "c", "c'", "d", "d'"))
+    labels = ("a", "a'", "b", "b'", "c", "c'", "d", "d'")
     nonbases = (
         ("a", "a'", "b", "b'"),
         ("a", "a'", "c", "c'"),
@@ -227,8 +226,7 @@ def vamos() -> Matroid:
         ("b", "b'", "c", "c'"),
         ("b", "b'", "d", "d'"),
     )
-    excluded = {ground.subset(nb).mask for nb in nonbases}
-    return Matroid._from_masks(ground, r_subsets_except(ground, 4, excluded))
+    return MatroidFile("V8", labels, 4, None, nonbases).to_matroid()
 
 
 _UNIFORM_NAME = re.compile(r"^U_(\d+)_(\d+)$")

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .catalog import catalog_get, catalog_names, two_sum
 from .core import MatroidError, Matroid
-from .files import MatroidFile, ParseError, dumps, load
+from .files import MatroidFile, ParseError, dumps, load, save
 from .locked import k_locked_oracle, locked_structure
 from .optimize import WeightFunction, greedy_max_basis
 from .polytope import (
@@ -238,12 +238,10 @@ def cmd_uniform(args):
 
 
 def _write_or_print(args, matroid: Matroid, name: str) -> list[str]:
-    text = dumps(MatroidFile.from_matroid(matroid, name))
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        save(args.output, matroid, name)
         return [f"wrote: {args.output}"]
-    return [text.rstrip("\n")]
+    return [dumps(MatroidFile.from_matroid(matroid, name)).rstrip("\n")]
 
 
 def cmd_two_sum(args):

@@ -23,13 +23,15 @@ sets, connected flats and circuit-hyperplanes are cyclic flats (Bonin
 and de Mier, "The lattice of cyclic flats of a matroid", 2008).
 
 Constructions take matroids to matroids and check only their
-preconditions; ``Matroid.validate()`` checks a family built by hand, and
-``files.load`` checks every file, since files come from outside.  The
-exchange check reads the bases alone, with no rank table: for each
-(r-1)-set I inside a basis, the fan of x with I+x a basis (a cocircuit,
-in a matroid) must meet every basis, and per-element columns over basis
-indices test that with one |B|-bit OR per element of each distinct fan.
-Each vertex family's columns are built once and kept on the matroid.
+preconditions.  ``Matroid.validate()`` checks a family built by hand:
+``files.MatroidFile`` runs it on every file it reads, since files come
+from outside, and so on the catalog's typed-in MK4 and V8 listings, once
+each, when first built.  The exchange check reads the bases alone, with
+no rank table: for each (r-1)-set I inside a basis, the fan of x with I+x
+a basis (a cocircuit, in a matroid) must meet every basis, and
+per-element columns over basis indices test that with one |B|-bit OR per
+element of each distinct fan.  Each vertex family's columns are built
+once and kept on the matroid.
 """
 
 from __future__ import annotations
@@ -84,6 +86,10 @@ class ColoopPresent(MatroidError):
     def __init__(self, element: str):
         self.element = element
         super().__init__(f"matroid has a coloop: {element}")
+
+
+class DimensionMismatch(MatroidError):
+    """A point's coordinate count must equal the ground-set size."""
 
 
 class ExchangeAxiomViolated(MatroidError):
@@ -710,50 +716,46 @@ class Matroid:
 
     def _rank_one_classes(self, rank_of) -> tuple[ElementSubset, ...]:
         """The partition of E into maximal rank-1 classes under the given
-        rank function, which must give every element rank 1."""
+        rank function, which must give every element rank 1.  Each class
+        is tested from its first element on."""
         n = len(self.ground)
-        classes = []
-        seen = 0
+        classes: list[int] = []
         for i in range(n):
-            bit = 1 << i
-            if seen & bit:
-                continue
-            cls = bit
-            for j in range(n):
-                if j != i and rank_of(bit | (1 << j)) == 1:
-                    cls |= 1 << j
-            classes.append(cls)
-            seen |= cls
+            if not any(c >> i & 1 for c in classes):
+                classes.append(sum(1 << j for j in range(i, n) if rank_of(1 << i | 1 << j) == 1))
         return tuple(ElementSubset(self.ground, c) for c in classes)
+
+    def _refuse_loops(self) -> None:
+        """Raise ``LoopPresent`` naming the first loop, if there is one."""
+        loops = self.loops()
+        if loops:
+            raise LoopPresent(next(iter(loops)))
+
+    def _refuse_coloops(self) -> None:
+        """Raise ``ColoopPresent`` naming the first coloop, if there is one."""
+        coloops = self.coloops()
+        if coloops:
+            raise ColoopPresent(next(iter(coloops)))
 
     def parallel_closures(self) -> tuple[ElementSubset, ...]:
         """The partition of E into maximal rank-1 classes.  Needs a
         loopless matroid."""
-        loops = self.loops()
-        if loops:
-            raise LoopPresent(next(iter(loops)))
+        self._refuse_loops()
         return self._rank_one_classes(self._rank_mask)
 
     def coparallel_closures(self) -> tuple[ElementSubset, ...]:
         """Parallel closures of the dual, from the dual's rank function.
         Needs a coloopless matroid."""
-        coloops = self.coloops()
-        if coloops:
-            raise ColoopPresent(next(iter(coloops)))
+        self._refuse_coloops()
         return self._rank_one_classes(self._dual_rank_mask)
 
     def is_simple(self) -> bool:
         """No loops and no two distinct parallel elements."""
-        if self.loops():
-            return False
-        n = len(self.ground)
-        return all(
-            self._rank_mask((1 << i) | (1 << j)) == 2
-            for i, j in combinations(range(n), 2)
-        )
+        return not self.loops() and len(self.parallel_closures()) == len(self.ground)
 
     def is_cosimple(self) -> bool:
-        return self.dual().is_simple()
+        """No coloops and no two distinct coparallel elements."""
+        return not self.coloops() and len(self.coparallel_closures()) == len(self.ground)
 
 
 def subsets_by_size(ground: GroundSet, smallest: int = 0, largest: int | None = None) -> Iterator[int]:

@@ -2,8 +2,9 @@
 
 A matroid file is line-oriented text.  Blank lines and lines starting
 with ``#`` are ignored, so no element label may start with ``#``: a row
-starting with it would be skipped.  Header lines come first, then
-exactly one set section running to the end of the file::
+starting with it would be skipped.  Header lines come first, each of
+``name``, ``elements`` and ``rank`` exactly once, then exactly one set
+section running to the end of the file::
 
     name MK4
     elements ab ac ad bc bd cd
@@ -114,6 +115,7 @@ def loads(text: str) -> MatroidFile:
     labels = None
     rank = None
     section = None
+    seen: set[str] = set()
     rows: list[tuple[str, ...]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -128,6 +130,9 @@ def loads(text: str) -> MatroidFile:
         parts = line.split(None, 1)
         key = parts[0]
         value = parts[1] if len(parts) == 2 else ""
+        if key in seen:
+            raise ParseError(f"line {lineno}: repeated header {key!r}")
+        seen.add(key)
         if key == "name":
             if not value:
                 raise ParseError(f"line {lineno}: empty name")

@@ -15,8 +15,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping
 
-from .core import ElementSubset, GroundSet, Matroid
-from .polytope import DimensionMismatch
+from .core import DimensionMismatch, ElementSubset, GroundSet, Matroid
 
 
 @dataclass(frozen=True)

@@ -54,10 +54,9 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from .core import (
-    ColoopPresent,
+    DimensionMismatch,
     ElementSubset,
     GroundSet,
-    LoopPresent,
     Matroid,
     MatroidError,
     _bit_indices,
@@ -72,10 +71,6 @@ class NotConnected(MatroidError):
 
 class DegeneratePolytope(MatroidError):
     """A single-vertex polytope has no facets to certify."""
-
-
-class DimensionMismatch(MatroidError):
-    """A point's coordinate count must equal the ground-set size."""
 
 
 class CertificationFailed(MatroidError):
@@ -380,11 +375,10 @@ def polytope_dimension(vertices: Iterable[ElementSubset]) -> int:
 def _connected_flats(matroid: Matroid) -> list[int]:
     """The nonempty flats of a loopless matroid with a connected
     restriction, by size and then lexicographically by index.  {e} is a
-    flat when e lies in no rank-1 cyclic flat, a parallel class."""
+    flat when its parallel closure is {e}."""
     ranks = matroid._rank_table()
+    singletons = [p.mask for p in matroid.parallel_closures() if len(p) == 1]
     flats = matroid._cyclic_flats()
-    paired = sum(f for f in flats if ranks[f] == 1)  # disjoint classes
-    singletons = [1 << i for i in range(len(matroid.ground)) if not paired >> i & 1]
     return singletons + [f for f in flats if f and matroid._sub_connected(f, ranks.__getitem__)]
 
 
@@ -400,12 +394,8 @@ def predicted_facets_bases(matroid: Matroid) -> FacetSystem:
     coparallel closure S is x(E-S) <= r(E-S), a facet only when M|(E-S)
     is connected.  Other closures emit nothing.
     """
-    loops = matroid.loops()
-    if loops:
-        raise LoopPresent(next(iter(loops)))
-    coloops = matroid.coloops()
-    if coloops:
-        raise ColoopPresent(next(iter(coloops)))
+    matroid._refuse_loops()
+    matroid._refuse_coloops()
     if not matroid.is_connected():
         raise NotConnected("bases-polytope description needs a connected matroid")
     structure = locked_structure(matroid)
@@ -565,9 +555,7 @@ def predicted_facets_independence(matroid: Matroid) -> FacetSystem:
     every element, and x(A) <= r(A) exactly for the nonempty subsets A
     that are closed and have a connected restriction.  Needs a loopless
     matroid (loops would flatten the polytope)."""
-    loops = matroid.loops()
-    if loops:
-        raise LoopPresent(next(iter(loops)))
+    matroid._refuse_loops()
     ranks = matroid._rank_table()
     ground = matroid.ground
     facets = [
@@ -592,9 +580,7 @@ def independence_tight_set(matroid: Matroid, constraint: LinearConstraint) -> in
 def oracle_facets_independence(matroid: Matroid) -> frozenset[int]:
     """Brute-force facet tight sets of the independence polytope, from
     the same oracle as the bases polytope run on the independent sets."""
-    loops = matroid.loops()
-    if loops:
-        raise LoopPresent(next(iter(loops)))
+    matroid._refuse_loops()
     return _facet_oracle(matroid._independent_masks(), matroid._independent_columns())[1]
 
 

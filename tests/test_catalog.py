@@ -8,11 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import _naive as naive
+import matroidfacets.catalog as catalog_mod
 from matroidfacets import (
     BadParameters,
     BasepointDegenerate,
     DisconnectedGraph,
     LabelCollision,
+    Matroid,
     NotCircuitHyperplane,
     UnknownName,
     catalog_get,
@@ -215,6 +217,21 @@ class TestLookup:
             catalog_get("NOPE")
         with pytest.raises(UnknownName):
             catalog_get("U_9_4")  # parses as uniform but has no such matroid
+
+
+def test_hand_typed_listings_are_exchange_checked_once(monkeypatch):
+    # MK4 and V8 are read from their nonbasis listings by the file reader,
+    # which validates what it reads; the cache keeps that to one build
+    checked = []
+    validate = Matroid.validate
+    monkeypatch.setattr(
+        Matroid, "validate", lambda m: checked.append(m.ground.labels) or validate(m)
+    )
+    catalog_mod._mk4.cache_clear()
+    vamos.cache_clear()
+    for name in ("MK4", "V8", "MK4", "V8", "W3"):
+        catalog_get(name)
+    assert checked == [catalog_get("MK4").matroid.ground.labels, vamos().ground.labels]
 
 
 def test_label_collision_is_a_matroid_error():

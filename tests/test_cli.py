@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from matroidfacets import catalog_get, cli, save
+from matroidfacets import catalog_get, cli, direct_sum, save, uniform
 from matroidfacets.cli import main
 
 
@@ -65,8 +65,17 @@ ENVELOPES = {
 }
 
 
+# The other inputs a golden case may name, each written to a file of
+# its own by the test: its name in the file and its matroid.
+OTHER_INPUTS = {
+    "{u12}": ("U_1_2", uniform(1, 2)),
+    "{u13}": ("U_1_3", uniform(1, 3)),
+    "{u12+u12}": ("U12+U12", direct_sum(uniform(1, 2), uniform(1, 2))),
+}
+
 # The full text report of every subcommand on MK4, byte for byte: ``{f}``
-# is the MK4 file and ``{out}`` the output path.
+# is the MK4 file and ``{out}`` the output path.  The last cases reach
+# the ``note:`` and ``collapsed:`` lines, which MK4 prints none of.
 GOLDEN = [
     (
         ["info", "{f}"],
@@ -244,6 +253,47 @@ bc bd cd
 """,
         0,
     ),
+    (
+        ["certify", "{u12}"],
+        """\
+name: U_1_2
+dimension: 1
+predicted facets: 0
+oracle facets: 2
+matched: 0
+missing: 2
+extra: 0
+note: degenerate collapse: x(1 2) <= 1 [parallel-upper] coincides with the rank equality
+note: degenerate collapse: x(1 2) >= 1 [coparallel-lower] coincides with the rank equality
+note: 2 oracle facet(s) unmatched; attributed to the degenerate collapse
+result: PASS
+""",
+        0,
+    ),
+    (
+        ["facets", "{u13}"],
+        """\
+name: U_1_3
+polytope: bases
+equality: x(1 2 3) = 1 [rank-equality]
+facets: 3
+  x(1) >= 0 [coparallel-lower]
+  x(2) >= 0 [coparallel-lower]
+  x(3) >= 0 [coparallel-lower]
+collapsed: x(1 2 3) <= 1 [parallel-upper]
+""",
+        0,
+    ),
+    (
+        ["uniform", "{u12+u12}"],
+        """\
+name: U12+U12
+uniform: no
+witness condition: none
+note: a disconnected matroid with 0 < r < n is not uniform
+""",
+        1,
+    ),
 ]
 
 
@@ -251,6 +301,10 @@ bc bd cd
 def test_text_report_is_golden(capsys, tmp_path, mk4_file, argv, want, want_code):
     out_path = str(tmp_path / "out.txt")
     fill = {"{f}": mk4_file, "{out}": out_path}
+    for key, (name, matroid) in OTHER_INPUTS.items():
+        if key in argv:
+            fill[key] = str(tmp_path / f"{name}.txt")
+            save(fill[key], matroid, name)
     code, out, err = run(capsys, *(fill.get(a, a) for a in argv))
     assert (code, out, err) == (want_code, want.replace("{out}", out_path), "")
 

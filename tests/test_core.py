@@ -565,6 +565,10 @@ def test_exhaustive_scans_match_naive_definitions_on_drawn_matroids(m):
             if c.origin is Origin.RANK_UPPER
         ]
         ranks = {s: naive.rank(bases, s) for s in subsets}
+        singletons = [f for f in polytope._connected_flats(m) if f.bit_count() == 1]
+        assert as_sets(map(m.ground.from_mask, singletons)) == [
+            s for s in subsets if len(s) == 1 and naive.closure(ground, bases, s) == s
+        ]
         assert supports == [
             s for s in subsets
             if s
@@ -572,6 +576,17 @@ def test_exhaustive_scans_match_naive_definitions_on_drawn_matroids(m):
             and naive.connected(s, bases)
         ]
     assert m.is_3_connected() == naive.three_connected(ground, bases)
+
+    def simple(family):
+        """No loop, and every pair of elements has rank 2."""
+        return all(naive.rank(family, {e}) == 1 for e in ground) and all(
+            naive.rank(family, {e, f}) == 2 for e, f in combinations(ground, 2)
+        )
+
+    assert m.is_simple() == simple(bases)
+    fresh = Matroid(m.ground, m.bases)
+    assert fresh.is_cosimple() == simple(naive.dual_bases(ground, bases))
+    assert fresh._dual is None  # read off the dual rank function, no dual built
 
 
 _MASKS = st.one_of(

@@ -115,6 +115,9 @@ def test_comments_and_blank_lines_ignored():
         ("name X\nelements a b\nrank 1\nnonbases:\na b\n", "cardinality"),
         ("name X\nelements a b\nrank 1\nwhat:\na\n", "header"),
         ("bogus line\n", "header"),
+        # a repeated header is refused, not read as the last one given
+        ("name X\nelements a b c\nrank 1\nrank 2\nnonbases:\n", "line 4: repeated header 'rank'"),
+        ("name X\nelements a b\nelements a b c\nrank 2\nnonbases:\n", "line 3: repeated header"),
     ],
 )
 def test_malformed_inputs_rejected(text, hint):
