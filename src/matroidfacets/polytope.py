@@ -19,24 +19,34 @@ Two constraints with the same tight set are the same facet.  A tight
 set is an int bitmask over vertex indices, in every result too: bit i is
 ``matroid.bases[i]``, or ``independence_vertices(matroid)[i]``.
 
-One brute-force oracle serves both polytopes.  It reads nothing but the
-vertex masks (the bases, or the independent sets): candidates are
-x_i >= 0 and x(A) <= max_v |v ∩ A|.  Coordinates whose swap maps the
-vertex set onto itself are clones, and such a swap is a symmetry of the
-polytope, so the subsets A are walked one per orbit: Π(|C| + 1) of
-them over the clone classes C, where there are 2^n subsets.  The counts
-|v ∩ A| are bit-sliced, one bitmask per binary digit, and built depth
-first, one vertex column per step; each family's columns are built once
-and kept on the matroid.  Each tight set is screened as it comes and
-kept only if it passes, so memory does not grow with 2^n.  Only the
-maximal ones are eliminated, since a face inside another proper face is
-no facet; their dimensions come from fraction-free elimination of their
-Gram matrix, at most (n+1)-square.  A facet's orbit is read off the
-subsets with the same count in each class.  The other tight sets
-(predicted constraints, collapse excuses, the lemma scan) are read from
-the same counts.  ``separate`` reads coordinates exactly with
-``Fraction``, floats included, and compares integer gaps on the point
-scaled by the lcm of its denominators.
+One brute-force oracle serves both polytopes.  It reads the vertex
+masks (the bases, or the independent sets) and a list of subsets, and
+eliminates Edmonds' (1970) candidates x_i >= 0 and x(A) <= h(A), with
+h(A) = max_v |v ∩ A|, for few A.  If A is not cyclic under h (e ∈ A,
+|A| >= 2, h(A) = h(A-e) + 1), x(A) <= h(A) is the sum of
+x(A-e) <= h(A-e) and x_e <= h({e}); if A is not closed (f ∉ A,
+h(A+f) = h(A)), it is the sum of x(A+f) <= h(A+f) and -x_f <= 0.  A
+sum's face is the intersection of its terms' faces, and a facet inside
+two faces is one of them unless one is the whole polytope.  Closing A,
+then dropping the coloops of the restriction to A, keeps A a flat, so
+every facet is the face of x_i >= 0, of a singleton, or of an A closed
+and cyclic under h.  For the bases, and for the independent sets since
+each lies in a basis, h is the rank, so those A are the cyclic flats,
+``Matroid._cyclic_flats``, that the lemma scan and the independence
+prediction read too.  The oracle shares them with the predictor only
+to pick candidates: elimination alone decides which faces are facets,
+and the tests keep the walk over every subset as the reference.
+
+The counts |v ∩ A| are bit-sliced, one bitmask per binary digit, from
+the vertex columns each family builds once and keeps on the matroid.
+Tight sets varying in too few coordinates to span a facet are dropped.
+Only the maximal ones are eliminated, since a face inside another
+proper face is no facet; their dimensions come from fraction-free
+elimination of their Gram matrix, at most (n+1)-square.  The other
+tight sets (predicted constraints, collapse excuses, the lemma scan)
+are read from the same counts.  ``separate`` reads coordinates exactly
+with ``Fraction``, floats included, and compares integer gaps on the
+point scaled by the lcm of its denominators.
 
 The independence facets and certify's lemma scan range over the flats
 with a connected restriction: the singleton flats, and the cyclic flats
@@ -49,7 +59,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import combinations, compress, product
+from itertools import compress
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -268,45 +278,15 @@ def _gram_rank(size: int, varying: Sequence[int]) -> int:
     return _integer_rank(rows)
 
 
-def _clone_classes(vertex_masks: Sequence[int], columns: Sequence[int]) -> list[list[int]]:
-    """The coordinates in clone classes, each class in increasing order.
-    Coordinates e and f are clones when the swap (e f) maps the vertex
-    set onto itself.  Element f joins the first class whose first member
-    is its clone: (e f)(f g)(e f) = (e g), so being clones is an
-    equivalence, and one test per class is enough."""
-    family = set(vertex_masks)
-    counts = [c.bit_count() for c in columns]
-    classes: list[list[int]] = []
-    for f in range(len(columns)):
-        for members in classes:
-            e = members[0]
-            # The swap is injective, and as many vertices hold f but not e
-            # as hold e but not f, so these are the ones to check
-            swap = 1 << e | 1 << f
-            if counts[e] == counts[f] and family.issuperset(
-                v ^ swap for v in vertex_masks if v & swap == 1 << e
-            ):
-                members.append(f)
-                break
-        else:
-            classes.append([f])
-    return classes
-
-
-def _facet_oracle(vertex_masks: Sequence[int], columns: Sequence[int]) -> tuple[int, frozenset]:
+def _facet_oracle(
+    vertex_masks: Sequence[int], columns: Sequence[int], subsets: Iterable[int]
+) -> tuple[int, frozenset]:
     """Brute-force facets of the convex hull of 0/1 vertices, from the
-    vertices and their ``_vertex_columns`` alone: its dimension, and the
-    tight sets of the facets among x_i >= 0 and x(A) <= max_v |v ∩ A|
-    for every nonempty A, as bitmasks over vertex indices.
-
-    A swap of two clones (``_clone_classes``) is a symmetry of the
-    polytope, taking candidates to candidates and facets to facets.  So
-    the walk takes one candidate per orbit: one x_i >= 0 per class, and
-    the subsets A made of the first few members of each class.  A tight
-    set strictly inside another proper face has a lower dimension than
-    that face, so it is no facet: only the maximal ones are eliminated.
-    Each facet's orbit is then read off every subset with the same count
-    in each class.  With singleton classes this walks every subset.
+    vertices and their ``_vertex_columns``: its dimension, and the tight
+    sets of the facets among x_i >= 0 and x(A) <= max_v |v ∩ A|, as
+    bitmasks over vertex indices.  A runs over the singletons and the
+    nonempty ``subsets``, which must hold every A closed and cyclic under
+    that max: for a matroid's bases or independent sets, its cyclic flats.
     """
     every = (1 << len(vertex_masks)) - 1
     dim = _gram_rank(len(vertex_masks), _varying_columns(every, columns)) - 1
@@ -314,51 +294,17 @@ def _facet_oracle(vertex_masks: Sequence[int], columns: Sequence[int]) -> tuple[
     # coordinates, or max(k - 1, 0) when the vertices share a coordinate sum
     shared = 1 if len({v.bit_count() for v in vertex_masks}) == 1 else 0
     need = dim - 1 + shared if dim > 1 else 0
-    classes = _clone_classes(vertex_masks, columns)
-    # the tight sets that pass the screen, each with one candidate of its
-    # orbit: the subset A as a mask, or ~i for x_i >= 0
-    passed: dict[int, int] = {}
-
-    def screen(t: int, candidate: int) -> None:
-        if t not in passed and _varying_columns(t, columns, need) is not None:
-            passed[t] = candidate
-
-    # One step per element: its column, its bit, and the steps after it,
-    # which are the next member of its class and the first of each later one
-    later: list = []
-    for members in reversed(classes):
-        steps = later
-        for i in reversed(members):
-            steps = [(columns[i], 1 << i, steps), *later]
-        later = steps
-
-    def walk(digits: list[int], sub: int, steps: list) -> None:
-        for column, bit, after in steps:
-            child = _plus(digits, column)
-            screen(_tight(child, every), sub | bit)
-            walk(child, sub | bit, after)
-
-    for members in classes:
-        screen(every & ~columns[members[0]], ~members[0])
-    walk([], 0, later)
-    passed.pop(every, None)  # the whole polytope, no proper face
+    supports = [1 << i for i in range(len(columns))] + [a for a in subsets if a]
+    tights = {every & ~col for col in columns}
+    for a in supports:
+        tights.add(_tight(reduce(_plus, [columns[i] for i in _bit_indices(a)], []), every))
+    tights.discard(every)  # the whole polytope, no proper face
+    passed = [t for t in tights if _varying_columns(t, columns, need) is not None]
     maximal: list[int] = []
     for t in sorted(passed, key=int.bit_count, reverse=True):
         if all(t & m != t for m in maximal):
             maximal.append(t)
-    facets: set[int] = set()
-    for t in maximal:
-        if t in facets or _gram_rank(t.bit_count(), _varying_columns(t, columns)) != dim:
-            continue  # in a facet orbit read already, or no facet
-        sub = passed[t]
-        if sub < 0:
-            orbit = next(members for members in classes if ~sub in members)
-            facets.update(every & ~columns[j] for j in orbit)
-            continue
-        picks = [combinations(members, sum(sub >> i & 1 for i in members)) for members in classes]
-        for choice in product(*picks):
-            digits = reduce(_plus, [columns[i] for part in choice for i in part], [])
-            facets.add(_tight(digits, every))
+    facets = [t for t in maximal if _gram_rank(t.bit_count(), _varying_columns(t, columns)) == dim]
     return dim, frozenset(facets)
 
 
@@ -438,8 +384,7 @@ def _bases_oracle(matroid: Matroid) -> tuple[int, frozenset]:
         raise NotConnected("the facet oracle needs a connected matroid")
     if len(matroid._basis_masks) < 2:
         raise DegeneratePolytope("a single basis leaves nothing to certify")
-    matroid._rank_table()  # refuses ground sets above the scan cap
-    return _facet_oracle(matroid._basis_masks, matroid._basis_columns())
+    return _facet_oracle(matroid._basis_masks, matroid._basis_columns(), matroid._cyclic_flats())
 
 
 def oracle_facets_bases(matroid: Matroid) -> frozenset[int]:
@@ -581,7 +526,8 @@ def oracle_facets_independence(matroid: Matroid) -> frozenset[int]:
     """Brute-force facet tight sets of the independence polytope, from
     the same oracle as the bases polytope run on the independent sets."""
     matroid._refuse_loops()
-    return _facet_oracle(matroid._independent_masks(), matroid._independent_columns())[1]
+    columns = matroid._independent_columns()
+    return _facet_oracle(matroid._independent_masks(), columns, matroid._cyclic_flats())[1]
 
 
 def separate(system: FacetSystem, point: Sequence) -> LinearConstraint | None:

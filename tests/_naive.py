@@ -206,23 +206,6 @@ def facet_tight_sets(ground, vertices):
     return dim, frozenset(facets)
 
 
-def clone_classes(ground, vertices):
-    """The classes of clones, as a frozenset of label frozensets: e and
-    f are clones when swapping them in every vertex (a label set) gives
-    the same family back.  Every pair is swapped; nothing assumes the
-    relation is an equivalence, so one that is not gives overlapping
-    classes."""
-    family = frozenset(vertices)
-
-    def swapped(v, e, f):
-        return v ^ {e, f} if (e in v) != (f in v) else v
-
-    def clones(e, f):
-        return frozenset(swapped(v, e, f) for v in family) == family
-
-    return frozenset(frozenset(f for f in ground if clones(e, f)) for e in ground)
-
-
 def tight_set(vertices, support, rhs):
     """Indices of the vertices (label sets) holding exactly rhs labels
     of the support, one vertex at a time."""

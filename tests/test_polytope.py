@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _naive as naive
+from _sparse_paving import sparse_paving, sparse_paving_matroids
 import matroidfacets.core as core_mod
 import matroidfacets.polytope as polytope_mod
+import matroidfacets.uniformity as uniformity_mod
 from matroidfacets import cli
 from matroidfacets import (
     CertificationFailed,
@@ -19,7 +21,6 @@ from matroidfacets import (
     DegeneratePolytope,
     DimensionMismatch,
     FacetSystem,
-    GroundSet,
     LinearConstraint,
     LoopPresent,
     Matroid,
@@ -243,20 +244,6 @@ def _vertex_sets(m):
         yield [v.mask for v in verts], [frozenset(v.labels()) for v in verts]
 
 
-def _clone_classes_by_label(ground, masks):
-    classes = polytope_mod._clone_classes(masks, polytope_mod._vertex_columns(masks, len(ground)))
-    assert sorted(i for c in classes for i in c) == list(range(len(ground)))
-    assert all(c == sorted(c) for c in classes)
-    return frozenset(frozenset(ground.labels[i] for i in c) for c in classes)
-
-
-def test_clone_classes_match_swapping_every_pair(uniformity_pool):
-    for name, m in uniformity_pool:
-        for masks, label_sets in _vertex_sets(m):
-            want = naive.clone_classes(m.ground.labels, label_sets)
-            assert _clone_classes_by_label(m.ground, masks) == want, name
-
-
 @st.composite
 def _with_clones(draw):
     """A matroid on at most 9 elements with clones: uniform, a direct sum
@@ -281,43 +268,28 @@ def _with_clones(draw):
     return graphic(v, edges + draw(st.lists(st.sampled_from(pairs), max_size=9 - v)))
 
 
-@st.composite
-def _sparse_paving(draw):
-    """U_{r,n} less a seeded family of r-sets that pairwise meet in at
-    most r - 2 elements: a sparse paving matroid whose circuit-hyperplanes
-    are that family (Oxley, Matroid Theory, 2nd ed.).  Such draws seldom
-    have clones."""
-    n = draw(st.integers(4, 9))
-    r = draw(st.integers(2, n - 2))
-    rng = random.Random(draw(st.integers(0, 2**32)))
-    ground = GroundSet(str(i) for i in range(n))
-    subsets = [frozenset(c) for c in combinations(ground.labels, r)]
-    rng.shuffle(subsets)
-    family = []
-    for s in subsets[: draw(st.integers(1, len(subsets)))]:
-        if all(len(s & f) <= r - 2 for f in family):
-            family.append(s)
-    return Matroid(ground, [ground.subset(s) for s in subsets if s not in family])
-
-
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(_with_clones(), _sparse_paving()))
-def test_orbit_walk_matches_the_walk_over_every_subset(m):
+@given(st.one_of(_with_clones(), sparse_paving_matroids()))
+def test_oracle_over_the_cyclic_flats_matches_the_walk_over_every_subset(m):
     n = len(m.ground)
     for masks, label_sets in _vertex_sets(m):
-        want = naive.clone_classes(m.ground.labels, label_sets)
-        assert _clone_classes_by_label(m.ground, masks) == want
         columns = polytope_mod._vertex_columns(masks, n)
-        found = polytope_mod._facet_oracle(masks, columns)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(polytope_mod, "_clone_classes", lambda _, cols: [[i] for i in range(len(cols))])
-            assert polytope_mod._facet_oracle(masks, columns) == found
+        found = polytope_mod._facet_oracle(masks, columns, m._cyclic_flats())
+        assert found == _unscreened_oracle(masks, n)
         if n <= 7 and len(masks) > 1:
             dim, facets = naive.facet_tight_sets(m.ground.labels, label_sets)
             assert found == (dim, set(map(_mask, facets)))
 
 
-def test_orbit_walk_eliminates_only_facets_and_skips_clones(monkeypatch):
+def test_independent_sets_have_the_rank_function_as_their_max(uniformity_pool):
+    # the oracle's independence candidates are the cyclic flats of the
+    # bases' rank function: the max over the independent sets is the same
+    for name, m in uniformity_pool:
+        table = core_mod._build_rank_table(len(m.ground), m._independent_masks(), m.rank_value)
+        assert table == m._rank_table(), name
+
+
+def test_oracle_eliminates_only_facets_and_reads_few_candidates(monkeypatch):
     calls = Counter()
     for name in ("_gram_rank", "_tight"):
         real = getattr(polytope_mod, name)
@@ -329,6 +301,16 @@ def test_orbit_walk_eliminates_only_facets_and_skips_clones(monkeypatch):
     calls.clear()
     polytope_mod._bases_oracle(uniform(4, 12))
     assert calls["_tight"] < 100  # the walk over every subset reads 4 096
+
+
+def test_sparse_paving_known_answer_at_twenty_elements():
+    # 116 circuit-hyperplanes, which are the locked subsets, and no swap
+    # of two elements maps the bases onto themselves
+    m, family = sparse_paving(20, 4, 20, 320)
+    assert (len(family), m.basis_count()) == (116, 4729)
+    assert {locked.mask for locked in enumerate_locked(m)} == set(family)
+    assert not uniformity_mod.test_uniformity(m).uniform
+    assert certify(m).passed
 
 
 def test_one_tight_reader_per_vertex_list(monkeypatch):
