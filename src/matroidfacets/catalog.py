@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .core import ElementSubset, GroundSet, MatroidError, Matroid, r_subsets_except
+from .core import ElementSubset, GroundSet, MatroidError, Matroid, r_subsets
 from .files import MatroidFile
 
 
@@ -56,7 +56,7 @@ def uniform(r: int, n: int) -> Matroid:
     if n < 1 or r < 0 or r > n:
         raise BadParameters(f"uniform needs 0 <= r <= n and n >= 1, got r={r} n={n}")
     ground = GroundSet(str(i) for i in range(1, n + 1))
-    return Matroid._from_masks(ground, r_subsets_except(ground, r, ()))
+    return Matroid._from_masks(ground, r_subsets(n, r))
 
 
 class _UnionFind:
@@ -178,8 +178,9 @@ def two_sum(matroid1: Matroid, basepoint1: str, matroid2: Matroid, basepoint2: s
     with2 = [squeeze(b, i2) for b in matroid2._basis_masks if b >> i2 & 1]
     without2 = [squeeze(b, i2) for b in matroid2._basis_masks if not b >> i2 & 1]
     shift = len(matroid1.ground) - 1
-    masks = [b1 | (b2 << shift) for b1 in with1 for b2 in without2]
-    masks += [b1 | (b2 << shift) for b1 in without1 for b2 in with2]
+    # right-hand side outermost: each list comes out in mask order
+    masks = [b1 | (b2 << shift) for b2 in without2 for b1 in with1]
+    masks += [b1 | (b2 << shift) for b2 in with2 for b1 in without1]
     return Matroid._from_masks(ground, masks)
 
 
@@ -188,10 +189,11 @@ def direct_sum(matroid1: Matroid, matroid2: Matroid) -> Matroid:
     one basis from each side."""
     ground = _prefixed_union(matroid1.ground, None, matroid2.ground, None)
     shift = len(matroid1.ground)
+    # right-hand side outermost, so the masks come out in order
     masks = [
         b1 | (b2 << shift)
-        for b1 in matroid1._basis_masks
         for b2 in matroid2._basis_masks
+        for b1 in matroid1._basis_masks
     ]
     return Matroid._from_masks(ground, masks)
 

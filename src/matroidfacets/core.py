@@ -5,6 +5,13 @@ set are bitmasks (one bit per element, in ground-set order), so every
 query here (rank, closure, duality, connectivity) is plain integer
 arithmetic: no floats, no tolerances, bit-for-bit reproducible.
 
+The family is one sorted tuple of basis masks, and no hash set of it is
+kept.  Constructions build their masks in increasing order (``r_subsets``
+by Pascal's recurrence, sums with the right-hand side outermost), or
+reversed, as the dual's complements are, so sorting them is one timsort
+pass and repeats show as equal neighbours.  Membership is tested by
+bisection.
+
 Ranks come from one of two places.  The exhaustive scans (3-connectivity,
 locked subsets, the facet oracle) first build a table of all 2^n ranks,
 one byte per subset, and read every rank from it; they are capped at
@@ -37,10 +44,12 @@ once and kept on the matroid.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations, filterfalse
-from typing import Container, Iterable, Iterator, Sequence
+from itertools import combinations, islice
+from operator import lt
+from typing import Iterable, Iterator, Sequence
 
 MAX_SCAN_SIZE = 24
 # per bit position k, the digit "0" or "1" of bit k of each byte value
@@ -344,6 +353,11 @@ class Matroid:
     the ground set); the basis-exchange check is ``validate()``, as the
     module docstring says.
 
+    The family is kept once, as ``_basis_masks``: the distinct masks in
+    increasing order, sorted in one pass when they arrive in order or in
+    reverse.  There is no hash set of the bases; membership is by
+    bisection on that tuple.
+
     The first exhaustive scan builds the rank table (2^n bytes) and keeps
     it; until then a rank query costs one pass over the bases.
     """
@@ -352,7 +366,6 @@ class Matroid:
         "ground",
         "rank_value",
         "_basis_masks",
-        "_basis_index",
         "_ranks",
         "_independent",
         "_basis_cols",
@@ -379,16 +392,18 @@ class Matroid:
         return matroid
 
     def _fill(self, ground: GroundSet, masks: Iterable[int]) -> None:
-        index = frozenset(masks)
-        if not index:
+        # one timsort pass when the masks come in order or in reverse
+        family = sorted(masks)
+        if not family:
             raise EmptyBasisFamily("a matroid needs at least one basis")
-        sizes = {m.bit_count() for m in index}
+        if not all(map(lt, family, islice(family, 1, None))):
+            family = sorted(set(family))  # a repeat: equal neighbours
+        sizes = set(map(int.bit_count, family))
         if len(sizes) != 1:
             raise UnequalBasisSizes(f"basis sizes differ: {sorted(sizes)}")
         self.ground = ground
         self.rank_value = sizes.pop()
-        self._basis_masks = tuple(sorted(index))
-        self._basis_index = index
+        self._basis_masks = tuple(family)
         self._ranks: bytes | None = None
         self._independent: tuple[int, ...] | None = None
         self._basis_cols: list[int] | None = None
@@ -569,7 +584,7 @@ class Matroid:
             for i in _bit_indices(t):
                 nm |= 1 << remap[i]
             new_masks.add(nm)
-        return Matroid._from_masks(sub_ground, sorted(new_masks))
+        return Matroid._from_masks(sub_ground, new_masks)
 
     def contract(self, x: ElementSubset) -> "Matroid":
         """Contract the elements of x away (ground set shrinks to E - x)."""
@@ -684,9 +699,13 @@ class Matroid:
         r(n-r) lookups in the basis family.
         """
         if self._components is None:
-            cells = _fundamental_cells(
-                self._basis_masks[0], self.ground.full_mask, self._basis_index.__contains__
-            )
+            masks = self._basis_masks
+
+            def is_basis(m: int) -> bool:
+                i = bisect_left(masks, m)
+                return i < len(masks) and masks[i] == m
+
+            cells = _fundamental_cells(masks[0], self.ground.full_mask, is_basis)
             cells.sort(key=lambda m: (m & -m).bit_length())
             self._components = tuple(ElementSubset(self.ground, m) for m in cells)
         return self._components
@@ -758,6 +777,29 @@ class Matroid:
         return not self.coloops() and len(self.coparallel_closures()) == len(self.ground)
 
 
+def r_subsets(n: int, r: int) -> list[int]:
+    """Masks of the r-subsets of n elements, in increasing order.
+
+    Pascal's recurrence over the elements: after element i, level k holds
+    the k-subsets of elements 0..i in increasing order, which are those
+    of 0..i-1 followed by those with i added to a (k-1)-subset, each
+    larger than every set without i.  A level is freed once too few
+    elements remain for it to reach r.
+    """
+    if not 0 <= r <= n:
+        return []
+    levels: list[list[int]] = [[0]] + [[] for _ in range(r)]
+    for i in range(n):
+        bit = 1 << i
+        # the lowest level that can still reach r from the n-1-i elements left
+        low = r - (n - 1 - i)
+        for k in range(min(i + 1, r), max(low, 1) - 1, -1):
+            levels[k] += [x | bit for x in levels[k - 1]]
+        if low > 0:
+            levels[low - 1] = []
+    return levels[r]
+
+
 def subsets_by_size(ground: GroundSet, smallest: int = 0, largest: int | None = None) -> Iterator[int]:
     """Masks of all subsets of the ground set, by increasing cardinality
     and lexicographic index order within each cardinality."""
@@ -767,8 +809,3 @@ def subsets_by_size(ground: GroundSet, smallest: int = 0, largest: int | None = 
     bits = [1 << i for i in range(n)]
     for k in range(smallest, largest + 1):
         yield from map(sum, combinations(bits, k))
-
-
-def r_subsets_except(ground: GroundSet, r: int, excluded: Container[int]) -> Iterator[int]:
-    """Masks of the r-subsets not in ``excluded``, in subsets_by_size order."""
-    return filterfalse(excluded.__contains__, subsets_by_size(ground, r, r))

@@ -27,12 +27,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import islice
+from itertools import filterfalse, islice
 from math import comb
 from operator import or_
 from pathlib import Path
 
-from .core import ElementSubset, ForeignElement, GroundSet, Matroid, MatroidError, r_subsets_except
+from .core import (
+    ElementSubset,
+    ForeignElement,
+    GroundSet,
+    Matroid,
+    MatroidError,
+    r_subsets,
+    subsets_by_size,
+)
 
 
 class ParseError(MatroidError):
@@ -63,7 +71,7 @@ class MatroidFile:
                     raise ParseError(
                         f"nonbasis {{{' '.join(sorted(set(nb)))}}} does not have rank cardinality"
                     )
-            masks = r_subsets_except(ground, self.rank, set(masks))
+            masks = filterfalse(set(masks).__contains__, r_subsets(len(ground), self.rank))
         matroid = Matroid._from_masks(ground, masks)
         matroid.validate()
         if matroid.rank_value != self.rank:
@@ -85,10 +93,13 @@ class MatroidFile:
         bases = nonbases = None
         if encoding == "bases":
             bases = tuple(b.labels() for b in matroid.bases)
+        elif not missing:
+            nonbases = ()  # uniform: nothing to list, no set to build
         else:
-            # the scan stops at the last nonbasis; a uniform matroid has none
+            # the scan stops at the last nonbasis, in subsets_by_size order
             ground = matroid.ground
-            found = islice(r_subsets_except(ground, r, matroid._basis_index), missing)
+            is_basis = set(matroid._basis_masks).__contains__
+            found = islice(filterfalse(is_basis, subsets_by_size(ground, r, r)), missing)
             nonbases = tuple(ElementSubset(ground, m).labels() for m in found)
         return cls(name=name, labels=labels, rank=r, bases=bases, nonbases=nonbases)
 
@@ -164,9 +175,9 @@ def loads(text: str) -> MatroidFile:
         raise ParseError("missing section: bases: or nonbases:")
     known = set(labels)
     for row in rows:
-        for lab in row:
-            if lab not in known:
-                raise ParseError(f"unknown element {lab!r} in {section} section")
+        if not known.issuperset(row):
+            lab = next(lab for lab in row if lab not in known)
+            raise ParseError(f"unknown element {lab!r} in {section} section")
         if len(set(row)) != len(row):
             raise ParseError(f"repeated element in set: {' '.join(row)}")
     if section == "bases" and not rows:

@@ -33,7 +33,7 @@ from matroidfacets import (
     two_sum,
     uniform,
 )
-from matroidfacets.core import _bit_indices, subsets_by_size
+from matroidfacets.core import _bit_indices, r_subsets, subsets_by_size
 
 
 def mk4():
@@ -123,6 +123,22 @@ class TestConstruction:
         g = GroundSet(("a", "b"))
         m = Matroid(g, [g.subset(["a"]), g.subset(["a"]), g.subset(["b"])])
         assert m.basis_count() == 2
+
+    def test_family_order_and_repeats_do_not_matter(self):
+        g = GroundSet("abcdefg")
+        family = sorted(map(sum, combinations([1 << i for i in range(7)], 3)))
+        shuffled = family[3::4] + family[1::4] + family[::4] + family[2::4]
+        repeated = family + family[::3] + family[:5]
+        m = Matroid._from_masks(g, family)
+        assert m._basis_masks == tuple(family)
+        for masks in (shuffled, family[::-1], repeated, (b for b in shuffled)):
+            other = Matroid._from_masks(g, masks)
+            assert other._basis_masks == m._basis_masks
+            assert hash(other) == hash(m) and other == m
+
+    def test_empty_generator_refused(self):
+        with pytest.raises(EmptyBasisFamily):
+            Matroid._from_masks(GroundSet("ab"), (b for b in ()))
 
 
 class TestRank:
@@ -343,6 +359,15 @@ class TestSimplicity:
         for entry in catalog.values():
             assert entry.matroid.is_simple()
             assert entry.matroid.is_cosimple()
+
+
+def test_r_subsets_in_increasing_order():
+    for n in range(13):
+        bits = [1 << i for i in range(n)]
+        for r in range(n + 1):
+            assert r_subsets(n, r) == sorted(map(sum, combinations(bits, r))), (n, r)
+    assert r_subsets(0, 0) == r_subsets(5, 0) == [0]
+    assert r_subsets(5, 5) == [0b11111]
 
 
 def test_subsets_by_size_order():

@@ -126,6 +126,14 @@ def test_malformed_inputs_rejected(text, hint):
     assert hint.lower() in str(info.value).lower()
 
 
+@pytest.mark.parametrize("section", ["bases", "nonbases"])
+def test_unknown_label_named_where_it_sits_in_its_row(section):
+    text = f"name X\nelements a b c\nrank 2\n{section}:\na b\nb zz c\n"
+    with pytest.raises(ParseError) as info:
+        loads(text)
+    assert str(info.value) == f"unknown element 'zz' in {section} section"
+
+
 def test_corrupted_family_caught_on_conversion():
     # removing the star at vertex a from MK4's bases breaks exchange
     m = catalog_get("MK4").matroid
