@@ -458,7 +458,8 @@ class Matroid:
         one per basis and element of it.  Per distinct fan, the bases
         that miss it are the bits left clear by the OR of its elements'
         columns, bitmasks over basis indices.  A fan of all of E-I is
-        skipped: no basis fits in I.  No rank table is built.
+        skipped: no basis fits in I.  The columns are built only once
+        some fan falls short of E-I, and no rank table is built.
         Only on a failure are the bases walked again, to name the first
         failure in (B1, B2, e) order, bases in mask order.
         """
@@ -470,13 +471,15 @@ class Matroid:
             for b in masks:
                 if b & bit:
                     fans[b ^ bit] |= bit
+        full = len(ground) - self.rank_value + 1
+        # a fan of all of E - I needs no test: a basis has r elements, I only r - 1
+        short = {fan for fan in fans.values() if fan.bit_count() != full}
+        if not short:
+            return
         columns = self._basis_columns()
         every = (1 << len(masks)) - 1
         missed: dict[int, int] = {}
-        full = len(ground) - self.rank_value + 1
-        for fan in set(fans.values()):
-            if fan.bit_count() == full:
-                continue  # E - I: a basis has r elements, I only r - 1
+        for fan in short:
             covered = 0
             for j in _bit_indices(fan):
                 covered |= columns[j]

@@ -40,8 +40,12 @@ and the tests keep the walk over every subset as the reference.
 The counts |v ∩ A| are bit-sliced, one bitmask per binary digit, from
 the vertex columns each family builds once and keeps on the matroid.
 Tight sets varying in too few coordinates to span a facet are dropped.
-Only the maximal ones are eliminated, since a face inside another
-proper face is no facet; their dimensions come from fraction-free
+Only the maximal ones are tested, since a face inside another proper
+face is no facet.  With a leading 1 on each vertex, a proper face's
+vertex matrix has rank at most the polytope's dimension d, and its rank
+over GF(2), an XOR basis of the face and its columns, is never above
+its rank over Q: reaching d there settles a facet.  Only a face that
+falls short, and the polytope itself, get fraction-free (Bareiss)
 elimination of their Gram matrix, at most (n+1)-square.  The other
 tight sets (predicted constraints, collapse excuses, the lemma scan)
 are read from the same counts.  ``separate`` reads coordinates exactly
@@ -278,6 +282,19 @@ def _gram_rank(size: int, varying: Sequence[int]) -> int:
     return _integer_rank(rows)
 
 
+def _gf2_rank(vectors: Iterable[int]) -> int:
+    """Rank over GF(2) of bitmask vectors, by an XOR basis keyed by each
+    member's top bit.  A nonzero minor mod 2 is nonzero over Q, so this is
+    never above the rank over Q of the same 0/1 vectors."""
+    basis: dict[int, int] = {}
+    for v in vectors:
+        while v and (top := v.bit_length()) in basis:
+            v ^= basis[top]
+        if v:
+            basis[top] = v
+    return len(basis)
+
+
 def _facet_oracle(
     vertex_masks: Sequence[int], columns: Sequence[int], subsets: Iterable[int]
 ) -> tuple[int, frozenset]:
@@ -304,7 +321,13 @@ def _facet_oracle(
     for t in sorted(passed, key=int.bit_count, reverse=True):
         if all(t & m != t for m in maximal):
             maximal.append(t)
-    facets = [t for t in maximal if _gram_rank(t.bit_count(), _varying_columns(t, columns)) == dim]
+    facets = []
+    for t in maximal:
+        varying = _varying_columns(t, columns)
+        # a proper face has rank at most dim over Q, and over GF(2) no more
+        # than that: reaching dim there settles a facet with no Gram matrix
+        if _gf2_rank([t, *varying]) == dim or _gram_rank(t.bit_count(), varying) == dim:
+            facets.append(t)
     return dim, frozenset(facets)
 
 

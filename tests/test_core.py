@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _naive as naive
+import matroidfacets.core as core_mod
 import matroidfacets.polytope as polytope
 from matroidfacets import (
     ColoopPresent,
@@ -461,6 +462,18 @@ def test_exchange_witness_pinned_at_eighteen_elements():
     assert info.value.basis1 == (*common, "L.L.b'", "L.L.c", *rest)
     assert info.value.basis2 == (*common, "L.L.b", "L.L.c'", *rest)
     assert info.value.element == "L.L.b'"
+
+
+def test_exchange_check_builds_columns_only_for_a_short_fan(monkeypatch):
+    # every fan of a uniform matroid is all of E - I, so none is tested
+    built = []
+    real = core_mod._vertex_columns
+    monkeypatch.setattr(core_mod, "_vertex_columns", lambda *a: built.append(a) or real(*a))
+    uniform(4, 9).validate()
+    assert built == []
+    m = mk4()
+    Matroid(m.ground, m.bases).validate()  # a triangle's complement is a short fan
+    assert len(built) == 1
 
 
 def _naive_ranks(m):

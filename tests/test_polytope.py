@@ -157,9 +157,11 @@ class TestBasesOracle:
             p = rng.choice((0.03, 0.1, 0.3, 0.9))
             picked = [j for j in range(len(points)) if rng.random() < p]
             tight = sum(1 << j for j in picked)
-            assert _gram_dimension(tight, columns) == naive.affine_dim(
-                [points[j] for j in picked]
-            )
+            dim = _gram_dimension(tight, columns)
+            assert dim == naive.affine_dim([points[j] for j in picked])
+            # GF(2) may fall short of the rank over Q, never exceed it
+            varying = polytope_mod._varying_columns(tight, columns)
+            assert polytope_mod._gf2_rank([tight, *varying]) <= dim + 1
 
     def test_dimension_of_mk4(self):
         assert polytope_dimension(catalog_get("MK4").matroid.bases) == 5
@@ -289,18 +291,41 @@ def test_independent_sets_have_the_rank_function_as_their_max(uniformity_pool):
         assert table == m._rank_table(), name
 
 
-def test_oracle_eliminates_only_facets_and_reads_few_candidates(monkeypatch):
+def _count_calls(monkeypatch, names):
     calls = Counter()
-    for name in ("_gram_rank", "_tight"):
+    for name in names:
         real = getattr(polytope_mod, name)
         counted = lambda *args, real=real, name=name: calls.update([name]) or real(*args)
         monkeypatch.setattr(polytope_mod, name, counted)
+    return calls
+
+
+def test_oracle_eliminates_only_facets_and_reads_few_candidates(monkeypatch):
+    calls = _count_calls(monkeypatch, ("_gf2_rank", "_gram_rank", "_tight"))
     dim, facets = polytope_mod._bases_oracle(_wheel(6))
-    # the polytope's dimension, then one elimination per facet: 2|E| + 25 locked
-    assert len(facets) == 49 and calls["_gram_rank"] == 1 + 49
+    # the polytope's dimension, then one rank per facet: 2|E| + 25 locked,
+    # each of them settled over GF(2)
+    assert len(facets) == 49
+    assert calls["_gf2_rank"] + calls["_gram_rank"] == 1 + 49
+    assert calls["_gram_rank"] == 1
     calls.clear()
     polytope_mod._bases_oracle(uniform(4, 12))
     assert calls["_tight"] < 100  # the walk over every subset reads 4 096
+
+
+def test_gram_elimination_decides_where_gf2_falls_short(monkeypatch):
+    # x_3 >= 0 holds with equality on 0, ab, bc, ac: affinely independent
+    # over Q, but ab + bc + ac = 0 over GF(2), so only Bareiss finds that facet
+    masks = [0b0000, 0b0011, 0b0110, 0b0101, 0b1000]
+    columns = polytope_mod._vertex_columns(masks, 4)
+    face = 0b1111
+    varying = polytope_mod._varying_columns(face, columns)
+    assert polytope_mod._gf2_rank([face, *varying]) == 3
+    assert polytope_mod._gram_rank(face.bit_count(), varying) == 4
+    calls = _count_calls(monkeypatch, ("_gram_rank",))
+    dim, facets = polytope_mod._facet_oracle(masks, columns, range(1, 1 << 4))
+    assert dim == 4 and face in facets and calls["_gram_rank"] > 1
+    assert (dim, facets) == _unscreened_oracle(masks, 4)
 
 
 def test_sparse_paving_known_answer_at_twenty_elements():
