@@ -18,10 +18,10 @@ one byte per subset, and read every rank from it; they are capped at
 MAX_SCAN_SIZE elements, where the table takes 16 MiB.  Without a table, a
 rank query takes the largest intersection with a basis and stores
 nothing, so point queries (greedy, ``rank``, ``restrict``) on wide ground
-sets never pay for 2^n work.  Components come from the bases alone,
-and connectivity of a restriction from the fundamental graph of one of
-its bases: O(|X|^2) rank reads for M|X, where the definition scans all
-2^|X| bipartitions.
+sets never pay for 2^n work.  Components come from the bases alone.
+``Matroid._connected`` answers, once per side, whether M|X or M*|X is
+connected, from the fundamental graph of one basis of X: O(|X|^2) rank
+reads, where the definition scans all 2^|X| bipartitions.
 
 No scan walks the 2^n subsets in Python: each reads the table whole, as
 one big int.  n passes over its parity bits find the cyclic flats (closed
@@ -373,6 +373,7 @@ class Matroid:
         "_cyclic",
         "_dual",
         "_components",
+        "_sides",
         "_bases",
         "_hash",
     )
@@ -411,6 +412,7 @@ class Matroid:
         self._cyclic: tuple[int, ...] | None = None
         self._dual: Matroid | None = None
         self._components: tuple[ElementSubset, ...] | None = None
+        self._sides: dict[int, bool] = {}
         self._bases: tuple[ElementSubset, ...] | None = None
         self._hash = hash((ground, self._basis_masks))
 
@@ -672,23 +674,26 @@ class Matroid:
             self._cyclic = tuple(sorted(found, key=lambda m: (m.bit_count(), _bit_indices(m))))
         return self._cyclic
 
-    def _sub_connected(self, sub: int, rank_of) -> bool:
-        """Connectivity of the restriction to sub, under the given rank
-        function: one cell in the fundamental graph of a basis of sub,
-        picked greedily.  O(|sub|^2) rank reads."""
+    def _connected(self, sub: int, dual: bool = False) -> bool:
+        """Whether M|sub, or M*|sub with ``dual``, is connected: one cell
+        in the fundamental graph of a basis of sub, picked greedily.
+        O(|sub|^2) rank reads, from the table's bytes for M.  Each answer
+        is kept, keyed by sub for M and by ~sub for M*, so a side that
+        several scans ask about is tested once."""
         if sub.bit_count() <= 1:
             return True
-        basis = 0
-        size = 0
-        rest = sub
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            if rank_of(basis | bit) > size:
-                basis |= bit
-                size += 1
-        cells = _fundamental_cells(basis, sub, lambda m: rank_of(m) == size)
-        return len(cells) == 1
+        key = ~sub if dual else sub
+        if key not in self._sides:
+            rank_of = self._dual_rank_mask if dual else self._rank_table().__getitem__
+            basis = 0
+            size = 0
+            for i in _bit_indices(sub):
+                if rank_of(basis | 1 << i) > size:
+                    basis |= 1 << i
+                    size += 1
+            cells = _fundamental_cells(basis, sub, lambda m: rank_of(m) == size)
+            self._sides[key] = len(cells) == 1
+        return self._sides[key]
 
     def is_connected(self) -> bool:
         """True iff no proper nonempty subset X has r(X) + r(E-X) = r(E),

@@ -9,10 +9,10 @@ Locked subsets, together with the parallel and coparallel partitions,
 pin down the nontrivial facets of the bases polytope; their count is the
 "locked number" of the matroid.
 
-A locked set is a cyclic flat of its component, so both run the two
-connectivity tests, O(|C|^2) rank reads each, only on the matroid's
-cyclic flats.  Loops lie in every flat, so a locked L is listed there as
-L ∪ loops.
+A locked set is a cyclic flat of its component, so both test its two
+sides only for the matroid's cyclic flats, through ``Matroid._connected``,
+which keeps its answers for ``certify``.  Loops lie in every flat, so a
+locked L is listed there as L ∪ loops.
 """
 
 from __future__ import annotations
@@ -72,16 +72,12 @@ def _locked_in(matroid: Matroid, mask: int) -> bool:
     separators, so inside C the dual rank of M|C is the dual rank of M.
     """
     comp = next((c.mask for c in matroid.components() if mask & ~c.mask == 0), None)
-    ranks = matroid._rank_table()
-    if comp is None or mask == comp or ranks[mask] < 2:
+    if comp is None or mask == comp or matroid._rank_mask(mask) < 2:
         return False
     co = comp & ~mask
-    dual_rank = matroid._dual_rank_mask
-    if dual_rank(co) < 2:
+    if matroid._dual_rank_mask(co) < 2:
         return False
-    if not matroid._sub_connected(mask, ranks.__getitem__):
-        return False
-    return matroid._sub_connected(co, dual_rank)
+    return matroid._connected(mask) and matroid._connected(co, dual=True)
 
 
 def is_locked(matroid: Matroid, subset: ElementSubset) -> bool:

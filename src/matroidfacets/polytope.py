@@ -345,10 +345,9 @@ def _connected_flats(matroid: Matroid) -> list[int]:
     """The nonempty flats of a loopless matroid with a connected
     restriction, by size and then lexicographically by index.  {e} is a
     flat when its parallel closure is {e}."""
-    ranks = matroid._rank_table()
-    singletons = [p.mask for p in matroid.parallel_closures() if len(p) == 1]
     flats = matroid._cyclic_flats()
-    return singletons + [f for f in flats if f and matroid._sub_connected(f, ranks.__getitem__)]
+    singletons = [p.mask for p in matroid.parallel_closures() if len(p) == 1]
+    return singletons + [f for f in flats if f and matroid._connected(f)]
 
 
 def predicted_facets_bases(matroid: Matroid) -> FacetSystem:
@@ -379,13 +378,13 @@ def predicted_facets_bases(matroid: Matroid) -> FacetSystem:
         c = LinearConstraint.on_subset(p, "<=", 1, Origin.PARALLEL_UPPER)
         if p.mask == full:
             collapsed.append(c)
-        elif matroid._sub_connected(full ^ p.mask, matroid._dual_rank_mask):
+        elif matroid._connected(full ^ p.mask, dual=True):
             facets.append(c)
     for s in structure.coparallel:
         c = LinearConstraint.on_subset(s, ">=", len(s) - 1, Origin.COPARALLEL_LOWER)
         if s.mask == full:
             collapsed.append(c)
-        elif matroid._sub_connected(full ^ s.mask, matroid._rank_mask):
+        elif matroid._connected(full ^ s.mask):
             facets.append(c)
     for locked in structure.locked:
         facets.append(
@@ -413,11 +412,11 @@ def _bases_oracle(matroid: Matroid) -> tuple[int, frozenset]:
 def oracle_facets_bases(matroid: Matroid) -> frozenset[int]:
     """Facets of the bases polytope found by brute force, as tight sets.
 
-    Candidates are the nonnegativity bounds and x(A) <= r(A) for every
-    nonempty subset A; a candidate is a facet iff its tight vertex set
-    has affine dimension one below the polytope's.  Constraints that are
-    equivalent modulo the rank equality collapse automatically because
-    they share a tight set.
+    Candidates are x_i >= 0 and x(A) <= r(A) for A a singleton or a
+    cyclic flat; the module docstring shows why no other A is needed.  A
+    candidate is a facet iff its tight vertex set has affine dimension
+    one below the polytope's.  Constraints equivalent modulo the rank
+    equality collapse, since they share a tight set.
     """
     return _bases_oracle(matroid)[1]
 
@@ -481,12 +480,11 @@ def certify(matroid: Matroid, *, check: bool = False) -> CertificationReport:
     excusable = {tight(1 << i, rhs) for i in elements for rhs in (0, 1)}
     excused = [t for t in missing if t in excusable]
     lemma_violations = []
-    ranks = matroid._rank_table()
     full = matroid.ground.full_mask
     for sub in sorted(_connected_flats(matroid)):
-        if sub == full or matroid._sub_connected(full ^ sub, matroid._dual_rank_mask):
+        if sub == full or matroid._connected(full ^ sub, dual=True):
             continue
-        if tight(sub, ranks[sub]) in oracle:
+        if tight(sub, matroid._rank_mask(sub)) in oracle:
             lemma_violations.append(ElementSubset(matroid.ground, sub))
     notes = []
     for c in system.collapsed:

@@ -521,3 +521,44 @@ def test_console_script_is_installed():
     )
     assert proc.returncode == 0
     assert "name U_1_2" in proc.stdout
+
+
+# Small and degenerate inputs: rank 0 or full rank, a loop, a coloop,
+# and a disconnected sum.  ``catalog`` knows the uniform names only.
+DEGENERATE = {
+    **{f"U_{r}_{n}": uniform(r, n) for r, n in ((0, 2), (2, 2), (1, 2), (0, 3), (3, 3), (2, 3))},
+    "U_0_1+U_2_3": direct_sum(uniform(0, 1), uniform(2, 3)),
+    "U_1_1+U_2_3": direct_sum(uniform(1, 1), uniform(2, 3)),
+    "U_2_4+U_2_4": direct_sum(uniform(2, 4), uniform(2, 4)),
+}
+
+
+@pytest.mark.parametrize("name", DEGENERATE)
+def test_degenerate_inputs_get_a_report_or_one_error_line(capsys, tmp_path, name):
+    matroid = DEGENERATE[name]
+    path = str(tmp_path / "m.txt")
+    save(path, matroid, name)
+    first = matroid.ground.labels[0]
+    weights = ",".join(str(i) for i in range(len(matroid.ground)))
+    for argv in (
+        ["info", path],
+        ["locked", path],
+        ["locked", path, "--k", "1"],
+        ["facets", path],
+        ["facets", path, "--polytope", "independence"],
+        ["certify", path],
+        ["mwbp", path, "--weights", weights],
+        ["uniform", path],
+        ["two-sum", path, path, "--base", f"{first},{first}"],
+        ["catalog", name],
+    ):
+        for mode in ([], ["--json"]):
+            code, out, err = run(capsys, *argv, *mode)
+            assert code in (0, 1, 2), (argv, mode)
+            if code == 2:
+                assert out == "" and err.startswith("error: "), (argv, mode)
+                assert len(err.splitlines()) == 1, (argv, mode)
+            elif mode:
+                assert json.loads(out)["command"] == argv[0] and err == "", argv
+            else:
+                assert out.startswith("name: ") and err == "", argv

@@ -515,15 +515,23 @@ def test_rank_table_matches_naive_on_drawn_matroids(m):
 def _check_restricted_connectivity(m):
     """Connectivity of M|X and of M*|X, for every nonempty X, against the
     naive bipartition scan; naive ranks of subsets of X are ranks in the
-    restriction, so M's own bases (or the dual's) serve for every X."""
+    restriction, so M's own bases (or the dual's) serve for every X.
+
+    ``_connected`` keeps its answers, so a second pass on a fresh copy
+    asks about M* first: answers kept under colliding keys for the two
+    sides would then differ from the naive ones in one of the passes."""
     ground, bases = naive.as_pair(m)
     duals = naive.dual_bases(ground, bases)
-    ranks = m._rank_table()
     labels = m.ground.labels
+    expected = {}
     for x in range(1, m.ground.full_mask + 1):
         sub = frozenset(lab for i, lab in enumerate(labels) if x >> i & 1)
-        assert m._sub_connected(x, ranks.__getitem__) == naive.connected(sub, bases), sub
-        assert m._sub_connected(x, m._dual_rank_mask) == naive.connected(sub, duals), sub
+        expected[x] = sub, (naive.connected(sub, bases), naive.connected(sub, duals))
+    for sides in ((False, True), (True, False)):
+        fresh = Matroid(m.ground, m.bases)
+        for x, (sub, want) in expected.items():
+            for dual in sides:
+                assert fresh._connected(x, dual=dual) == want[dual], (sub, dual)
 
 
 @st.composite

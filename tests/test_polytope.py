@@ -338,6 +338,28 @@ def test_sparse_paving_known_answer_at_twenty_elements():
     assert certify(m).passed
 
 
+def test_certify_tests_each_side_once(monkeypatch):
+    # the locked scan, the connected flats, the closure bounds and the
+    # lemma scan ask about many of the same sides; each side of two or
+    # more elements builds one fundamental graph, and components() one more
+    builds, asked = [], []
+    cells, connected = core_mod._fundamental_cells, Matroid._connected
+
+    def asking(m, sub, dual=False):
+        asked.append((sub, dual))
+        return connected(m, sub, dual)
+
+    monkeypatch.setattr(core_mod, "_fundamental_cells", lambda *a: builds.append(1) or cells(*a))
+    monkeypatch.setattr(Matroid, "_connected", asking)
+    for m in (_wheel(6), sparse_paving(20, 4, 20, 320)[0]):
+        builds.clear()
+        asked.clear()
+        assert certify(m).passed
+        sides = {(sub, dual) for sub, dual in asked if sub.bit_count() > 1}
+        assert len(builds) == len(sides) + 1
+        assert len(asked) > len(sides)
+
+
 def test_one_tight_reader_per_vertex_list(monkeypatch):
     w5 = _wheel(5)
     system = predicted_facets_independence(w5)
