@@ -677,21 +677,23 @@ class Matroid:
     def _connected(self, sub: int, dual: bool = False) -> bool:
         """Whether M|sub, or M*|sub with ``dual``, is connected: one cell
         in the fundamental graph of a basis of sub, picked greedily.
-        O(|sub|^2) rank reads, from the table's bytes for M.  Each answer
-        is kept, keyed by sub for M and by ~sub for M*, so a side that
-        several scans ask about is tested once."""
+        Connectivity is self-dual, so M*|sub is read as M/(E-sub), from
+        M's table with E-sub in every index: O(|sub|^2) reads of the
+        table's bytes either way.  Each answer is kept, keyed by sub for
+        M and by ~sub for M*, so a side that several scans ask about is
+        tested once."""
         if sub.bit_count() <= 1:
             return True
         key = ~sub if dual else sub
         if key not in self._sides:
-            rank_of = self._dual_rank_mask if dual else self._rank_table().__getitem__
-            basis = 0
-            size = 0
+            ranks = self._rank_table()
+            rest = self.ground.full_mask ^ sub if dual else 0
+            basis, top = 0, ranks[rest]
             for i in _bit_indices(sub):
-                if rank_of(basis | 1 << i) > size:
+                if ranks[rest | basis | 1 << i] > top:
                     basis |= 1 << i
-                    size += 1
-            cells = _fundamental_cells(basis, sub, lambda m: rank_of(m) == size)
+                    top += 1
+            cells = _fundamental_cells(basis, sub, lambda m: ranks[rest | m] == top)
             self._sides[key] = len(cells) == 1
         return self._sides[key]
 

@@ -50,7 +50,8 @@ elimination of their Gram matrix, at most (n+1)-square.  The other
 tight sets (predicted constraints, collapse excuses, the lemma scan)
 are read from the same counts.  ``separate`` reads coordinates exactly
 with ``Fraction``, floats included, and compares integer gaps on the
-point scaled by the lcm of its denominators.
+point scaled by the lcm of its denominators, row by row of a table
+(coeffs, rhs, sign, constraint) each ``FacetSystem`` builds once.
 
 The independence facets and certify's lemma scan range over the flats
 with a connected restriction: the singleton flats, and the cyclic flats
@@ -62,8 +63,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import partial, reduce
-from itertools import compress
+from functools import cached_property, partial, reduce
+from itertools import compress, repeat
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -129,11 +130,7 @@ class LinearConstraint:
 
     @property
     def support_mask(self) -> int:
-        m = 0
-        for i, c in enumerate(self.coeffs):
-            if c:
-                m |= 1 << i
-        return m
+        return sum(1 << i for i, c in enumerate(self.coeffs) if c)
 
     def support(self) -> ElementSubset:
         return ElementSubset(self.ground, self.support_mask)
@@ -141,24 +138,13 @@ class LinearConstraint:
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != len(self.coeffs):
             raise DimensionMismatch("point dimension != ground-set size")
-        total = Fraction(0)
-        for c, v in zip(self.coeffs, point):
-            if c:
-                total += Fraction(v)
-        return total
+        return sum(map(Fraction, compress(point, self.coeffs)), Fraction(0))
 
     def violation(self, point: Sequence) -> Fraction:
         """How far the point is on the wrong side (0 when satisfied).
         For the equality sense this is the absolute gap."""
-        return max(Fraction(0), self._excess(self.evaluate(point) - self.rhs))
-
-    def _excess(self, gap):
-        """The gap x(S) - rhs read against the sense: positive when violated."""
-        if self.sense == "<=":
-            return gap
-        if self.sense == ">=":
-            return -gap
-        return abs(gap)
+        gap = self.evaluate(point) - self.rhs
+        return max(Fraction(0), {"<=": gap, ">=": -gap, "=": abs(gap)}[self.sense])
 
     def satisfied_by(self, point: Sequence) -> bool:
         return self.violation(point) == 0
@@ -188,6 +174,21 @@ class FacetSystem:
         if self.equality is None:
             return self.facets
         return (self.equality, *self.facets)
+
+    @cached_property
+    def _rows(self) -> tuple[tuple, ...]:
+        """What ``separate`` reads, built on first use and kept out of eq,
+        hash and repr: the coeffs, rhs, sign (+1 for <=, -1 for >=, one
+        row of each for =) and constraint to return of every row, in
+        canonical order with the equality first, as its two halves."""
+        rows = []
+        for c in self.constraints():
+            for sign in {"<=": (1,), ">=": (-1,), "=": (1, -1)}[c.sense]:
+                out, half = c, "<=" if sign > 0 else ">="
+                if c is self.equality:
+                    out = LinearConstraint(c.ground, c.coeffs, half, c.rhs, Origin.RANK_EQUALITY)
+                rows.append((c.coeffs, c.rhs, sign, out))
+        return tuple(zip(*rows)) or ((),) * 4
 
 
 def _integer_rank(rows: list[list[int]]) -> int:
@@ -552,23 +553,20 @@ def oracle_facets_independence(matroid: Matroid) -> frozenset[int]:
 
 
 def separate(system: FacetSystem, point: Sequence) -> LinearConstraint | None:
-    """One pass over the system: return a most-violated constraint, or
-    None when the point satisfies everything.  The equality is treated as
-    its two inequality halves, so the returned constraint always has an
-    inequality sense.  Ties go to the earliest constraint in canonical
-    order.  Coordinates are read exactly by ``Fraction``, floats too."""
+    """One pass over the system's row table: return a most-violated
+    constraint, or None when the point satisfies everything.  The
+    equality is read as its two inequality halves, so the returned
+    constraint always has an inequality sense.  Ties go to the earliest
+    constraint in canonical order.  Coordinates are read exactly by
+    ``Fraction``, floats too."""
     if len(point) != len(system.ground):
         raise DimensionMismatch("point dimension != ground-set size")
-    values = [Fraction(v) for v in point]
+    values = [v if type(v) in (int, Fraction) else Fraction(v) for v in point]
     # scaled by the lcm of the denominators, every comparison is of ints
     scale = lcm(*(v.denominator for v in values))
     scaled = [v.numerator * (scale // v.denominator) for v in values]
-    best, worst = None, 0
-    for c in system.constraints():
-        gap = sum(compress(scaled, c.coeffs)) - c.rhs * scale
-        excess = c._excess(gap)
-        if excess > worst:
-            best, worst, sense = c, excess, "<=" if gap > 0 else ">="
-    if best is not None and best is system.equality:
-        return LinearConstraint(best.ground, best.coeffs, sense, best.rhs, Origin.RANK_EQUALITY)
-    return best
+    coeffs, rhs, signs, returned = system._rows
+    sums = map(sum, map(compress, repeat(scaled), coeffs))
+    gaps = [sign * (x - r * scale) for sign, x, r in zip(signs, sums, rhs)]
+    worst = max(gaps, default=0)
+    return returned[gaps.index(worst)] if worst > 0 else None

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _naive as naive
+from _sparse_paving import sparse_paving
 import matroidfacets.core as core_mod
 import matroidfacets.polytope as polytope
 from matroidfacets import (
@@ -551,6 +552,32 @@ def test_connectivity_of_restrictions_matches_naive_on_drawn_matroids(m):
     ground, bases = naive.as_pair(m)
     got = [frozenset(c.labels()) for c in m.components()]
     assert sorted(got, key=sorted) == naive.components(ground, bases)
+
+
+def _sparse_paving_draws():
+    """Seeded sparse paving matroids on 6 to 9 elements, of every rank
+    from 2 to n - 2, with few and with many circuit-hyperplanes."""
+    for n in range(6, 10):
+        for r in range(2, n - 1):
+            for seed, draws in ((n * r, 4), (n + r, 60)):
+                yield f"sparse({n},{r},{seed},{draws})", sparse_paving(n, r, seed, draws)[0]
+
+
+def test_dual_sides_match_connectivity_in_the_dual(uniformity_pool, monkeypatch):
+    # M*|X is read from M's own rank table as the contraction M/(E-X);
+    # the dual matroid, built from the complements of the bases, tests
+    # M*|X as a restriction of its own table
+    reads = []
+    dual_rank = Matroid._dual_rank_mask
+    monkeypatch.setattr(Matroid, "_dual_rank_mask", lambda m, x: reads.append(x) or dual_rank(m, x))
+    for name, m in [*uniformity_pool, *_sparse_paving_draws()]:
+        fresh = Matroid(m.ground, m.bases)
+        other = Matroid(m.ground, m.bases).dual()
+        for sub in range(1, m.ground.full_mask + 1):
+            assert fresh._connected(sub, dual=True) == other._connected(sub), (name, sub)
+    assert reads == []
+    assert fresh.corank(fresh.ground.full) == len(fresh.ground) - fresh.rank_value
+    assert reads  # the counter sees the dual rank function when it is read
 
 
 @st.composite

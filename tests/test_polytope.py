@@ -1,7 +1,9 @@
 """Facet systems, brute-force oracles, certification, separation."""
 
+import dataclasses
 import random
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
@@ -21,6 +23,7 @@ from matroidfacets import (
     DegeneratePolytope,
     DimensionMismatch,
     FacetSystem,
+    GroundSet,
     LinearConstraint,
     LoopPresent,
     Matroid,
@@ -714,3 +717,69 @@ class TestSeparateAgainstFractions:
         rng = random.Random(22)
         for _ in range(100):
             _check_separate(system, [rng.choice((0.25, 0.5, 0.75, 1.0, -0.5)) for _ in range(4)])
+
+
+_COORDINATES = (
+    lambda rng: rng.randint(-1, 2),
+    lambda rng: Fraction(rng.randint(-2, 6), rng.randint(2, 4)),
+    lambda rng: rng.choice((0.25, 0.5, -0.75, 1.0, 0.1)),
+    lambda rng: rng.random() < 0.5,
+    lambda rng: rng.choice((Decimal("0.5"), Decimal("-1.25"), Decimal("0.1"), Decimal(2))),
+)
+
+
+def _drawn_system(rng, n, with_equality):
+    """A FacetSystem on n elements with random 0/1 supports and small
+    right-hand sides, so that ties are frequent: facets of every sense,
+    "=" among them, and some repeated as equal but distinct constraints."""
+    ground = GroundSet(str(i) for i in range(n))
+
+    def drawn(sense, origin):
+        coeffs = (0,) * n
+        while not any(coeffs):
+            coeffs = tuple(rng.randint(0, 1) for _ in range(n))
+        return LinearConstraint(ground, coeffs, sense, rng.randint(-1, 3), origin)
+
+    facets = [drawn(rng.choice(polytope_mod._SENSES), rng.choice(list(Origin))) for _ in range(rng.randint(1, 12))]
+    for c in rng.sample(facets, rng.randint(0, len(facets))):
+        facets.insert(rng.randint(0, len(facets)), dataclasses.replace(c))
+    equality = drawn("=", Origin.RANK_EQUALITY) if with_equality else None
+    return FacetSystem(ground, equality, tuple(facets))
+
+
+def _drawn_point(rng, n):
+    # int, Fraction, float, bool and Decimal coordinates, mixed
+    return [rng.choice(_COORDINATES)(rng) for _ in range(n)]
+
+
+class TestSeparateOnDrawnSystems:
+    def test_drawn_systems_against_fractions(self):
+        rng = random.Random(30)
+        returned = Counter()
+        ties = 0
+        for _ in range(40):
+            for with_equality in (False, True):
+                n = rng.randint(1, 8)
+                system = _drawn_system(rng, n, with_equality)
+                for _ in range(40):
+                    point = _drawn_point(rng, n)
+                    k, tied = _check_separate(system, point)
+                    ties += tied
+                    returned[None if k is None else _rows(system)[k][1]] += 1
+        assert set(returned) == {None, "<=", ">=", "="}
+        assert ties > 100
+
+    def test_a_used_system_agrees_with_an_equal_fresh_one(self):
+        rng = random.Random(31)
+        for with_equality in (False, True):
+            system = _drawn_system(rng, 7, with_equality)
+            before = hash(system), repr(system)
+            for _ in range(300):
+                point = _drawn_point(rng, 7)
+                fresh = FacetSystem(system.ground, system.equality, system.facets)
+                got, want = separate(system, point), separate(fresh, point)
+                assert got == want
+                assert got is want or got.origin == Origin.RANK_EQUALITY
+            assert (hash(system), repr(system)) == before
+            unused = FacetSystem(system.ground, system.equality, system.facets)
+            assert (unused, hash(unused), repr(unused)) == (system, *before)
