@@ -6,14 +6,20 @@ circuit-hyperplane at a time (W3, Q6, P6, ending at U_3_6), and V8, of
 rank 4 on eight elements with five non-basis quadruples.  MK4 and V8 are
 nonbasis listings read by ``files.MatroidFile``, so they are
 exchange-checked once, when first built.  Uniform matroids are U_r_n.
+
+Each entry carries the ``MatroidFile`` listing that the CLI's
+``catalog`` writes.  A fixed entry's listing is encoded from its built
+matroid.  U_r_n's is its header alone, with no nonbasis, so it takes O(n)
+to list; its matroid, all C(n, r) bases, is built only when read.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, partial
 from itertools import combinations
+from typing import Callable
 
 from .core import ElementSubset, GroundSet, MatroidError, Matroid, r_subsets
 from .files import MatroidFile
@@ -46,17 +52,28 @@ class LabelCollision(MatroidError):
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """A named matroid: the listing ``catalog`` writes, and the matroid,
+    built by ``build`` on first read of ``matroid``."""
+
     name: str
-    matroid: Matroid
+    listing: MatroidFile
     expected_locked_number: int
+    build: Callable[[], Matroid] = field(repr=False, compare=False)
+
+    @cached_property
+    def matroid(self) -> Matroid:
+        return self.build()
+
+
+def _uniform_labels(r: int, n: int) -> tuple[str, ...]:
+    if n < 1 or r < 0 or r > n:
+        raise BadParameters(f"uniform needs 0 <= r <= n and n >= 1, got r={r} n={n}")
+    return tuple(str(i) for i in range(1, n + 1))
 
 
 def uniform(r: int, n: int) -> Matroid:
     """The uniform matroid of rank r on n elements, labeled "1".."n"."""
-    if n < 1 or r < 0 or r > n:
-        raise BadParameters(f"uniform needs 0 <= r <= n and n >= 1, got r={r} n={n}")
-    ground = GroundSet(str(i) for i in range(1, n + 1))
-    return Matroid._from_masks(ground, r_subsets(n, r))
+    return Matroid._from_masks(GroundSet(_uniform_labels(r, n)), r_subsets(n, r))
 
 
 class _UnionFind:
@@ -129,9 +146,9 @@ def circuit_hyperplanes(matroid: Matroid) -> tuple[ElementSubset, ...]:
     order.  These are exactly the sets whose promotion to a basis
     (relaxation) again yields a matroid: the cyclic flats of size r(E)
     and rank r(E) - 1, each of which holds one circuit, itself."""
-    ranks = matroid._rank_table()
     r = matroid.rank_value
-    keep = [f for f in matroid._cyclic_flats() if f.bit_count() == r and ranks[f] == r - 1]
+    flats = matroid._cyclic_flats()
+    keep = [f for f in flats if f.bit_count() == r and matroid._rank_mask(f) == r - 1]
     return tuple(ElementSubset(matroid.ground, f) for f in keep)
 
 
@@ -253,15 +270,16 @@ def catalog_get(name: str) -> CatalogEntry:
     """Look up a catalog entry by name (MK4, W3, Q6, P6, V8, or U_r_n)."""
     if name in _FIXED:
         build, locked_number = _FIXED[name]
-        return CatalogEntry(name, build(), locked_number)
+        return CatalogEntry(name, MatroidFile.from_matroid(build(), name), locked_number, build)
     match = _UNIFORM_NAME.match(name)
     if match:
         r, n = int(match.group(1)), int(match.group(2))
         try:
-            m = uniform(r, n)
+            labels = _uniform_labels(r, n)
         except BadParameters as err:
             raise UnknownName(str(err)) from None
-        # No uniform matroid has a locked subset: one side of any split
+        # Every r-set is a basis, so there is no nonbasis to list.  No
+        # uniform matroid has a locked subset: one side of any split
         # always has rank or corank below 2.
-        return CatalogEntry(name, m, 0)
+        return CatalogEntry(name, MatroidFile(name, labels, r, None, ()), 0, partial(uniform, r, n))
     raise UnknownName(f"unknown catalog name: {name}")

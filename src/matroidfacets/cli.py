@@ -18,8 +18,8 @@ from dataclasses import asdict
 from fractions import Fraction
 
 from .catalog import catalog_get, catalog_names, two_sum
-from .core import MatroidError, Matroid
-from .files import MatroidFile, ParseError, dumps, load, save
+from .core import MatroidError
+from .files import MatroidFile, ParseError, dumps, load, write
 from .locked import k_locked_oracle, locked_structure
 from .optimize import WeightFunction, greedy_max_basis
 from .polytope import (
@@ -237,11 +237,11 @@ def cmd_uniform(args):
     return results, text, 0 if verdict.uniform else 1
 
 
-def _write_or_print(args, matroid: Matroid, name: str) -> list[str]:
+def _write_or_print(args, listing: MatroidFile) -> list[str]:
     if args.output:
-        save(args.output, matroid, name)
+        write(args.output, listing)
         return [f"wrote: {args.output}"]
-    return [dumps(MatroidFile.from_matroid(matroid, name)).rstrip("\n")]
+    return [dumps(listing).rstrip("\n")]
 
 
 def cmd_two_sum(args):
@@ -252,7 +252,7 @@ def cmd_two_sum(args):
     m2, mf2 = load(args.file2)
     result = two_sum(m1, args.base[0], m2, args.base[1])
     name = f"{mf1.name}+{mf2.name}"
-    lines = _write_or_print(args, result, name)
+    lines = _write_or_print(args, MatroidFile.from_matroid(result, name))
     results = {
         "name": name,
         "elements": list(result.ground.labels),
@@ -269,17 +269,18 @@ def cmd_two_sum(args):
 
 def cmd_catalog(args):
     entry = catalog_get(args.name)
-    lines = _write_or_print(args, entry.matroid, entry.name)
+    listing = entry.listing
+    lines = _write_or_print(args, listing)
     results = {
         "name": entry.name,
-        "elements": list(entry.matroid.ground.labels),
-        "rank": entry.matroid.rank_value,
-        "bases": entry.matroid.basis_count(),
+        "elements": list(listing.labels),
+        "rank": listing.rank,
+        "bases": listing.basis_count(),
         "expected_locked_number": entry.expected_locked_number,
     }
     text = [
-        f"rank: {entry.matroid.rank_value}",
-        f"bases: {entry.matroid.basis_count()}",
+        f"rank: {listing.rank}",
+        f"bases: {listing.basis_count()}",
         f"expected locked number: {entry.expected_locked_number}",
     ]
     return results, text + lines, 0

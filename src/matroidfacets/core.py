@@ -37,8 +37,10 @@ each, when first built.  The exchange check reads the bases alone, with
 no rank table: for each (r-1)-set I inside a basis, the fan of x with I+x
 a basis (a cocircuit, in a matroid) must meet every basis, and
 per-element columns over basis indices test that with one |B|-bit OR per
-element of each distinct fan.  Each vertex family's columns are built
-once and kept on the matroid.
+element of each distinct fan.  A fan falls short of E-I only where some
+I+x is a nonbasis, so a family of all C(n, r) r-sets (U_r_n) is
+accepted on its count alone, before any fan is built.  Each vertex
+family's columns are built once and kept on the matroid.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations, islice
+from math import comb
 from operator import lt
 from typing import Iterable, Iterator, Sequence
 
@@ -461,12 +464,17 @@ class Matroid:
         that miss it are the bits left clear by the OR of its elements'
         columns, bitmasks over basis indices.  A fan of all of E-I is
         skipped: no basis fits in I.  The columns are built only once
-        some fan falls short of E-I, and no rank table is built.
+        some fan falls short of E-I, and no rank table is built.  A fan
+        falls short only where some I+x is a nonbasis, and the bases are
+        distinct r-sets, so a family of all C(n, r) of them returns before
+        any fan is built.
         Only on a failure are the bases walked again, to name the first
         failure in (B1, B2, e) order, bases in mask order.
         """
         masks = self._basis_masks
         ground = self.ground
+        if len(masks) == comb(len(ground), self.rank_value):
+            return
         fans: dict[int, int] = defaultdict(int)
         for i in range(len(ground)):
             bit = 1 << i

@@ -78,6 +78,13 @@ class MatroidFile:
             raise ParseError(f"declared rank {self.rank} != basis size {matroid.rank_value}")
         return matroid
 
+    def basis_count(self) -> int:
+        """|B| read off the listing, with nothing expanded: its rows, or
+        C(n, r) less its rows for a ``nonbases`` listing."""
+        if self.bases is not None:
+            return len(self.bases)
+        return comb(len(self.labels), self.rank) - len(self.nonbases)
+
     @classmethod
     def from_matroid(cls, matroid: Matroid, name: str, encoding: str = "auto") -> "MatroidFile":
         """Encode a matroid.  ``auto`` picks the shorter of the two set
@@ -193,8 +200,12 @@ def loads(text: str) -> MatroidFile:
     )
 
 
+def write(path: str | Path, mf: MatroidFile) -> None:
+    Path(path).write_text(dumps(mf))
+
+
 def save(path: str | Path, matroid: Matroid, name: str, encoding: str = "auto") -> None:
-    Path(path).write_text(dumps(MatroidFile.from_matroid(matroid, name, encoding)))
+    write(path, MatroidFile.from_matroid(matroid, name, encoding))
 
 
 def load(path: str | Path) -> tuple[Matroid, MatroidFile]:

@@ -48,9 +48,10 @@ its rank over Q: reaching d there settles a facet.  Only a face that
 falls short, and the polytope itself, get fraction-free (Bareiss)
 elimination of their Gram matrix, at most (n+1)-square.  The other
 tight sets (predicted constraints, collapse excuses, the lemma scan)
-are read from the same counts.  ``separate`` reads coordinates exactly
-with ``Fraction``, floats included, and compares integer gaps on the
-point scaled by the lcm of its denominators, row by row of a table
+are read from the same counts.  ``separate`` and
+``LinearConstraint.evaluate`` read coordinates exactly with ``Fraction``,
+floats included, and sum integers on the point scaled by the lcm of its
+denominators; ``separate`` compares the gaps row by row of a table
 (coeffs, rhs, sign, constraint) each ``FacetSystem`` builds once.
 
 The independence facets and certify's lemma scan range over the flats
@@ -108,6 +109,16 @@ class Origin(Enum):
 _SENSES = ("<=", ">=", "=")
 
 
+def _scaled(point: Iterable) -> tuple[list[int], int]:
+    """The coordinates times the lcm of their denominators, as ints, and
+    that lcm, so sums and comparisons run on ints.  int and ``Fraction``
+    coordinates are read as they are, anything else exactly by
+    ``Fraction``, floats too."""
+    values = [v if type(v) in (int, Fraction) else Fraction(v) for v in point]
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
 @dataclass(frozen=True)
 class LinearConstraint:
     """A 0/1-support constraint  x(S) sense rhs  over a ground set."""
@@ -138,7 +149,8 @@ class LinearConstraint:
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != len(self.coeffs):
             raise DimensionMismatch("point dimension != ground-set size")
-        return sum(map(Fraction, compress(point, self.coeffs)), Fraction(0))
+        scaled, scale = _scaled(compress(point, self.coeffs))
+        return Fraction(sum(scaled), scale)
 
     def violation(self, point: Sequence) -> Fraction:
         """How far the point is on the wrong side (0 when satisfied).
@@ -523,7 +535,6 @@ def predicted_facets_independence(matroid: Matroid) -> FacetSystem:
     that are closed and have a connected restriction.  Needs a loopless
     matroid (loops would flatten the polytope)."""
     matroid._refuse_loops()
-    ranks = matroid._rank_table()
     ground = matroid.ground
     facets = [
         LinearConstraint.on_subset(ground.singleton(lab), ">=", 0, Origin.NONNEGATIVITY)
@@ -532,7 +543,7 @@ def predicted_facets_independence(matroid: Matroid) -> FacetSystem:
     for mask in _connected_flats(matroid):
         facets.append(
             LinearConstraint.on_subset(
-                ElementSubset(ground, mask), "<=", ranks[mask], Origin.RANK_UPPER
+                ElementSubset(ground, mask), "<=", matroid._rank_mask(mask), Origin.RANK_UPPER
             )
         )
     return FacetSystem(ground, None, tuple(facets), ())
@@ -561,10 +572,7 @@ def separate(system: FacetSystem, point: Sequence) -> LinearConstraint | None:
     ``Fraction``, floats too."""
     if len(point) != len(system.ground):
         raise DimensionMismatch("point dimension != ground-set size")
-    values = [v if type(v) in (int, Fraction) else Fraction(v) for v in point]
-    # scaled by the lcm of the denominators, every comparison is of ints
-    scale = lcm(*(v.denominator for v in values))
-    scaled = [v.numerator * (scale // v.denominator) for v in values]
+    scaled, scale = _scaled(point)
     coeffs, rhs, signs, returned = system._rows
     sums = map(sum, map(compress, repeat(scaled), coeffs))
     gaps = [sign * (x - r * scale) for sign, x, r in zip(signs, sums, rhs)]

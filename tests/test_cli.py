@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
-from matroidfacets import catalog_get, cli, direct_sum, save, uniform
+import matroidfacets.catalog as catalog_mod
+import matroidfacets.core as core_mod
+import matroidfacets.files as files_mod
+from matroidfacets import Matroid, MatroidFile, catalog_get, cli, direct_sum, dumps, save, uniform
 from matroidfacets.cli import main
 
 
@@ -481,6 +484,49 @@ def test_catalog_unknown_name(capsys):
     code, out, err = run(capsys, "catalog", "NOPE")
     assert code == 2
     assert "unknown catalog name" in err
+
+
+def test_uniform_catalog_writes_what_the_built_matroid_encodes(capsys, tmp_path):
+    # catalog writes U_r_n from its listing, without building the bases
+    path = tmp_path / "u.txt"
+    for n in range(1, 7):
+        for r in range(n + 1):
+            name = f"U_{r}_{n}"
+            m = uniform(r, n)
+            text = dumps(MatroidFile.from_matroid(m, name))
+            code, out, _ = run(capsys, "catalog", name)
+            assert code == 0 and out.endswith("\n" + text), name
+            code, doc = run_json(capsys, "catalog", name, "-o", str(path))
+            assert code == 0 and path.read_text() == text, name
+            assert doc["results"] == {
+                "name": name,
+                "elements": list(m.ground.labels),
+                "rank": r,
+                "bases": m.basis_count(),
+                "expected_locked_number": 0,
+            }
+
+
+def test_uniform_catalog_write_builds_no_basis(capsys, monkeypatch, tmp_path):
+    # U_12_24 has 2 704 156 bases; writing its file lists none of them
+    def refuse(*args):
+        raise AssertionError("no basis family may be built")
+
+    for module in (core_mod, catalog_mod, files_mod):
+        monkeypatch.setattr(module, "r_subsets", refuse)
+    monkeypatch.setattr(Matroid, "_fill", refuse)
+    path = tmp_path / "u_12_24.txt"
+    code, doc = run_json(capsys, "catalog", "U_12_24", "-o", str(path))
+    assert code == 0 and doc["results"]["bases"] == 2704156
+    labels = " ".join(map(str, range(1, 25)))
+    assert path.read_text() == f"name U_12_24\nelements {labels}\nrank 12\nnonbases:\n"
+
+
+@pytest.mark.parametrize("r, n", [(9, 4), (0, 0)])
+def test_catalog_refuses_a_uniform_name_with_no_matroid(capsys, r, n):
+    code, out, err = run(capsys, "catalog", f"U_{r}_{n}")
+    assert (code, out) == (2, "")
+    assert err == f"error: uniform needs 0 <= r <= n and n >= 1, got r={r} n={n}\n"
 
 
 def test_missing_file_is_an_input_error(capsys):

@@ -4,7 +4,7 @@ from functools import partial, reduce
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _naive as naive
@@ -432,8 +432,26 @@ def _random_family(draw):
     return g, draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
 
 
+# U_r_n's family, which validate accepts on its count alone, and the same
+# less its first r-set, which runs the fan test, for every 0 <= r <= n <= 6
+_FULL_FAMILIES = [
+    (GroundSet(str(i) for i in range(n)), family)
+    for n in range(1, 7)
+    for r in range(n + 1)
+    for family in (r_subsets(n, r), r_subsets(n, r)[1:])
+    if family
+]
+
+
+def _on_full_families(test):
+    for family in _FULL_FAMILIES:
+        test = example(family)(test)
+    return test
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_random_family(), _perturbed_matroid()))
+@_on_full_families
 def test_exchange_check_matches_the_naive_triple_loop(family):
     g, masks = family
     m = Matroid(g, [g.from_mask(b) for b in masks])
