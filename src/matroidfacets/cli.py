@@ -270,17 +270,27 @@ def cmd_two_sum(args):
 def cmd_catalog(args):
     entry = catalog_get(args.name)
     listing = entry.listing
+    count = listing.basis_count()
+    # the report prints the count, in text or JSON, so refuse before
+    # writing a count longer than the interpreter will convert
+    try:
+        shown = str(count)
+    except ValueError:
+        raise MatroidError(
+            f"{entry.name} has a basis count of more than "
+            f"{sys.get_int_max_str_digits()} digits, too long to print"
+        ) from None
     lines = _write_or_print(args, listing)
     results = {
         "name": entry.name,
         "elements": list(listing.labels),
         "rank": listing.rank,
-        "bases": listing.basis_count(),
+        "bases": count,
         "expected_locked_number": entry.expected_locked_number,
     }
     text = [
         f"rank: {listing.rank}",
-        f"bases: {listing.basis_count()}",
+        f"bases: {shown}",
         f"expected locked number: {entry.expected_locked_number}",
     ]
     return results, text + lines, 0

@@ -12,22 +12,25 @@ reversed, as the dual's complements are, so sorting them is one timsort
 pass and repeats show as equal neighbours.  Membership is tested by
 bisection.
 
-Ranks come from one of two places.  The exhaustive scans (3-connectivity,
-locked subsets, the facet oracle) first build a table of all 2^n ranks,
-one byte per subset, and read every rank from it; they are capped at
-MAX_SCAN_SIZE elements, where the table takes 16 MiB.  Without a table, a
-rank query takes the largest intersection with a basis and stores
-nothing, so point queries (greedy, ``rank``, ``restrict``) on wide ground
-sets never pay for 2^n work.  Components come from the bases alone.
-``Matroid._connected`` answers, once per side, whether M|X or M*|X is
-connected, from the fundamental graph of one basis of X: O(|X|^2) rank
-reads, where the definition scans all 2^|X| bipartitions.
+Ranks come from one of two places.  The exhaustive scans (the cyclic
+flats, and the locked subsets, 3-connectivity and facet oracle read off
+them) first build a table of all 2^n ranks, one byte per subset, and read
+every rank from it; they are capped at MAX_SCAN_SIZE elements, where the
+table takes 16 MiB.  Without a table, a rank query takes the largest
+intersection with a basis and stores nothing, so point queries (greedy,
+``rank``, ``restrict``) on wide ground sets never pay for 2^n work.
+Components come from the bases alone.  ``Matroid._connected`` answers,
+once per side, whether M|X or M*|X is connected, from the fundamental
+graph of one basis of X: O(|X|^2) rank reads, where the definition scans
+all 2^|X| bipartitions.
 
-No scan walks the 2^n subsets in Python: each reads the table whole, as
-one big int.  n passes over its parity bits find the cyclic flats (closed
-unions of circuits), the only candidates the other scans need: locked
-sets, connected flats and circuit-hyperplanes are cyclic flats (Bonin
-and de Mier, "The lattice of cyclic flats of a matroid", 2008).
+No scan walks the 2^n subsets in Python: n passes over the table's
+parity bits, as one big int, find the cyclic flats (closed unions of
+circuits), the only candidates the other scans need.  Locked sets,
+connected flats and circuit-hyperplanes are cyclic flats (Bonin and de
+Mier, "The lattice of cyclic flats of a matroid", 2008), and a connected
+matroid with a 2-separation and rank and corank at least 2 has one on a
+cyclic flat (``Matroid.is_3_connected`` proves it).
 
 Constructions take matroids to matroids and check only their
 preconditions.  ``Matroid.validate()`` checks a family built by hand:
@@ -467,7 +470,9 @@ class Matroid:
         some fan falls short of E-I, and no rank table is built.  A fan
         falls short only where some I+x is a nonbasis, and the bases are
         distinct r-sets, so a family of all C(n, r) of them returns before
-        any fan is built.
+        any fan is built.  Any other family has a short fan: on a walk by
+        single swaps from a basis to a nonbasis, the first nonbasis is I+x
+        with I+y the basis before it, and the fan of I misses x.
         Only on a failure are the bases walked again, to name the first
         failure in (B1, B2, e) order, bases in mask order.
         """
@@ -484,8 +489,6 @@ class Matroid:
         full = len(ground) - self.rank_value + 1
         # a fan of all of E - I needs no test: a basis has r elements, I only r - 1
         short = {fan for fan in fans.values() if fan.bit_count() != full}
-        if not short:
-            return
         columns = self._basis_columns()
         every = (1 << len(masks)) - 1
         missed: dict[int, int] = {}
@@ -729,25 +732,52 @@ class Matroid:
         return self._components
 
     def is_3_connected(self) -> bool:
-        """Connected with no 2-separation.  Ground sets smaller than 4
-        elements have no room for a 2-separation; for those this is just
-        connectivity."""
+        """Connected with no 2-separation: no split (X, E-X) with two
+        elements on each side and lambda(X) = r(X) + r(E-X) - r <= 1.
+
+        Read off the cyclic flats: M is 3-connected iff it is connected,
+        has r >= 2 and r* = n - r >= 2 when n >= 4, and no cyclic flat Z
+        with 2 <= |Z| <= n-2 has lambda(Z) <= 1.  Below 4 elements no Z
+        fits the size bounds, so this is connectivity there.
+
+        Only if: such a Z is a 2-separation.  At n >= 4 a connected M has
+        no loop, so r < 2 means r = 1, and then every 2-set X is one
+        (lambda(X) <= 1 + 1 - 1); so is r* < 2, as lambda is the same in
+        M*.  Without this guard
+        U_1_n and U_{n-1,n}, whose only cyclic flats are empty and E,
+        would pass.
+
+        If: let M be connected (so loopless and coloopless), n >= 4,
+        r >= 2, r* >= 2, with a 2-separation (X, Y); connected makes
+        lambda >= 1 on every proper nonempty set.
+        - M not simple: a parallel class P with |P| >= 2 is a cyclic flat
+          of rank 1, so lambda(P) <= 1.  E-P is not empty, as r >= 2, and
+          not one element x, or lambda(P) = 1 + 1 - r <= 0.
+        - M simple: F = cl(X) has lambda(F) <= lambda(X), as r(F) = r(X)
+          and E-F lies in Y.  F = E would give lambda(X) = r(Y) >= 2, since
+          two elements of a simple matroid have rank 2.  E-F = {y} would
+          give lambda(F) = 0.  So |E-F| >= 2.  Drop the coloops C of M|F:
+          Z = F-C is a cyclic flat (an element of C in cl(Z) would not be
+          a coloop of M|F), r(Z) = r(F) - |C| and r(E-Z) <= r(E-F) + |C|,
+          so lambda(Z) <= lambda(F).  A nonempty Z holds a circuit, of at
+          least 3 elements in a simple matroid, so Z fits.  If Z is empty,
+          F is independent; as (E-F, F) is a 2-separation too, the same
+          step on G = cl(E-F) gives a Z that fits, or an independent G.
+          Then F and G cover E, and r(F) + r(G) = r(F) + r(E-F) <= r + 1
+          gives n <= |F| + |G| <= r + 1: r* <= 1, which is excluded.
+
+        Each rank is one byte of the table that ``_cyclic_flats`` builds.
+        """
         if not self.is_connected():
             return False
-        n = len(self.ground)
-        if n < 4:
-            return True
-        ranks = self._rank_table()
+        n, r = len(self.ground), self.rank_value
+        if n >= 4 and not 2 <= r <= n - 2:
+            return False
         full = self.ground.full_mask
-        # r(X) + r(E-X) at every X at once: the table read backwards holds
-        # r(E-X) at X, and no byte of the sum carries
-        sums = int.from_bytes(ranks, "little") + int.from_bytes(ranks, "big")
-        low = bytes(v <= self.rank_value + 1 for v in range(256))
-        split = bytearray(sums.to_bytes(len(ranks), "little").translate(low))
-        # a 2-separation needs two elements on each side
-        for x in (0, *(1 << i for i in range(n))):
-            split[x] = split[full ^ x] = 0
-        return 1 not in split
+        return not any(
+            2 <= z.bit_count() <= n - 2 and self._rank_mask(z) + self._rank_mask(full ^ z) <= r + 1
+            for z in self._cyclic_flats()
+        )
 
     # -- parallel structure -------------------------------------------------
 

@@ -522,6 +522,30 @@ def test_uniform_catalog_write_builds_no_basis(capsys, monkeypatch, tmp_path):
     assert path.read_text() == f"name U_12_24\nelements {labels}\nrank 12\nnonbases:\n"
 
 
+def test_catalog_refuses_a_count_too_long_to_print_before_writing(capsys, tmp_path):
+    path = tmp_path / "u.txt"
+    for mode in ([], ["--json"]):
+        code, out, err = run(capsys, "catalog", "U_8000_16000", "-o", str(path), *mode)
+        assert (code, out) == (2, "") and not path.exists(), mode
+        assert err.startswith("error: U_8000_16000 has a basis count of more than "), mode
+        assert len(err.splitlines()) == 1, mode
+
+
+@pytest.mark.parametrize("r, n", [(1, 30), (29, 30)])
+def test_info_past_the_scan_cap_at_rank_or_corank_one(capsys, monkeypatch, tmp_path, r, n):
+    # rank or corank 1 on 30 elements: not 3-connected, and no table is built
+    path = str(tmp_path / "u.txt")
+    assert run(capsys, "catalog", f"U_{r}_{n}", "-o", path)[0] == 0
+
+    def refuse(*args):
+        raise AssertionError("no rank table may be built")
+
+    monkeypatch.setattr(core_mod, "_build_rank_table", refuse)
+    code, out, err = run(capsys, "info", path)
+    assert (code, err) == (0, "")
+    assert "connected: yes\n3-connected: no\n" in out
+
+
 @pytest.mark.parametrize("r, n", [(9, 4), (0, 0)])
 def test_catalog_refuses_a_uniform_name_with_no_matroid(capsys, r, n):
     code, out, err = run(capsys, "catalog", f"U_{r}_{n}")

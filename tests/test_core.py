@@ -334,6 +334,19 @@ class TestConnectivity:
             wide.is_3_connected()
         assert wide._ranks is None
 
+    def test_three_connectivity_matches_naive_on_pool_and_sparse_paving(self, uniformity_pool):
+        drawn = []
+        for seed in range(40):
+            n = 6 + seed % 4
+            r = 2 + seed // 4 % (n - 3)
+            drawn.append((f"sparse paving {seed}", sparse_paving(n, r, seed, 3 * n)[0]))
+        verdicts = []
+        for name, m in [*uniformity_pool, *drawn]:
+            ground, bases = naive.as_pair(m)
+            verdicts.append(m.is_3_connected())
+            assert verdicts[-1] == naive.three_connected(ground, bases), name
+        assert True in verdicts and False in verdicts
+
     def test_small_ground_three_connectivity_is_connectivity(self):
         assert uniform(1, 2).is_3_connected()
         assert uniform(1, 3).is_3_connected()
@@ -620,6 +633,13 @@ def _by_index(m):
 
 @settings(max_examples=60, deadline=None)
 @given(_with_a_summand())
+# connected, with only the empty set and E as cyclic flats, yet with a
+# 2-separation at rank or corank 1; U_2_4 is 3-connected
+@example(uniform(1, 4))
+@example(uniform(3, 4))
+@example(uniform(1, 5))
+@example(uniform(4, 5))
+@example(uniform(2, 4))
 def test_exhaustive_scans_match_naive_definitions_on_drawn_matroids(m):
     ground, bases = naive.as_pair(m)
     key = _by_index(m)
