@@ -49,10 +49,12 @@ falls short, and the polytope itself, get fraction-free (Bareiss)
 elimination of their Gram matrix, at most (n+1)-square.  The other
 tight sets (predicted constraints, collapse excuses, the lemma scan)
 are read from the same counts.  ``separate`` and
-``LinearConstraint.evaluate`` read coordinates exactly with ``Fraction``,
-floats included, and sum integers on the point scaled by the lcm of its
-denominators; ``separate`` compares the gaps row by row of a table
-(coeffs, rhs, sign, constraint) each ``FacetSystem`` builds once.
+``LinearConstraint.evaluate`` read coordinates exactly, floats included,
+and sum integers on the point scaled by the lcm of its denominators.
+``separate`` finds every row's gap at once: each ``FacetSystem`` packs
+its rows into one int per coordinate, a signed field per row, so that
+one sum of n products over the scaled point holds all the gaps, in
+fields of a power of two bytes wide enough for the point at hand.
 
 The independence facets and certify's lemma scan range over the flats
 with a connected restriction: the singleton flats, and the cyclic flats
@@ -65,8 +67,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, partial, reduce
-from itertools import compress, repeat
+from itertools import compress
 from math import lcm
+from operator import and_, mul
+from struct import Struct
 from typing import Iterable, Sequence
 
 from .core import (
@@ -111,12 +115,12 @@ _SENSES = ("<=", ">=", "=")
 
 def _scaled(point: Iterable) -> tuple[list[int], int]:
     """The coordinates times the lcm of their denominators, as ints, and
-    that lcm, so sums and comparisons run on ints.  int and ``Fraction``
-    coordinates are read as they are, anything else exactly by
-    ``Fraction``, floats too."""
-    values = [v if type(v) in (int, Fraction) else Fraction(v) for v in point]
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
+    that lcm, so sums and comparisons run on ints.  Each coordinate is
+    read once, by ``as_integer_ratio``: ints and ``Fraction``s as they
+    are, anything else through ``Fraction``, so floats exactly too."""
+    ratios = [(v if type(v) in (int, Fraction) else Fraction(v)).as_integer_ratio() for v in point]
+    scale = lcm(*(q for _, q in ratios))
+    return [p * (scale // q) for p, q in ratios], scale
 
 
 @dataclass(frozen=True)
@@ -155,7 +159,7 @@ class LinearConstraint:
     def violation(self, point: Sequence) -> Fraction:
         """How far the point is on the wrong side (0 when satisfied).
         For the equality sense this is the absolute gap."""
-        gap = self.evaluate(point) - self.rhs
+        gap = self.evaluate(point) - Fraction(self.rhs)
         return max(Fraction(0), {"<=": gap, ">=": -gap, "=": abs(gap)}[self.sense])
 
     def satisfied_by(self, point: Sequence) -> bool:
@@ -189,9 +193,9 @@ class FacetSystem:
 
     @cached_property
     def _rows(self) -> tuple[tuple, ...]:
-        """What ``separate`` reads, built on first use and kept out of eq,
-        hash and repr: the coeffs, rhs, sign (+1 for <=, -1 for >=, one
-        row of each for =) and constraint to return of every row, in
+        """The rows that ``_packed`` packs, built on first use and kept out
+        of eq, hash and repr: the coeffs, rhs, sign (+1 for <=, -1 for >=,
+        one row of each for =) and constraint to return of every row, in
         canonical order with the equality first, as its two halves."""
         rows = []
         for c in self.constraints():
@@ -201,6 +205,65 @@ class FacetSystem:
                     out = LinearConstraint(c.ground, c.coeffs, half, c.rhs, Origin.RANK_EQUALITY)
                 rows.append((c.coeffs, c.rhs, sign, out))
         return tuple(zip(*rows)) or ((),) * 4
+
+    @cached_property
+    def _packed(self) -> "_PackedRows":
+        """The row table packed for ``separate``, one entry per field
+        width, built on first use and kept out of eq, hash and repr."""
+        return _PackedRows(*self._rows)
+
+
+class _PackedRows(dict):
+    """The rows of a ``FacetSystem`` packed into one int per coordinate,
+    keyed by the field width W, a power of two in bytes, each entry built
+    on first use.  With R rows and rhs read exactly, D the lcm of their
+    denominators, an entry holds:
+
+    * per coordinate i, the sum of sign_k * D * 2^(8W(R-1-k)) over the
+      rows k that hold i;
+    * the rhs packed the same way, sign_k * D * rhs_k in field k;
+    * the offset 2^(8W-1) in every field;
+    * a ``Struct`` reading the R fields big-endian, each as one B, H, I
+      or Q up to 8 bytes, and above that as several Q words, which
+      compare as tuples the way the fields compare as numbers;
+    * that number of words per field, and the key of a zero gap.
+
+    On a point scaled to ints s with lcm S, field k of
+    offset + sum_i s_i * column_i - S * rhs is then the offset plus
+    D * S times row k's gap, as long as every such product is below
+    2^(8W-1) in size: no field borrows from or carries into another.
+    """
+
+    def __init__(self, coeffs, rhs, signs, returned):
+        super().__init__()
+        scaled, self.scale = _scaled(rhs)
+        self.rhs = [sign * r for sign, r in zip(signs, scaled)]
+        self.largest = max(map(abs, self.rhs), default=0)
+        self.returned = returned
+        # one byte per row, 1 where the row holds the coordinate with that sign
+        plus, minus = [s > 0 for s in signs], [s < 0 for s in signs]
+        self.holders = [(bytes(map(and_, col, plus)), bytes(map(and_, col, minus))) for col in zip(*coeffs)]
+
+    def __missing__(self, width: int) -> tuple:
+        rows, bits = len(self.rhs), 8 * width
+
+        def spread(ones: bytes) -> int:
+            fields = bytearray(rows * width)
+            fields[width - 1 :: width] = ones
+            return int.from_bytes(fields, "big")
+
+        columns = [self.scale * (spread(p) - spread(m)) for p, m in self.holders]
+        rhs = 0
+        for r in self.rhs:
+            rhs = (rhs << bits) + r
+        offset = int.from_bytes(b"\x80".ljust(width, b"\0") * rows, "big")
+        if width <= 8:
+            words, fields, zero = 1, Struct(f">{rows}{'BHIQ'[width.bit_length() - 1]}"), 1 << (bits - 1)
+        else:
+            words = width // 8
+            fields, zero = Struct(f">{rows * words}Q"), (1 << 63, *(0,) * (words - 1))
+        self[width] = entry = (columns, rhs, offset, fields, words, zero)
+        return entry
 
 
 def _integer_rank(rows: list[list[int]]) -> int:
@@ -564,17 +627,29 @@ def oracle_facets_independence(matroid: Matroid) -> frozenset[int]:
 
 
 def separate(system: FacetSystem, point: Sequence) -> LinearConstraint | None:
-    """One pass over the system's row table: return a most-violated
+    """One packed sum over the system's rows: return a most-violated
     constraint, or None when the point satisfies everything.  The
     equality is read as its two inequality halves, so the returned
     constraint always has an inequality sense.  Ties go to the earliest
     constraint in canonical order.  Coordinates are read exactly by
-    ``Fraction``, floats too."""
+    ``Fraction``, floats too.
+
+    The point is scaled to ints s with lcm S, and the field width W is
+    the least power of two bytes with D * sum_i |s_i| + S * max_k
+    |D * rhs_k| < 2^(8W-1), a bound on every row's gap times D S.  Then
+    n multiply-adds with the packed columns of ``FacetSystem._packed``
+    give every gap at once, read off by one ``Struct``, the largest and
+    earliest winning.  The cost grows with the field width times the
+    size of the scaled coordinates."""
     if len(point) != len(system.ground):
         raise DimensionMismatch("point dimension != ground-set size")
     scaled, scale = _scaled(point)
-    coeffs, rhs, signs, returned = system._rows
-    sums = map(sum, map(compress, repeat(scaled), coeffs))
-    gaps = [sign * (x - r * scale) for sign, x, r in zip(signs, sums, rhs)]
-    worst = max(gaps, default=0)
-    return returned[gaps.index(worst)] if worst > 0 else None
+    table = system._packed
+    bound = table.scale * sum(map(abs, scaled)) + scale * table.largest
+    width = 1 << ((bound.bit_length() + 8) // 8 - 1).bit_length()  # bound < 2^(8W-1)
+    columns, rhs, offset, fields, words, zero = table[width]
+    total = offset + sum(map(mul, scaled, columns)) - scale * rhs
+    values = fields.unpack(total.to_bytes(fields.size, "big"))
+    keys = values if words == 1 else list(zip(*[iter(values)] * words))
+    worst = max(keys, default=zero)
+    return table.returned[keys.index(worst)] if worst > zero else None

@@ -215,10 +215,10 @@ def tight_set(vertices, support, rhs):
 def violations(rows, point):
     """How far the point (a dict from label to value) lies on the wrong
     side of each row (support labels, sense, rhs), with Fraction
-    arithmetic; an "=" row counts its absolute gap."""
+    arithmetic, a float rhs included; an "=" row counts its absolute gap."""
     out = []
     for support, sense, rhs in rows:
-        gap = sum((Fraction(point[e]) for e in support), Fraction(0)) - rhs
+        gap = sum((Fraction(point[e]) for e in support), Fraction(0)) - Fraction(rhs)
         out.append(max(Fraction(0), {"<=": gap, ">=": -gap, "=": abs(gap)}[sense]))
     return out
 

@@ -6,6 +6,7 @@ from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -783,3 +784,130 @@ class TestSeparateOnDrawnSystems:
             assert (hash(system), repr(system)) == before
             unused = FacetSystem(system.ground, system.equality, system.facets)
             assert (unused, hash(unused), repr(unused)) == (system, *before)
+
+
+# separate packs each row's gap into a field of a power of two bytes,
+# whose top bit is the sign: these are the largest sizes of 1, 2, 4 and 8
+_FIELD_LIMITS = (2**7, 2**15, 2**31, 2**63)
+
+
+def _wide_rhs_system(rng, n, with_equality, limit, wide=False):
+    """A ``_drawn_system`` with its rhs redrawn: small ints, Fractions and
+    floats, negative ones among them, and one int from -limit / (8 D) to
+    half that, D the lcm of the others' denominators.  Past the smallest
+    limit that int is the largest rhs in size and below every other, so a
+    width read off the largest rhs falls short.  ``wide`` adds 40-digit
+    Fractions and the floats 0.1 and -1e300 to the draw."""
+    system = _drawn_system(rng, n, with_equality)
+    kinds = [
+        lambda: rng.randint(-3, 3),
+        lambda: Fraction(rng.randint(-9, 9), rng.choice((2, 3, 4))),
+        lambda: rng.choice((0.25, -0.5, 1.5, -3.75)),
+    ]
+    if wide:
+        kinds.append(lambda: Fraction(rng.randrange(-10**40, 10**40), rng.randrange(10**39, 10**40)))
+        kinds.append(lambda: rng.choice((0.1, -1e300)))
+    constraints = [dataclasses.replace(c, rhs=rng.choice(kinds)()) for c in system.constraints()]
+    d = lcm(*(Fraction(c.rhs).denominator for c in constraints))
+    k = rng.randrange(len(constraints))
+    big = rng.randint(max(1, limit // (16 * d)), max(1, limit // (8 * d)))
+    constraints[k] = dataclasses.replace(constraints[k], rhs=-big)
+    if with_equality:
+        return FacetSystem(system.ground, constraints[0], tuple(constraints[1:]))
+    return FacetSystem(system.ground, None, tuple(constraints))
+
+
+def _packing_bound(system, point):
+    """D S (sum |x_i| + max |rhs|), D and S the lcms of the rhs and the
+    point denominators: no row's gap, times D S, is larger."""
+    rhs = [Fraction(c.rhs) for c in system.constraints()]
+    exact = [Fraction(v) for v in point]
+    scale = lcm(*(r.denominator for r in rhs)) * lcm(*(x.denominator for x in exact))
+    return scale * (sum(map(abs, exact)) + max(map(abs, rhs)))
+
+
+def _int_point(rng, n, size):
+    """An int point with sum |x_i| = size, nearly all of it on one
+    coordinate, and random signs."""
+    sizes = [0] * n
+    spread = rng.randint(0, min(size, 3))
+    sizes[rng.randrange(n)] = size - spread
+    for _ in range(spread):
+        sizes[rng.randrange(n)] += 1
+    return [rng.choice((1, -1)) * s for s in sizes]
+
+
+def _wide_point(rng, n):
+    # 40-digit Fractions, floats from 1e-300 to 1e300, small ints, either sign
+    kinds = (
+        lambda: Fraction(rng.randrange(-10**40, 10**40), rng.randrange(10**39, 10**40)),
+        lambda: rng.choice((1, -1)) * rng.choice((1e-300, 1e300, 10.0 ** rng.randint(-300, 300))),
+        lambda: rng.randint(-2, 2),
+    )
+    return [rng.choice(kinds)() for _ in range(n)]
+
+
+class TestPackedSeparation:
+    def test_points_on_both_sides_of_every_field_limit(self):
+        rng = random.Random(40)
+        for limit in _FIELD_LIMITS:
+            for _ in range(30):
+                n = rng.randint(1, 8)
+                system = _wide_rhs_system(rng, n, rng.random() < 0.5, limit)
+                rhs = [Fraction(c.rhs) for c in system.constraints()]
+                d = lcm(*(r.denominator for r in rhs))
+                top = d * max(map(abs, rhs))  # D max |rhs|, an int
+                below, above = (limit - 1 - top) // d, -((top - limit) // d)
+                for size, under in ((below, True), (above, False)):
+                    for _ in range(5):
+                        point = _int_point(rng, n, size)
+                        bound = _packing_bound(system, point)
+                        assert limit - d <= bound < limit + d and (bound < limit) == under
+                        _check_separate(system, point)
+
+    def test_wide_magnitudes_against_fractions(self):
+        rng = random.Random(41)
+        widths = set()
+        for _ in range(40):
+            n = rng.randint(1, 8)
+            system = _wide_rhs_system(rng, n, rng.random() < 0.5, 2**20, wide=True)
+            for _ in range(20):
+                _check_separate(system, _wide_point(rng, n))
+            widths |= set(system._packed)
+        assert {32, 64, 128, 256, 512} <= widths  # fields of several Q words
+
+    def test_one_system_at_every_width_in_turn(self):
+        rng = random.Random(42)
+        for with_equality in (False, True):
+            system = _drawn_system(rng, 6, with_equality)
+            before = hash(system), repr(system)
+            for e in [*range(0, 90, 3), *range(90, -1, -7)]:
+                point = [v * 10**e for v in _mixed_point(rng, 6)]
+                fresh = FacetSystem(system.ground, system.equality, system.facets)
+                got, want = separate(system, point), separate(fresh, point)
+                assert got == want
+                assert got is want or got.origin == Origin.RANK_EQUALITY
+                _check_separate(system, point)
+            assert sorted(system._packed) == [1, 2, 4, 8, 16, 32, 64]
+            assert (hash(system), repr(system)) == before
+            unused = FacetSystem(system.ground, system.equality, system.facets)
+            assert (unused, hash(unused), repr(unused)) == (system, *before)
+
+    def test_a_system_with_no_rows(self):
+        system = FacetSystem(uniform(2, 4).ground, None, ())
+        rng = random.Random(43)
+        for _ in range(50):
+            assert separate(system, _wide_point(rng, 4)) is None
+        for wrong in ([], [0] * 3, [0.5] * 5):
+            with pytest.raises(DimensionMismatch):
+                separate(system, wrong)
+
+    def test_violation_reads_a_float_rhs_exactly(self):
+        # the float 0.1 is a little over 1/10, and 1/10**40 over it is
+        # lost when the gap is taken in floats
+        ground = uniform(1, 2).ground
+        c = LinearConstraint(ground, (1, 0), "<=", 0.1, Origin.RANK_UPPER)
+        point = [Fraction(0.1) + Fraction(1, 10**40), 0]
+        assert c.violation(point) == Fraction(1, 10**40)
+        assert not c.satisfied_by(point)
+        assert separate(FacetSystem(ground, None, (c,)), point) is c
