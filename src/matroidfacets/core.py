@@ -17,8 +17,9 @@ flats, and the locked subsets, 3-connectivity and facet oracle read off
 them) first build a table of all 2^n ranks, one byte per subset, and read
 every rank from it; they are capped at MAX_SCAN_SIZE elements, where the
 table takes 16 MiB.  Without a table, a rank query takes the largest
-intersection with a basis and stores nothing, so point queries (greedy,
-``rank``, ``restrict``) on wide ground sets never pay for 2^n work.
+intersection with a basis, and an independence query ANDs basis columns,
+so point queries (greedy, ``rank``, ``independent``, ``restrict``) on
+wide ground sets never pay for 2^n work.
 Components come from the bases alone.  ``Matroid._connected`` answers,
 once per side, whether M|X or M*|X is connected, from the fundamental
 graph of one basis of X: O(|X|^2) rank reads, where the definition scans
@@ -36,14 +37,9 @@ Constructions take matroids to matroids and check only their
 preconditions.  ``Matroid.validate()`` checks a family built by hand:
 ``files.MatroidFile`` runs it on every file it reads, since files come
 from outside, and so on the catalog's typed-in MK4 and V8 listings, once
-each, when first built.  The exchange check reads the bases alone, with
-no rank table: for each (r-1)-set I inside a basis, the fan of x with I+x
-a basis (a cocircuit, in a matroid) must meet every basis, and
-per-element columns over basis indices test that with one |B|-bit OR per
-element of each distinct fan.  A fan falls short of E-I only where some
-I+x is a nonbasis, so a family of all C(n, r) r-sets (U_r_n) is
-accepted on its count alone, before any fan is built.  Each vertex
-family's columns are built once and kept on the matroid.
+each, when first built.  The exchange check reads the bases and their
+columns alone, in |B|·min(r, n-r) dict updates (``Matroid.validate``).
+Each vertex family's columns are built once and kept on the matroid.
 """
 
 from __future__ import annotations
@@ -462,44 +458,45 @@ class Matroid:
         a basis: e and every f that exchanges for it.  Exchange fails at
         (B1, B2, e) exactly when B2 misses the whole fan.  (In a matroid
         the fan is a cocircuit, the complement of the hyperplane cl(I), so
-        every basis meets it.)  Every fan comes from |B|·r dict updates,
-        one per basis and element of it.  Per distinct fan, the bases
-        that miss it are the bits left clear by the OR of its elements'
-        columns, bitmasks over basis indices.  A fan of all of E-I is
-        skipped: no basis fits in I.  The columns are built only once
-        some fan falls short of E-I, and no rank table is built.  A fan
-        falls short only where some I+x is a nonbasis, and the bases are
-        distinct r-sets, so a family of all C(n, r) of them returns before
-        any fan is built.  Any other family has a short fan: on a walk by
-        single swaps from a basis to a nonbasis, the first nonbasis is I+x
-        with I+y the basis before it, and the fan of I misses x.
-        Only on a failure are the bases walked again, to name the first
-        failure in (B1, B2, e) order, bases in mask order.
+        every basis meets it.)  One pass collects the fans, a dict update
+        per set and element of it, and each distinct fan is tested against
+        every set at once: the sets that miss it are the bits left clear
+        by the OR of its elements' columns, bitmasks over set indices.
+        When n-r < r the pass runs first on the complements of the bases,
+        in |B|·(n-r) updates, not |B|·r: they are the dual's bases, a
+        family passes exchange iff its complements do (Oxley, *Matroid
+        Theory*, 2nd ed., Thm 2.1.1), and their columns are the
+        complements of the bases'.  A fan falls short of E-I only where
+        some I+x is a nonbasis, so all C(n, r) r-sets pass before any fan
+        is built.  A failure is named from the bases' own fans: the first
+        in (B1, B2, e) order, bases in mask order.
         """
-        masks = self._basis_masks
-        ground = self.ground
-        if len(masks) == comb(len(ground), self.rank_value):
+        masks, ground = self._basis_masks, self.ground
+        n, r = len(ground), self.rank_value
+        if len(masks) == comb(n, r):
             return
-        fans: dict[int, int] = defaultdict(int)
-        for i in range(len(ground)):
-            bit = 1 << i
-            for b in masks:
-                if b & bit:
-                    fans[b ^ bit] |= bit
-        full = len(ground) - self.rank_value + 1
-        # a fan of all of E - I needs no test: a basis has r elements, I only r - 1
-        short = {fan for fan in fans.values() if fan.bit_count() != full}
         columns = self._basis_columns()
         every = (1 << len(masks)) - 1
-        missed: dict[int, int] = {}
-        for fan in short:
-            covered = 0
-            for j in _bit_indices(fan):
-                covered |= columns[j]
-            if covered != every:
-                missed[fan] = every & ~covered
-        if not missed:
-            return
+        sides = [(masks, columns)]
+        if n - r < r:
+            sides.insert(0, ([ground.full_mask ^ b for b in masks], [every ^ c for c in columns]))
+        for sets, cols in sides:
+            fans: dict[int, int] = defaultdict(int)
+            for i in range(n):
+                bit = 1 << i
+                for s in sets:
+                    if s & bit:
+                        fans[s ^ bit] |= bit
+            full = n - sets[0].bit_count() + 1  # a fan of all of E-I misses no set
+            missed: dict[int, int] = {}
+            for fan in {fan for fan in fans.values() if fan.bit_count() != full}:
+                covered = 0
+                for j in _bit_indices(fan):
+                    covered |= cols[j]
+                if covered != every:
+                    missed[fan] = every & ~covered
+            if not missed:
+                return
         for b1 in masks:
             # per e in B1, the lowest set bit: the first basis, in mask order
             found = [
@@ -542,8 +539,12 @@ class Matroid:
         return self._dual_rank_mask(self._coerce(x))
 
     def independent(self, x: ElementSubset) -> bool:
-        m = self._coerce(x)
-        return self._rank_mask(m) == m.bit_count()
+        """x lies in a basis: the AND of its elements' basis columns is not 0."""
+        columns = self._basis_columns()
+        holding = (1 << len(self._basis_masks)) - 1
+        for i in _bit_indices(self._coerce(x)):
+            holding &= columns[i]
+        return holding != 0
 
     def closure(self, x: ElementSubset) -> ElementSubset:
         """All elements whose addition leaves the rank of x unchanged."""

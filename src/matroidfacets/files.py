@@ -79,11 +79,10 @@ class MatroidFile:
         return matroid
 
     def basis_count(self) -> int:
-        """|B| read off the listing, with nothing expanded: its rows, or
-        C(n, r) less its rows for a ``nonbases`` listing."""
-        if self.bases is not None:
-            return len(self.bases)
-        return comb(len(self.labels), self.rank) - len(self.nonbases)
+        """|B| read off the listing, with nothing expanded: its distinct
+        rows, or C(n, r) less them for a ``nonbases`` listing."""
+        distinct = len(set(map(frozenset, self.bases if self.bases is not None else self.nonbases)))
+        return distinct if self.bases is not None else comb(len(self.labels), self.rank) - distinct
 
     @classmethod
     def from_matroid(cls, matroid: Matroid, name: str, encoding: str = "auto") -> "MatroidFile":

@@ -3,9 +3,9 @@ oracle, plus the rank and independence reductions built on greedy.
 
 Weights are exact rationals.  The greedy scan visits every element in
 decreasing weight order (ties broken toward a preferred subset, then by
-element index) and accepts an element iff it extends the independent set
-built so far; because a matroid's bases all have the same size, the scan
-always ends on a basis, negative weights included.
+element index) and accepts an element iff some basis holds it and the set
+built so far, one AND of basis columns; as a matroid's bases all have one
+size, the scan always ends on a basis, negative weights included.
 """
 
 from __future__ import annotations
@@ -82,28 +82,26 @@ def greedy_max_basis(
     matroid: Matroid, weights: WeightFunction, prefer: ElementSubset | None = None
 ) -> OptimizationResult:
     """Matroid greedy: scan by (weight desc, preferred-membership desc,
-    index asc), accept whenever the current set stays independent.  Exact
-    and optimal for any rational weights."""
+    index asc), accept whenever some basis still holds the current set.
+    Exact and optimal for any rational weights."""
     if weights.ground != matroid.ground:
         raise DimensionMismatch("weights built over a different ground set")
     prefer_mask = matroid._coerce(prefer) if prefer is not None else 0
-    n = len(matroid.ground)
-    order = sorted(
-        range(n),
-        key=lambda i: (-weights.values[i], 0 if prefer_mask >> i & 1 else 1, i),
-    )
-    current = 0
-    size = 0
+    nums, den = weights.common_denominator()
+    order = sorted(range(len(nums)), key=lambda i: (-nums[i], not prefer_mask >> i & 1, i))
+    columns = matroid._basis_columns()
+    alive = (1 << matroid.basis_count()) - 1  # the bases holding the set, by index
+    current = total = 0
     trace = []
     for i in order:
-        candidate = current | (1 << i)
-        accepted = matroid._rank_mask(candidate) == size + 1
-        if accepted:
-            current = candidate
-            size += 1
-        trace.append(TraceStep(matroid.ground.labels[i], weights.values[i], accepted))
+        holding = alive & columns[i]
+        if holding:
+            alive = holding
+            current |= 1 << i
+            total += nums[i]
+        trace.append(TraceStep(matroid.ground.labels[i], weights.values[i], holding != 0))
     return OptimizationResult(
-        ElementSubset(matroid.ground, current), weights.dot_mask(current), tuple(trace)
+        ElementSubset(matroid.ground, current), Fraction(total, den), tuple(trace)
     )
 
 

@@ -4,11 +4,11 @@ from functools import partial, reduce
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import _naive as naive
-from _sparse_paving import sparse_paving
+from _sparse_paving import sparse_paving, sparse_paving_matroids
 import matroidfacets.core as core_mod
 import matroidfacets.polytope as polytope
 from matroidfacets import (
@@ -506,6 +506,76 @@ def test_exchange_check_builds_columns_only_for_a_short_fan(monkeypatch):
     m = mk4()
     Matroid(m.ground, m.bases).validate()  # a triangle's complement is a short fan
     assert len(built) == 1
+    # with r > n - r the fans are those of the complements, whose columns
+    # are the complements of the bases' columns: no second build, not even
+    # when the bases' own fans are collected to name a failure
+    chain = _triangle_chain()
+    built.clear()
+    Matroid(chain.ground, chain.bases).validate()
+    assert len(built) == 1
+    built.clear()
+    with pytest.raises(ExchangeAxiomViolated):
+        Matroid(chain.ground, chain.bases[1:]).validate()
+    assert len(built) == 1
+
+
+def _triangle_chain():
+    """Five triangles in a chain, each sharing a vertex with the next:
+    15 elements, rank 10, 243 bases."""
+    triangles = [(2 * t, 2 * t + 1, 2 * t + 2) for t in range(5)]
+    return graphic(11, [e for a, b, c in triangles for e in ((a, b), (b, c), (a, c))])
+
+
+def test_exchange_witness_pinned_on_the_complement_side():
+    # rank 10 on 15 elements less its first basis, so the fans tested are
+    # the complements'; the witness was recorded with the check that
+    # collected the bases' own fans, before the complement side existed
+    m = _triangle_chain()
+    assert (len(m.ground), m.rank_value, m.basis_count()) == (15, 10, 243)
+    with pytest.raises(ExchangeAxiomViolated) as info:
+        Matroid(m.ground, m.bases[1:]).validate()
+    assert str(info.value) == (
+        "exchange fails for bases {e0 e2 e3 e4 e6 e7 e9 e10 e12 e13} and "
+        "{e0 e1 e3 e5 e6 e7 e9 e10 e12 e13} at element e2"
+    )
+
+
+@st.composite
+def _high_rank_family(draw):
+    """(ground, basis masks) with r > n - r and n <= 9: random r-sets, or
+    a drawn matroid or its dual, whichever has the higher rank, with up to
+    two bases removed and up to two r-sets added."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 9))
+        g = GroundSet(str(i) for i in range(n))
+        pool = r_subsets(n, draw(st.integers(n // 2 + 1, n)))
+        family = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30, unique=True))
+        return g, sorted(family)
+    m = draw(st.one_of(_graphic(), _two_sum(), _relaxed(), sparse_paving_matroids()))
+    n, r = len(m.ground), m.rank_value
+    assume(2 * r != n)
+    if 2 * r < n:
+        m, r = m.dual(), n - r
+    masks = set(m._basis_masks)
+    for _ in range(draw(st.integers(0, 2))):
+        if len(masks) > 1:
+            masks.remove(draw(st.sampled_from(sorted(masks))))
+    masks.update(draw(st.lists(st.sampled_from(r_subsets(n, r)), max_size=2)))
+    return m.ground, sorted(masks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_high_rank_family())
+def test_exchange_check_on_the_complements_matches_the_naive_triple_loop(family):
+    g, masks = family
+    assert 2 * masks[0].bit_count() > len(g)
+    expected = naive.exchange_witness(g.labels, [frozenset(g.from_mask(b)) for b in masks])
+    try:
+        Matroid(g, [g.from_mask(b) for b in masks]).validate()
+    except ExchangeAxiomViolated as err:
+        assert (frozenset(err.basis1), frozenset(err.basis2), err.element) == expected
+    else:
+        assert expected is None
 
 
 def _naive_ranks(m):
@@ -583,6 +653,15 @@ def test_connectivity_of_restrictions_matches_naive_on_drawn_matroids(m):
     ground, bases = naive.as_pair(m)
     got = [frozenset(c.labels()) for c in m.components()]
     assert sorted(got, key=sorted) == naive.components(ground, bases)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_with_loops_and_coloops(), sparse_paving_matroids()), st.data())
+def test_independence_matches_the_naive_rank_on_drawn_subsets(m, data):
+    _, bases = naive.as_pair(m)
+    for mask in data.draw(st.lists(st.integers(0, m.ground.full_mask), min_size=1, max_size=20)):
+        x = m.ground.from_mask(mask)
+        assert m.independent(x) == (naive.rank(bases, frozenset(x)) == len(x)), x
 
 
 def _sparse_paving_draws():

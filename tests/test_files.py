@@ -181,6 +181,14 @@ def test_hand_built_nonbases_read_labels_as_bases_rows_do():
     assert built(("1", "2")).basis_count() == 2
 
 
+def test_basis_count_counts_a_repeated_row_once():
+    # to_matroid reads each row as a set and keeps it once, in either section
+    nonbases = loads("name X\nelements a b c d\nrank 2\nnonbases:\na b\na b\n")
+    bases = loads("name X\nelements a b c d\nrank 2\nbases:\na b\nb a\na c\n")
+    for listing, count in ((nonbases, 5), (bases, 2)):
+        assert listing.basis_count() == listing.to_matroid().basis_count() == count
+
+
 def test_labels_starting_with_a_hash_are_refused(tmp_path, capsys):
     # a row starting with such a label reads as a comment: U_2_4 on #a b c
     # d would load back with three bases, exchange intact, and #a a loop
