@@ -192,41 +192,28 @@ class FacetSystem:
         return (self.equality, *self.facets)
 
     @cached_property
-    def _rows(self) -> tuple[tuple, ...]:
-        """The rows that ``_packed`` packs, built on first use and kept out
-        of eq, hash and repr: the coeffs, rhs, sign (+1 for <=, -1 for >=,
-        one row of each for =) and constraint to return of every row, in
-        canonical order with the equality first, as its two halves."""
-        rows = []
-        for c in self.constraints():
-            for sign in {"<=": (1,), ">=": (-1,), "=": (1, -1)}[c.sense]:
-                out, half = c, "<=" if sign > 0 else ">="
-                if c is self.equality:
-                    out = LinearConstraint(c.ground, c.coeffs, half, c.rhs, Origin.RANK_EQUALITY)
-                rows.append((c.coeffs, c.rhs, sign, out))
-        return tuple(zip(*rows)) or ((),) * 4
-
-    @cached_property
     def _packed(self) -> "_PackedRows":
-        """The row table packed for ``separate``, one entry per field
-        width, built on first use and kept out of eq, hash and repr."""
-        return _PackedRows(*self._rows)
+        """The rows packed for ``separate``, one entry per field width,
+        built on first use and kept out of eq, hash and repr."""
+        return _PackedRows(self)
 
 
 class _PackedRows(dict):
-    """The rows of a ``FacetSystem`` packed into one int per coordinate,
-    keyed by the field width W, a power of two in bytes, each entry built
-    on first use.  With R rows and rhs read exactly, D the lcm of their
-    denominators, an entry holds:
+    """A ``FacetSystem``'s rows packed into one int per coordinate, keyed
+    by the field width W, a power of two in bytes, each entry built on
+    first use.  The rows follow the constraints in canonical order: one
+    per inequality, with sign +1 for <= and -1 for >=, and two per
+    equality, its <= half first.  Each row returns its own constraint,
+    but the system's equality returns new halves of origin
+    ``RANK_EQUALITY``.  With R rows and rhs read exactly, D the lcm of
+    their denominators, an entry holds:
 
     * per coordinate i, the sum of sign_k * D * 2^(8W(R-1-k)) over the
       rows k that hold i;
     * the rhs packed the same way, sign_k * D * rhs_k in field k;
     * the offset 2^(8W-1) in every field;
-    * a ``Struct`` reading the R fields big-endian, each as one B, H, I
-      or Q up to 8 bytes, and above that as several Q words, which
-      compare as tuples the way the fields compare as numbers;
-    * that number of words per field, and the key of a zero gap.
+    * a ``Struct`` cutting R fields of W bytes, and the bytes of a zero
+      gap, the offset alone.
 
     On a point scaled to ints s with lcm S, field k of
     offset + sum_i s_i * column_i - S * rhs is then the offset plus
@@ -234,12 +221,19 @@ class _PackedRows(dict):
     2^(8W-1) in size: no field borrows from or carries into another.
     """
 
-    def __init__(self, coeffs, rhs, signs, returned):
+    def __init__(self, system: FacetSystem):
         super().__init__()
+        rows = []
+        for c in system.constraints():
+            for half in ("<=", ">=") if c.sense == "=" else (c.sense,):
+                out = c
+                if c is system.equality:
+                    out = LinearConstraint(c.ground, c.coeffs, half, c.rhs, Origin.RANK_EQUALITY)
+                rows.append((c.coeffs, c.rhs, 1 if half == "<=" else -1, out))
+        coeffs, rhs, signs, self.returned = tuple(zip(*rows)) or ((),) * 4
         scaled, self.scale = _scaled(rhs)
         self.rhs = [sign * r for sign, r in zip(signs, scaled)]
         self.largest = max(map(abs, self.rhs), default=0)
-        self.returned = returned
         # one byte per row, 1 where the row holds the coordinate with that sign
         plus, minus = [s > 0 for s in signs], [s < 0 for s in signs]
         self.holders = [(bytes(map(and_, col, plus)), bytes(map(and_, col, minus))) for col in zip(*coeffs)]
@@ -256,13 +250,9 @@ class _PackedRows(dict):
         rhs = 0
         for r in self.rhs:
             rhs = (rhs << bits) + r
-        offset = int.from_bytes(b"\x80".ljust(width, b"\0") * rows, "big")
-        if width <= 8:
-            words, fields, zero = 1, Struct(f">{rows}{'BHIQ'[width.bit_length() - 1]}"), 1 << (bits - 1)
-        else:
-            words = width // 8
-            fields, zero = Struct(f">{rows * words}Q"), (1 << 63, *(0,) * (words - 1))
-        self[width] = entry = (columns, rhs, offset, fields, words, zero)
+        zero = b"\x80" + bytes(width - 1)
+        offset = int.from_bytes(zero * rows, "big")
+        self[width] = entry = (columns, rhs, offset, Struct(">" + f"{width}s" * rows), zero)
         return entry
 
 
@@ -638,18 +628,18 @@ def separate(system: FacetSystem, point: Sequence) -> LinearConstraint | None:
     the least power of two bytes with D * sum_i |s_i| + S * max_k
     |D * rhs_k| < 2^(8W-1), a bound on every row's gap times D S.  Then
     n multiply-adds with the packed columns of ``FacetSystem._packed``
-    give every gap at once, read off by one ``Struct``, the largest and
-    earliest winning.  The cost grows with the field width times the
-    size of the scaled coordinates."""
+    give every gap at once, offset by 2^(8W-1) so that each field is
+    unsigned and its W big-endian bytes compare as its number does: the
+    largest and earliest bytes win.  The cost grows with the field width
+    times the size of the scaled coordinates."""
     if len(point) != len(system.ground):
         raise DimensionMismatch("point dimension != ground-set size")
     scaled, scale = _scaled(point)
     table = system._packed
     bound = table.scale * sum(map(abs, scaled)) + scale * table.largest
     width = 1 << ((bound.bit_length() + 8) // 8 - 1).bit_length()  # bound < 2^(8W-1)
-    columns, rhs, offset, fields, words, zero = table[width]
+    columns, rhs, offset, fields, zero = table[width]
     total = offset + sum(map(mul, scaled, columns)) - scale * rhs
     values = fields.unpack(total.to_bytes(fields.size, "big"))
-    keys = values if words == 1 else list(zip(*[iter(values)] * words))
-    worst = max(keys, default=zero)
-    return table.returned[keys.index(worst)] if worst > zero else None
+    worst = max(values, default=zero)
+    return table.returned[values.index(worst)] if worst > zero else None

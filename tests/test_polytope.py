@@ -874,7 +874,7 @@ class TestPackedSeparation:
             for _ in range(20):
                 _check_separate(system, _wide_point(rng, n))
             widths |= set(system._packed)
-        assert {32, 64, 128, 256, 512} <= widths  # fields of several Q words
+        assert {32, 64, 128, 256, 512} <= widths  # fields of 32 bytes and more
 
     def test_one_system_at_every_width_in_turn(self):
         rng = random.Random(42)
