@@ -9,29 +9,30 @@ The family is one sorted tuple of basis masks, and no hash set of it is
 kept.  Constructions build their masks in increasing order (``r_subsets``
 by Pascal's recurrence, sums with the right-hand side outermost), or
 reversed, as the dual's complements are, so sorting them is one timsort
-pass and repeats show as equal neighbours.  Membership is tested by
-bisection.
+pass and repeats show as equal neighbours.
 
-Ranks come from one of two places.  The exhaustive scans (the cyclic
-flats, and the locked subsets, 3-connectivity and facet oracle read off
-them) first build a table of all 2^n ranks, one byte per subset, and read
-every rank from it; they are capped at MAX_SCAN_SIZE elements, where the
-table takes 16 MiB.  Without a table, a rank query takes the largest
-intersection with a basis, and an independence query ANDs basis columns,
-so point queries (greedy, ``rank``, ``independent``, ``restrict``) on
-wide ground sets never pay for 2^n work.
-Components come from the bases alone.  ``Matroid._connected`` answers,
-once per side, whether M|X or M*|X is connected, from the fundamental
-graph of one basis of X: O(|X|^2) rank reads, where the definition scans
-all 2^|X| bipartitions.
+Every rank comes from the basis columns: per element, a bitmask over
+basis indices of the bases holding it.  ``Matroid._greedy`` walks a set
+in index order and keeps an element while some basis still holds all
+kept ones, one AND of columns per element; what it keeps is a basis of
+the set, so r(X) costs |X| ANDs of |B|-bit ints, and no table of
+ranks is built.  Components and connectivity read the same
+columns: ``Matroid._connected`` answers, once per side, whether M|X or
+M*|X is connected, from the fundamental graph of a greedy basis of X,
+in O(|X|^2) ANDs, where the definition scans all 2^|X| bipartitions.
 
-No scan walks the 2^n subsets in Python: n passes over the table's
-parity bits, as one big int, find the cyclic flats (closed unions of
-circuits), the only candidates the other scans need.  Locked sets,
-connected flats and circuit-hyperplanes are cyclic flats (Bonin and de
-Mier, "The lattice of cyclic flats of a matroid", 2008), and a connected
-matroid with a 2-separation and rank and corank at least 2 has one on a
-cyclic flat (``Matroid.is_3_connected`` proves it).
+The exhaustive scans (the cyclic flats, and the locked subsets,
+3-connectivity and facet oracles read off them) need two sets of
+subsets, each one bit per subset of an int of 2^n bits: the independent
+sets, and the sets of odd rank.  They are capped at MAX_SCAN_SIZE
+elements, where each takes 2 MiB.  No scan walks the 2^n subsets in
+Python: n passes over the parity bits, as one big int, find the cyclic
+flats (closed unions of circuits), the only candidates the other scans
+need.  Locked sets, connected flats and circuit-hyperplanes are cyclic
+flats (Bonin and de Mier, "The lattice of cyclic flats of a matroid",
+2008), and a connected matroid with a 2-separation and rank and corank
+at least 2 has one on a cyclic flat (``Matroid.is_3_connected`` proves
+it).
 
 Constructions take matroids to matroids and check only their
 preconditions.  ``Matroid.validate()`` checks a family built by hand:
@@ -45,7 +46,6 @@ Each vertex family's columns are built once and kept on the matroid.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations, islice
@@ -56,7 +56,6 @@ from typing import Iterable, Iterator, Sequence
 MAX_SCAN_SIZE = 24
 # per bit position k, the digit "0" or "1" of bit k of each byte value
 _BIT_DIGITS = [bytes(ord("0") + (v >> k & 1) for v in range(256)) for k in range(8)]
-_PLUS_ONE = bytes((v + 1) & 255 for v in range(256))
 
 
 class MatroidError(Exception):
@@ -253,53 +252,53 @@ class ElementSubset:
 @dataclass(frozen=True)
 class RankQueryResult:
     """Rank value plus a witness: an independent subset of the queried set
-    of maximum size, cut out of a basis attaining the maximum."""
+    of maximum size, taken greedily in index order."""
 
     value: int
     witness: ElementSubset
 
 
-def _build_rank_table(n: int, bases: Iterable[int], r: int) -> bytes:
-    """The ranks of all 2^n subsets of an n-element ground set, as one
-    byte per subset mask, from the basis masks of a rank-r matroid.
+def _lanes(n: int) -> Iterator[tuple[int, int]]:
+    """Per element e of an n-element ground set, from the top down, 2^e
+    and the positions X without e in an int of 2^n bits.  Those come in
+    runs of 2^e; starting from the lower half, each step halves the run.
+    Only one such int is live at a time."""
+    lanes = (1 << (1 << n >> 1)) - 1
+    for e in range(n - 1, -1, -1):
+        yield 1 << e, lanes
+        lanes ^= lanes << (1 << e >> 1)
 
-    Sets of positions are 2^n-bit ints, and each pass below moves every
-    position across one element at once (a subset-sum, or zeta,
-    transform).  The independent sets are the positions below some basis.
-    The sets of rank at least k are the positions above some independent
-    k-set; these are nested, so r(X) is the number of k in 1..r whose set
-    holds X.  Each such set is spread to one byte per position through
-    its binary digits, and the spreads are added up.
+
+def _subset_bits(n: int, bases: Iterable[int], r: int) -> tuple[int, int]:
+    """Two sets of subsets of an n-element ground set, each an int of 2^n
+    bits with bit X for the subset of mask X, from the basis masks of a
+    rank-r matroid: the independent sets, and the sets of odd rank.
+
+    Each pass below moves every position across one element at once (a
+    subset-sum, or zeta, transform).  The independent sets are the
+    positions below some basis.  The sets of rank at least k are the
+    positions above some independent k-set; these are nested, so r(X) is
+    the number of k in 1..r whose set holds X, and its parity is the XOR
+    of the r sets.
     """
-    size = 1 << n
-    full = (1 << size) - 1
-    # highs[i]: the positions X that hold element i.  The others come in
-    # runs of 2^i; starting from the lower half, each step halves the run.
-    highs = [0] * n
-    low = (1 << (size >> 1)) - 1
-    for i in range(n - 1, -1, -1):
-        highs[i] = full ^ low
-        low ^= low << (1 << i >> 1)
-    bits = bytearray(max(size >> 3, 1))
+    bits = bytearray(max(1 << n >> 3, 1))
     for b in bases:
         bits[b >> 3] |= 1 << (b & 7)
     independent = int.from_bytes(bits, "little")
-    for i, high in enumerate(highs):
-        independent |= (independent >> (1 << i)) & ~high
+    for step, lanes in _lanes(n):
+        independent |= (independent >> step) & lanes
     # by_size[k]: the positions of the k-sets, grown one element at a time
     by_size = [1] + [0] * r
     for i in range(n):
         for k in range(min(i + 1, r), 0, -1):
             by_size[k] |= by_size[k - 1] << (1 << i)
-    # each spread is a character "0" or "1" per position, so r rows of "0"
-    # are taken off in advance
-    total = -r * int.from_bytes(b"0" * size, "little")
+    parity = 0
     for k in range(1, r + 1):
         up = independent & by_size[k]
-        for i, high in enumerate(highs):
-            up |= (up << (1 << i)) & high
-        total += int.from_bytes(bin(up)[:1:-1].encode().ljust(size, b"0"), "little")
-    return total.to_bytes(size, "little")
+        for step, lanes in _lanes(n):
+            up |= (up & lanes) << step
+        parity ^= up
+    return independent, parity
 
 
 def _bit_indices(mask: int) -> list[int]:
@@ -318,35 +317,6 @@ def _vertex_columns(vertex_masks: Sequence[int], n: int) -> list[int]:
     return [int(packed[i >> 3 :: width].translate(_BIT_DIGITS[i & 7])[::-1], 2) for i in range(n)]
 
 
-def _fundamental_cells(basis: int, ground: int, is_basis) -> list[int]:
-    """The components of a matroid on the elements of ``ground``, given
-    one basis and a test ``is_basis`` of sets of the basis's size.
-
-    The fundamental graph of the basis joins e in it to f outside it
-    whenever basis-e+f is again a basis, and its connected parts are the
-    components (Krogdahl 1977; Cunningham and Edmonds 1980).  Each
-    element of the basis brings its star, merged with every cell it
-    meets; the elements no star reaches are loops, one cell each.
-    """
-    outside = _bit_indices(ground & ~basis)
-    cells: list[int] = []
-    reached = 0
-    for i in _bit_indices(basis):
-        removed = basis ^ (1 << i)
-        star = 1 << i
-        for j in outside:
-            if is_basis(removed | (1 << j)):
-                star |= 1 << j
-        reached |= star
-        merged = [c for c in cells if c & star]
-        cells = [c for c in cells if not c & star]
-        for c in merged:
-            star |= c
-        cells.append(star)
-    cells += [1 << j for j in _bit_indices(ground & ~reached)]
-    return cells
-
-
 class Matroid:
     """A matroid given by its full basis family.
 
@@ -357,18 +327,16 @@ class Matroid:
 
     The family is kept once, as ``_basis_masks``: the distinct masks in
     increasing order, sorted in one pass when they arrive in order or in
-    reverse.  There is no hash set of the bases; membership is by
-    bisection on that tuple.
-
-    The first exhaustive scan builds the rank table (2^n bytes) and keeps
-    it; until then a rank query costs one pass over the bases.
+    reverse.  There is no hash set of the bases, and no table of ranks:
+    every rank is read from the basis columns, built on first use and
+    kept.  The first exhaustive scan keeps its two 2^n-bit sets.
     """
 
     __slots__ = (
         "ground",
         "rank_value",
         "_basis_masks",
-        "_ranks",
+        "_scanned",
         "_independent",
         "_basis_cols",
         "_independent_cols",
@@ -407,7 +375,7 @@ class Matroid:
         self.ground = ground
         self.rank_value = sizes.pop()
         self._basis_masks = tuple(family)
-        self._ranks: bytes | None = None
+        self._scanned: tuple[int, int] | None = None
         self._independent: tuple[int, ...] | None = None
         self._basis_cols: list[int] | None = None
         self._independent_cols: list[int] | None = None
@@ -519,43 +487,50 @@ class Matroid:
             raise ForeignElement("subset built over a different ground set")
         return x.mask
 
+    def _greedy(self, m: int, alive: int | None = None) -> tuple[int, int]:
+        """A basis I of m and the bases that hold it, a bitmask over basis
+        indices.  The walk takes m in index order and keeps an element
+        when some basis in ``alive`` (every basis by default) holds it,
+        narrowing ``alive`` to those bases.  Started from the bases that
+        hold a basis of E-m, I is a basis of m in M/(E-m)."""
+        columns = self._basis_columns()
+        if alive is None:
+            alive = (1 << len(self._basis_masks)) - 1
+        basis = 0
+        for i in _bit_indices(m):
+            held = alive & columns[i]
+            if held:
+                basis |= 1 << i
+                alive = held
+        return basis, alive
+
     def _rank_mask(self, m: int) -> int:
-        if self._ranks is not None:
-            return self._ranks[m]
-        return max((b & m).bit_count() for b in self._basis_masks)
+        return self._greedy(m)[0].bit_count()
 
     def _dual_rank_mask(self, m: int) -> int:
         return m.bit_count() - self.rank_value + self._rank_mask(self.ground.full_mask ^ m)
 
     def rank(self, x: ElementSubset) -> RankQueryResult:
-        """Rank of x: the largest intersection of x with a basis."""
-        m = self._coerce(x)
-        value = self._rank_mask(m)
-        witness = next(b & m for b in self._basis_masks if (b & m).bit_count() == value)
-        return RankQueryResult(value, ElementSubset(self.ground, witness))
+        """Rank of x, with a basis of x picked greedily as the witness."""
+        witness, _ = self._greedy(self._coerce(x))
+        return RankQueryResult(witness.bit_count(), ElementSubset(self.ground, witness))
 
     def corank(self, x: ElementSubset) -> int:
         """Rank of x in the dual, via |x| - r(E) + r(E - x)."""
         return self._dual_rank_mask(self._coerce(x))
 
     def independent(self, x: ElementSubset) -> bool:
-        """x lies in a basis: the AND of its elements' basis columns is not 0."""
-        columns = self._basis_columns()
-        holding = (1 << len(self._basis_masks)) - 1
-        for i in _bit_indices(self._coerce(x)):
-            holding &= columns[i]
-        return holding != 0
+        """x lies in a basis: the greedy walk keeps all of it."""
+        m = self._coerce(x)
+        return self._greedy(m)[0] == m
 
     def closure(self, x: ElementSubset) -> ElementSubset:
-        """All elements whose addition leaves the rank of x unchanged."""
-        m = self._coerce(x)
-        r = self._rank_mask(m)
-        out = m
-        for i in range(len(self.ground)):
-            bit = 1 << i
-            if not m & bit and self._rank_mask(m | bit) == r:
-                out |= bit
-        return ElementSubset(self.ground, out)
+        """A basis I of x, and every element that no basis holding I holds."""
+        basis, alive = self._greedy(self._coerce(x))
+        for i, column in enumerate(self._basis_columns()):
+            if not alive & column:
+                basis |= 1 << i
+        return ElementSubset(self.ground, basis)
 
     def is_closed(self, x: ElementSubset) -> bool:
         return self.closure(x).mask == x.mask
@@ -614,34 +589,25 @@ class Matroid:
 
     # -- connectivity -----------------------------------------------------
 
-    def _rank_table(self) -> bytes:
-        """The ranks of all subsets, indexed by mask, built on first use.
-        Every exhaustive scan calls this before its first rank lookup, so
-        it also refuses ground sets above MAX_SCAN_SIZE."""
-        if self._ranks is None:
+    def _scan(self) -> tuple[int, int]:
+        """``_subset_bits`` of the bases, built on first use and kept.
+        Every exhaustive scan calls this first, so it also refuses ground
+        sets above MAX_SCAN_SIZE."""
+        if self._scanned is None:
             if len(self.ground) > MAX_SCAN_SIZE:
                 raise MatroidError(
                     f"exhaustive subset scans are capped at {MAX_SCAN_SIZE} elements"
                 )
-            self._ranks = _build_rank_table(len(self.ground), self._basis_masks, self.rank_value)
-        return self._ranks
+            self._scanned = _subset_bits(len(self.ground), self._basis_masks, self.rank_value)
+        return self._scanned
 
     def _independent_masks(self) -> tuple[int, ...]:
-        """The masks of all independent sets in increasing order, read off
-        the rank table on first use and kept.
-
-        X is independent when |X| - r(X) is 0.  The 2^n sizes are built
-        as bytes by doubling (the sets with element i are those without it,
-        one larger), the table is taken off them as one int, with no
-        borrow since r(X) <= |X|, and the zero bytes are read at once."""
+        """The masks of all independent sets in increasing order: the set
+        bits of the scan's independent sets, read at once from the binary
+        digits, on first use and kept."""
         if self._independent is None:
-            ranks = self._rank_table()
-            sizes = b"\0"
-            for _ in self.ground:
-                sizes += sizes.translate(_PLUS_ONE)
-            slack = int.from_bytes(sizes, "little") - int.from_bytes(ranks, "little")
-            zeros = re.finditer(b"\0", slack.to_bytes(len(ranks), "little"))
-            self._independent = tuple(m.start() for m in zeros)
+            digits = bin(self._scan()[0])[:1:-1]
+            self._independent = tuple(m.start() for m in re.finditer("1", digits))
         return self._independent
 
     def _basis_columns(self) -> list[int]:
@@ -658,7 +624,7 @@ class Matroid:
 
     def _cyclic_flats(self) -> tuple[int, ...]:
         """The masks of all cyclic flats by size, then lexicographically
-        by index, read off the rank table on first use and kept.
+        by index, read off the scan's parity bits on first use and kept.
 
         One pass per element e finds d = r(X+e) - r(X) at every X without
         e at once: d = 0 marks X as not closed, d = 1 marks X+e as not
@@ -668,45 +634,68 @@ class Matroid:
         2^n bits, 2 MiB at n = 24.
         """
         if self._cyclic is None:
-            ranks = self._rank_table()
-            size = len(ranks)
-            # bit X is the parity of r(X); int() reads the lowest bit last
-            parity = int(ranks.translate(_BIT_DIGITS[0])[::-1], 2)
+            parity = self._scan()[1]
             marked = 0
-            # lanes: the sets without e, from the top element down
-            lanes = (1 << (size >> 1)) - 1
-            for e in range(len(self.ground) - 1, -1, -1):
-                step = 1 << e
+            for step, lanes in _lanes(len(self.ground)):
                 d = (parity ^ (parity >> step)) & lanes
                 marked |= (lanes ^ d) | (d << step)
-                lanes ^= lanes << (step >> 1)
             # the unmarked bits, lowest first; a leading 1 keeps every digit
-            digits = bin(marked | 1 << size)[:2:-1]
+            digits = bin(marked | 1 << (1 << len(self.ground)))[:2:-1]
             found = [m.start() for m in re.finditer("0", digits)]
             self._cyclic = tuple(sorted(found, key=lambda m: (m.bit_count(), _bit_indices(m))))
         return self._cyclic
 
+    def _fundamental_cells(self, ground: int, alive: int) -> list[int]:
+        """The components of the matroid on the elements of ``ground``
+        whose bases are the largest sets there that some basis in
+        ``alive`` holds: M|ground when ``alive`` is every basis, and
+        M/(E-ground) when it is the bases that hold a basis of E-ground.
+
+        The fundamental graph of a basis J joins e in it to f outside it
+        whenever J-e+f is again a basis, and its connected parts are the
+        components (Krogdahl 1977; Cunningham and Edmonds 1980).  J is
+        picked greedily, and J-e+f is a basis when some basis in ``alive``
+        holds J-e and f: one AND of columns per pair, with the bases
+        holding J-e found once per e.  Each element of J brings its star,
+        merged with every cell it meets; the elements no star reaches are
+        loops, one cell each.
+        """
+        columns = self._basis_columns()
+        basis = self._greedy(ground, alive)[0]
+        inside, outside = _bit_indices(basis), _bit_indices(ground & ~basis)
+        cells: list[int] = []
+        reached = 0
+        for i in inside:
+            rest = alive
+            for k in inside:
+                if k != i:
+                    rest &= columns[k]
+            star = 1 << i
+            for j in outside:
+                if rest & columns[j]:
+                    star |= 1 << j
+            reached |= star
+            merged = [c for c in cells if c & star]
+            cells = [c for c in cells if not c & star]
+            for c in merged:
+                star |= c
+            cells.append(star)
+        cells += [1 << j for j in _bit_indices(ground & ~reached)]
+        return cells
+
     def _connected(self, sub: int, dual: bool = False) -> bool:
         """Whether M|sub, or M*|sub with ``dual``, is connected: one cell
-        in the fundamental graph of a basis of sub, picked greedily.
-        Connectivity is self-dual, so M*|sub is read as M/(E-sub), from
-        M's table with E-sub in every index: O(|sub|^2) reads of the
-        table's bytes either way.  Each answer is kept, keyed by sub for
-        M and by ~sub for M*, so a side that several scans ask about is
-        tested once."""
+        in ``_fundamental_cells``.  Connectivity is self-dual, so M*|sub
+        is read as M/(E-sub), from the bases that hold a greedy basis of
+        E-sub.  Each answer is kept, keyed by sub for M and by ~sub for
+        M*, so a side that several scans ask about is tested once."""
         if sub.bit_count() <= 1:
             return True
         key = ~sub if dual else sub
         if key not in self._sides:
-            ranks = self._rank_table()
-            rest = self.ground.full_mask ^ sub if dual else 0
-            basis, top = 0, ranks[rest]
-            for i in _bit_indices(sub):
-                if ranks[rest | basis | 1 << i] > top:
-                    basis |= 1 << i
-                    top += 1
-            cells = _fundamental_cells(basis, sub, lambda m: ranks[rest | m] == top)
-            self._sides[key] = len(cells) == 1
+            every = (1 << len(self._basis_masks)) - 1
+            alive = self._greedy(self.ground.full_mask ^ sub)[1] if dual else every
+            self._sides[key] = len(self._fundamental_cells(sub, alive)) == 1
         return self._sides[key]
 
     def is_connected(self) -> bool:
@@ -715,19 +704,12 @@ class Matroid:
         return len(self.components()) == 1
 
     def components(self) -> tuple[ElementSubset, ...]:
-        """The finest partition of E into separators, ordered by first element.
-
-        These are the cells of the fundamental graph of the first basis:
-        r(n-r) lookups in the basis family.
-        """
+        """The finest partition of E into separators, ordered by first
+        element: the cells of the fundamental graph of a greedy basis,
+        with r(n-r) ANDs of basis columns."""
         if self._components is None:
-            masks = self._basis_masks
-
-            def is_basis(m: int) -> bool:
-                i = bisect_left(masks, m)
-                return i < len(masks) and masks[i] == m
-
-            cells = _fundamental_cells(masks[0], self.ground.full_mask, is_basis)
+            every = (1 << len(self._basis_masks)) - 1
+            cells = self._fundamental_cells(self.ground.full_mask, every)
             cells.sort(key=lambda m: (m & -m).bit_length())
             self._components = tuple(ElementSubset(self.ground, m) for m in cells)
         return self._components
@@ -767,7 +749,7 @@ class Matroid:
           Then F and G cover E, and r(F) + r(G) = r(F) + r(E-F) <= r + 1
           gives n <= |F| + |G| <= r + 1: r* <= 1, which is excluded.
 
-        Each rank is one byte of the table that ``_cyclic_flats`` builds.
+        Each rank is a greedy walk over the basis columns.
         """
         if not self.is_connected():
             return False
@@ -782,15 +764,15 @@ class Matroid:
 
     # -- parallel structure -------------------------------------------------
 
-    def _rank_one_classes(self, rank_of) -> tuple[ElementSubset, ...]:
-        """The partition of E into maximal rank-1 classes under the given
-        rank function, which must give every element rank 1.  Each class
-        is tested from its first element on."""
+    def _rank_one_classes(self, together) -> tuple[ElementSubset, ...]:
+        """The partition of E into the classes that the pair test
+        ``together(i, j)`` joins.  Each class is tested from its first
+        element on."""
         n = len(self.ground)
         classes: list[int] = []
         for i in range(n):
             if not any(c >> i & 1 for c in classes):
-                classes.append(sum(1 << j for j in range(i, n) if rank_of(1 << i | 1 << j) == 1))
+                classes.append(1 << i | sum(1 << j for j in range(i + 1, n) if together(i, j)))
         return tuple(ElementSubset(self.ground, c) for c in classes)
 
     def _refuse_loops(self) -> None:
@@ -807,15 +789,18 @@ class Matroid:
 
     def parallel_closures(self) -> tuple[ElementSubset, ...]:
         """The partition of E into maximal rank-1 classes.  Needs a
-        loopless matroid."""
+        loopless matroid, in which e and f are parallel when no basis
+        holds both."""
         self._refuse_loops()
-        return self._rank_one_classes(self._rank_mask)
+        columns = self._basis_columns()
+        return self._rank_one_classes(lambda e, f: not columns[e] & columns[f])
 
     def coparallel_closures(self) -> tuple[ElementSubset, ...]:
-        """Parallel closures of the dual, from the dual's rank function.
-        Needs a coloopless matroid."""
+        """Parallel closures of the dual.  Needs a coloopless matroid, in
+        which e and f are coparallel when every basis holds one of them."""
         self._refuse_coloops()
-        return self._rank_one_classes(self._dual_rank_mask)
+        columns, every = self._basis_columns(), (1 << len(self._basis_masks)) - 1
+        return self._rank_one_classes(lambda e, f: columns[e] | columns[f] == every)
 
     def is_simple(self) -> bool:
         """No loops and no two distinct parallel elements."""

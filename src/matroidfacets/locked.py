@@ -112,8 +112,8 @@ def enumerate_locked(matroid: Matroid, cap: int | None = None) -> tuple[ElementS
 
 
 def _structure(matroid: Matroid, locked: tuple[ElementSubset, ...]) -> LockedStructure:
-    """The structure around locked sets already found, so that the
-    partitions read the scan's rank table."""
+    """The structure around locked sets already found: the parallel and
+    coparallel closures, and the rank of each closure and locked set."""
     parallel = matroid.parallel_closures()
     coparallel = matroid.coparallel_closures()
     rho: dict[ElementSubset, int] = {}

@@ -533,14 +533,14 @@ def test_catalog_refuses_a_count_too_long_to_print_before_writing(capsys, tmp_pa
 
 @pytest.mark.parametrize("r, n", [(1, 30), (29, 30)])
 def test_info_past_the_scan_cap_at_rank_or_corank_one(capsys, monkeypatch, tmp_path, r, n):
-    # rank or corank 1 on 30 elements: not 3-connected, and no table is built
+    # rank or corank 1 on 30 elements: not 3-connected, and no scan is built
     path = str(tmp_path / "u.txt")
     assert run(capsys, "catalog", f"U_{r}_{n}", "-o", path)[0] == 0
 
     def refuse(*args):
-        raise AssertionError("no rank table may be built")
+        raise AssertionError("no 2^n scan may be built")
 
-    monkeypatch.setattr(core_mod, "_build_rank_table", refuse)
+    monkeypatch.setattr(core_mod, "_subset_bits", refuse)
     code, out, err = run(capsys, "info", path)
     assert (code, err) == (0, "")
     assert "connected: yes\n3-connected: no\n" in out

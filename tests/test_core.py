@@ -326,13 +326,13 @@ class TestConnectivity:
         m = direct_sum(uniform(1, 13), uniform(12, 13))
         assert [len(c) for c in m.components()] == [13, 13]
         assert not m.is_connected()
-        assert m._ranks is None
+        assert m._scanned is None
         assert not m.is_3_connected()
         wide = uniform(2, 25)
         assert wide.is_connected()
         with pytest.raises(MatroidError, match="capped"):
             wide.is_3_connected()
-        assert wide._ranks is None
+        assert wide._scanned is None
 
     def test_three_connectivity_matches_naive_on_pool_and_sparse_paving(self, uniformity_pool):
         drawn = []
@@ -598,20 +598,29 @@ _TABLE_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_TABLE_CASES))
-def test_rank_table_and_point_queries_match_naive(name):
-    m = _TABLE_CASES[name]
+def _check_ranks_and_scan(m):
+    """``_rank_mask`` on every mask, and both of the scan's bit sets (the
+    sets with r(X) = |X|, and those with r(X) odd), against naive.rank;
+    point queries build no scan."""
     fresh = Matroid(m.ground, m.bases)
     expected = _naive_ranks(m)
     assert bytes(fresh._rank_mask(x) for x in range(len(expected))) == expected
-    assert fresh._ranks is None
-    assert fresh._rank_table() == expected
+    assert fresh._scanned is None
+    independent = sum(1 << x for x, r in enumerate(expected) if r == x.bit_count())
+    odd = sum(1 << x for x, r in enumerate(expected) if r & 1)
+    assert fresh._scan() == (independent, odd)
+    assert fresh._independent_masks() == tuple(_bit_indices(independent))
+
+
+@pytest.mark.parametrize("name", sorted(_TABLE_CASES))
+def test_rank_table_and_point_queries_match_naive(name):
+    _check_ranks_and_scan(_TABLE_CASES[name])
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(_graphic(), _two_sum(), _relaxed()))
 def test_rank_table_matches_naive_on_drawn_matroids(m):
-    assert Matroid(m.ground, m.bases)._rank_table() == _naive_ranks(m)
+    _check_ranks_and_scan(m)
 
 
 def _check_restricted_connectivity(m):
@@ -664,6 +673,46 @@ def test_independence_matches_the_naive_rank_on_drawn_subsets(m, data):
         assert m.independent(x) == (naive.rank(bases, frozenset(x)) == len(x)), x
 
 
+def _naive_rank_one_classes(labels, family):
+    """The classes of elements whose pairs have rank 1 under naive.rank
+    over ``family``, each from its first element in ``labels`` order on;
+    None when some element has rank 0."""
+    if any(naive.rank(family, {e}) == 0 for e in labels):
+        return None
+    classes = []
+    for e in labels:
+        if not any(e in c for c in classes):
+            classes.append(frozenset(f for f in labels if naive.rank(family, {e, f}) == 1))
+    return classes
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_with_loops_and_coloops(), sparse_paving_matroids()), st.data())
+def test_column_rank_closure_corank_and_closures_match_naive(m, data):
+    ground, bases = naive.as_pair(m)
+    duals = naive.dual_bases(ground, bases)
+    for mask in data.draw(st.lists(st.integers(0, m.ground.full_mask), min_size=1, max_size=20)):
+        x = m.ground.from_mask(mask)
+        labels = frozenset(x.labels())
+        got = m.rank(x)
+        assert got.value == naive.rank(bases, labels), x
+        assert got.witness <= x and len(got.witness) == got.value, x
+        assert naive.independent(bases, frozenset(got.witness.labels())), x
+        assert frozenset(m.closure(x).labels()) == naive.closure(ground, bases, labels), x
+        assert m.corank(x) == naive.rank(duals, labels), x
+    sides = (
+        (bases, m.parallel_closures, LoopPresent),
+        (duals, m.coparallel_closures, ColoopPresent),
+    )
+    for family, closures, refusal in sides:
+        want = _naive_rank_one_classes(m.ground.labels, family)
+        if want is None:
+            with pytest.raises(refusal):
+                closures()
+        else:
+            assert [frozenset(c.labels()) for c in closures()] == want
+
+
 def _sparse_paving_draws():
     """Seeded sparse paving matroids on 6 to 9 elements, of every rank
     from 2 to n - 2, with few and with many circuit-hyperplanes."""
@@ -674,9 +723,9 @@ def _sparse_paving_draws():
 
 
 def test_dual_sides_match_connectivity_in_the_dual(uniformity_pool, monkeypatch):
-    # M*|X is read from M's own rank table as the contraction M/(E-X);
-    # the dual matroid, built from the complements of the bases, tests
-    # M*|X as a restriction of its own table
+    # M*|X is read from M's own basis columns as the contraction M/(E-X),
+    # with no dual rank; the dual matroid, built from the complements of
+    # the bases, tests M*|X as a restriction of its own columns
     reads = []
     dual_rank = Matroid._dual_rank_mask
     monkeypatch.setattr(Matroid, "_dual_rank_mask", lambda m, x: reads.append(x) or dual_rank(m, x))
@@ -776,7 +825,7 @@ def test_exhaustive_scans_match_naive_definitions_on_drawn_matroids(m):
     assert m.is_simple() == simple(bases)
     fresh = Matroid(m.ground, m.bases)
     assert fresh.is_cosimple() == simple(naive.dual_bases(ground, bases))
-    assert fresh._dual is None  # read off the dual rank function, no dual built
+    assert fresh._dual is None  # read off the basis columns, no dual built
 
 
 _MASKS = st.one_of(

@@ -124,16 +124,16 @@ class TestGreedy:
                 assert greedy_max_basis(m, w).value == brute_force_max_basis(m, w).value
 
     def test_wide_ground_sets_build_no_rank_table(self, tmp_path):
-        # greedy makes n point queries; a 2^24-entry table would dwarf them
+        # greedy makes n point queries; a 2^24-subset scan would dwarf them
         m = uniform(22, 24)
         w = WeightFunction.from_values(m.ground, range(24))
         assert greedy_max_basis(m, w).value == sum(range(2, 24))
-        assert m._ranks is None
+        assert m._scanned is None
         # nor does the exchange check that loading a file runs
         save(tmp_path / "u.txt", m, "U_22_24", encoding="bases")
         loaded, _ = load(tmp_path / "u.txt")
         assert loaded == m
-        assert loaded._ranks is None
+        assert loaded._scanned is None
 
 
 @st.composite

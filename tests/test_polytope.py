@@ -228,14 +228,15 @@ def test_face_dimensions_match_the_minor_formula(uniformity_pool):
     # c(M/A), with c(M/E) = 0: polytope theory checks the elimination.
     for name, m in uniformity_pool:
         n = len(m.ground)
-        ranks = m._rank_table()
         columns = polytope_mod._vertex_columns(m._basis_masks, n)
         for sub in range(1, 1 << n):
             a = m.ground.from_mask(sub)
             parts = len(m.restrict(a).components())
             if sub != m.ground.full_mask:
                 parts += len(m.contract(a).components())
-            tight = _tight(m._basis_masks, sub, ranks[sub])
+            rank = m._rank_mask(sub)
+            assert rank == max((b & sub).bit_count() for b in m._basis_masks), (name, a)
+            tight = _tight(m._basis_masks, sub, rank)
             assert _gram_dimension(tight, columns) == n - parts, (name, a)
 
 
@@ -291,8 +292,9 @@ def test_independent_sets_have_the_rank_function_as_their_max(uniformity_pool):
     # the oracle's independence candidates are the cyclic flats of the
     # bases' rank function: the max over the independent sets is the same
     for name, m in uniformity_pool:
-        table = core_mod._build_rank_table(len(m.ground), m._independent_masks(), m.rank_value)
-        assert table == m._rank_table(), name
+        independent = m._independent_masks()
+        for sub in range(1 << len(m.ground)):
+            assert max((v & sub).bit_count() for v in independent) == m._rank_mask(sub), name
 
 
 def _count_calls(monkeypatch, names):
@@ -347,13 +349,13 @@ def test_certify_tests_each_side_once(monkeypatch):
     # lemma scan ask about many of the same sides; each side of two or
     # more elements builds one fundamental graph, and components() one more
     builds, asked = [], []
-    cells, connected = core_mod._fundamental_cells, Matroid._connected
+    cells, connected = Matroid._fundamental_cells, Matroid._connected
 
     def asking(m, sub, dual=False):
         asked.append((sub, dual))
         return connected(m, sub, dual)
 
-    monkeypatch.setattr(core_mod, "_fundamental_cells", lambda *a: builds.append(1) or cells(*a))
+    monkeypatch.setattr(Matroid, "_fundamental_cells", lambda *a: builds.append(1) or cells(*a))
     monkeypatch.setattr(Matroid, "_connected", asking)
     for m in (_wheel(6), sparse_paving(20, 4, 20, 320)[0]):
         builds.clear()
