@@ -16,10 +16,8 @@ basis indices of the bases holding it.  ``Matroid._greedy`` walks a set
 in index order and keeps an element while some basis still holds all
 kept ones, one AND of columns per element; what it keeps is a basis of
 the set, so r(X) costs |X| ANDs of |B|-bit ints, and no table of
-ranks is built.  Components and connectivity read the same
-columns: ``Matroid._connected`` answers, once per side, whether M|X or
-M*|X is connected, from the fundamental graph of a greedy basis of X,
-in O(|X|^2) ANDs, where the definition scans all 2^|X| bipartitions.
+ranks is built.  Components read the same columns, from the fundamental
+graph of a greedy basis, in r(n-r) ANDs.
 
 The exhaustive scans (the cyclic flats, and the locked subsets,
 3-connectivity and facet oracles read off them) need two sets of
@@ -32,7 +30,10 @@ need.  Locked sets, connected flats and circuit-hyperplanes are cyclic
 flats (Bonin and de Mier, "The lattice of cyclic flats of a matroid",
 2008), and a connected matroid with a 2-separation and rank and corank
 at least 2 has one on a cyclic flat (``Matroid.is_3_connected`` proves
-it).
+it).  The cyclic flats with their ranks form the lattice that Bonin and
+de Mier show determines the matroid (``Matroid._lattice``), and every
+side whose connectivity the package asks about is read off it, in
+O(|lattice|) dict lookups (``Matroid._connected`` proves how).
 
 Constructions take matroids to matroids and check only their
 preconditions.  ``Matroid.validate()`` checks a family built by hand:
@@ -329,7 +330,8 @@ class Matroid:
     increasing order, sorted in one pass when they arrive in order or in
     reverse.  There is no hash set of the bases, and no table of ranks:
     every rank is read from the basis columns, built on first use and
-    kept.  The first exhaustive scan keeps its two 2^n-bit sets.
+    kept.  The first exhaustive scan keeps its two 2^n-bit sets, and the
+    lattice of cyclic flats keeps the rank of each.
     """
 
     __slots__ = (
@@ -341,6 +343,7 @@ class Matroid:
         "_basis_cols",
         "_independent_cols",
         "_cyclic",
+        "_lattices",
         "_dual",
         "_components",
         "_sides",
@@ -380,6 +383,7 @@ class Matroid:
         self._basis_cols: list[int] | None = None
         self._independent_cols: list[int] | None = None
         self._cyclic: tuple[int, ...] | None = None
+        self._lattices: tuple[dict[int, int], dict[int, int]] | None = None
         self._dual: Matroid | None = None
         self._components: tuple[ElementSubset, ...] | None = None
         self._sides: dict[int, bool] = {}
@@ -639,11 +643,37 @@ class Matroid:
             for step, lanes in _lanes(len(self.ground)):
                 d = (parity ^ (parity >> step)) & lanes
                 marked |= (lanes ^ d) | (d << step)
-            # the unmarked bits, lowest first; a leading 1 keeps every digit
-            digits = bin(marked | 1 << (1 << len(self.ground)))[:2:-1]
-            found = [m.start() for m in re.finditer("0", digits)]
+            # the unmarked bits, lowest first, from the bytes with a clear
+            # bit; below 8 subsets the byte's bits past 2^n count as marked
+            size = 1 << len(self.ground)
+            data = (marked | 0xFF >> size << size).to_bytes(max(size >> 3, 1), "little")
+            found = [
+                i << 3 | k
+                for i in map(re.Match.start, re.finditer(rb"[^\xff]", data))
+                for k in range(8)
+                if not data[i] >> k & 1
+            ]
             self._cyclic = tuple(sorted(found, key=lambda m: (m.bit_count(), _bit_indices(m))))
         return self._cyclic
+
+    def _lattice(self, dual: bool = False) -> dict[int, int]:
+        """The lattice of cyclic flats with their ranks, in the order of
+        ``_cyclic_flats``, built on first use and kept: 𝓛 maps each cyclic
+        flat Z less the loops to r(Z), one greedy walk each, and 𝓛*
+        (``dual``) maps E-Z less the coloops to r*(E-Z) = |E-Z| - r + r(Z):
+        the cyclic flats of M*, whose loops are the coloops of M.  The
+        least cyclic flat is the loops, and the greatest is E less the
+        coloops."""
+        if self._lattices is None:
+            flats, full, r = self._cyclic_flats(), self.ground.full_mask, self.rank_value
+            loops, coloops = flats[0], full ^ flats[-1]
+            ranks, coranks = {}, {}
+            for z in flats:
+                rank = self._rank_mask(z)
+                ranks[z & ~loops] = rank
+                coranks[(full ^ z) & ~coloops] = (full ^ z).bit_count() - r + rank
+            self._lattices = ranks, coranks
+        return self._lattices[dual]
 
     def _fundamental_cells(self, ground: int, alive: int) -> list[int]:
         """The components of the matroid on the elements of ``ground``
@@ -684,18 +714,52 @@ class Matroid:
         return cells
 
     def _connected(self, sub: int, dual: bool = False) -> bool:
-        """Whether M|sub, or M*|sub with ``dual``, is connected: one cell
-        in ``_fundamental_cells``.  Connectivity is self-dual, so M*|sub
-        is read as M/(E-sub), from the bases that hold a greedy basis of
-        E-sub.  Each answer is kept, keyed by sub for M and by ~sub for
-        M*, so a side that several scans ask about is tested once."""
+        """Whether M|sub, or M*|sub with ``dual``, is connected.  Each
+        answer is kept, keyed by sub for M and by ~sub for M*, so a side
+        that several scans ask about is tested once.
+
+        Once the cyclic flats are built (this never starts the scan), a
+        side X in 𝓛, or in 𝓛* with ``dual`` (``_lattice``), is read off
+        the lattice: M|X is disconnected iff some Z in 𝓛 with
+        empty < Z < X has X-Z in 𝓛 and r(Z) + r(X-Z) = r(X).  If: Z
+        separates M|X.  Only if: X is cyclic, so M|X has no coloop, and
+        no circuit crosses a separator S of M|X; so S and X-S are unions
+        of circuits, and cl(S) ∩ X = S.  cl(S) lies in cl(X), which is X
+        with the loops, so S is in 𝓛, and so is X-S.  M*|X over 𝓛* is
+        the same statement in M*.
+
+        In a connected M the lattice also answers X = E-e, with r(X) = r:
+        M|X when e has no coparallel partner.  Then M\\e has no coloop, so
+        X is cyclic, and e is not in cl(S), or S+e would separate M, as
+        r(S+e) + r(X-S) = r.  So cl(S) ∩ X = S gives cl(S) = S, and S is
+        in 𝓛 as before.  Dually, M*|X when e has no parallel partner,
+        with r*(X) = n-r.  e has a partner iff a set of rank 1 in the
+        other lattice holds e: in a loopless matroid a parallel class of
+        two elements or more is a cyclic flat of rank 1, and such a flat
+        is a parallel class; coparallel is parallel in M*.
+
+        Any other side is one cell in ``_fundamental_cells``.
+        Connectivity is self-dual, so M*|sub is read there as M/(E-sub),
+        from the bases that hold a greedy basis of E-sub."""
         if sub.bit_count() <= 1:
             return True
         key = ~sub if dual else sub
         if key not in self._sides:
-            every = (1 << len(self._basis_masks)) - 1
-            alive = self._greedy(self.ground.full_mask ^ sub)[1] if dual else every
-            self._sides[key] = len(self._fundamental_cells(sub, alive)) == 1
+            rest = self.ground.full_mask ^ sub
+            flats = {} if self._cyclic is None else self._lattice(dual)
+            rank = flats.get(sub)
+            if rank is None and rest.bit_count() == 1 and flats and self.is_connected():
+                if not any(z & rest and rz == 1 for z, rz in self._lattice(not dual).items()):
+                    rank = flats[self.ground.full_mask]  # r, or n-r with dual
+            if rank is None:
+                every = (1 << len(self._basis_masks)) - 1
+                alive = self._greedy(rest)[1] if dual else every
+                self._sides[key] = len(self._fundamental_cells(sub, alive)) == 1
+            else:
+                self._sides[key] = not any(
+                    z | sub == sub and 0 != z != sub and flats.get(sub ^ z) == rank - rz
+                    for z, rz in flats.items()
+                )
         return self._sides[key]
 
     def is_connected(self) -> bool:
@@ -749,7 +813,8 @@ class Matroid:
           Then F and G cover E, and r(F) + r(G) = r(F) + r(E-F) <= r + 1
           gives n <= |F| + |G| <= r + 1: r* <= 1, which is excluded.
 
-        Each rank is a greedy walk over the basis columns.
+        r(Z) is read off ``_lattice``, r(E-Z) is a greedy walk over the
+        basis columns.
         """
         if not self.is_connected():
             return False
@@ -757,9 +822,10 @@ class Matroid:
         if n >= 4 and not 2 <= r <= n - 2:
             return False
         full = self.ground.full_mask
+        # connected, so loopless once n >= 2: 𝓛 holds the cyclic flats
         return not any(
-            2 <= z.bit_count() <= n - 2 and self._rank_mask(z) + self._rank_mask(full ^ z) <= r + 1
-            for z in self._cyclic_flats()
+            2 <= z.bit_count() <= n - 2 and rank + self._rank_mask(full ^ z) <= r + 1
+            for z, rank in self._lattice().items()
         )
 
     # -- parallel structure -------------------------------------------------

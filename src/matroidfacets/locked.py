@@ -9,10 +9,11 @@ Locked subsets, together with the parallel and coparallel partitions,
 pin down the nontrivial facets of the bases polytope; their count is the
 "locked number" of the matroid.
 
-A locked set is a cyclic flat of its component, so both test its two
-sides only for the matroid's cyclic flats, through ``Matroid._connected``,
-which keeps its answers for ``certify``.  Loops lie in every flat, so a
-locked L is listed there as L ∪ loops.
+A locked set is a cyclic flat of its component, so both test only the
+sets of the lattice of cyclic flats, ``Matroid._lattice``: each cyclic
+flat less the loops, which lie in every flat, with its rank.  Both of a
+set's sides lie in that lattice or in its dual, so ``Matroid._connected``
+reads their connectivity off it, and keeps each answer for ``certify``.
 """
 
 from __future__ import annotations
@@ -63,19 +64,24 @@ class KLockedVerdict:
 
 
 def _locked_in(matroid: Matroid, mask: int) -> bool:
-    """The locked predicate for a loop-free L with L ∪ loops a cyclic flat
-    of M, so that L is a cyclic flat of M|C for any component C holding it.
+    """The locked predicate for L in the lattice 𝓛 (a loop-free L with
+    L ∪ loops a cyclic flat of M), so that L is a cyclic flat of M|C for
+    any component C holding it.
 
     Only cyclic flats can be locked: an element of cl(L)-L is a coloop
     of M*|(C-L), an element of L in no circuit of L is a coloop of M|L,
-    and either one disconnects its side.  Rank is additive over
-    separators, so inside C the dual rank of M|C is the dual rank of M.
+    and either one disconnects its side.  Both ranks are read off the
+    lattice.  C-L is in 𝓛*: it is E-Z less the coloops for the cyclic
+    flat Z = L ∪ (E-C) less the coloops, as C, which holds L properly, is
+    a component with no loop or coloop.  Rank is additive over
+    separators, so r*(C-L), which is |C-L| - r(C) + r(L), is the dual
+    rank in M|C.
     """
     comp = next((c.mask for c in matroid.components() if mask & ~c.mask == 0), None)
-    if comp is None or mask == comp or matroid._rank_mask(mask) < 2:
+    if comp is None or mask == comp or matroid._lattice()[mask] < 2:
         return False
     co = comp & ~mask
-    if matroid._dual_rank_mask(co) < 2:
+    if matroid._lattice(dual=True)[co] < 2:
         return False
     return matroid._connected(mask) and matroid._connected(co, dual=True)
 
@@ -85,25 +91,21 @@ def is_locked(matroid: Matroid, subset: ElementSubset) -> bool:
     mask = matroid._coerce(subset)
     if mask == 0 or mask == matroid.ground.full_mask:
         raise NotProperSubset("locked subsets are proper and nonempty")
-    loops = matroid.loops().mask
-    if mask & loops or mask | loops not in matroid._cyclic_flats():
-        return False
-    return _locked_in(matroid, mask)
+    return mask in matroid._lattice() and _locked_in(matroid, mask)
 
 
 def enumerate_locked(matroid: Matroid, cap: int | None = None) -> tuple[ElementSubset, ...]:
     """All locked subsets, scanned by increasing cardinality and then
-    lexicographic element order, so truncated runs are reproducible.
-    Taking the same loops out of every cyclic flat keeps that order.
+    lexicographic element order, so truncated runs are reproducible:
+    the lattice keeps that order, as it takes the same loops out of
+    every cyclic flat.
 
     With ``cap`` given, the scan stops as soon as cap + 1 locked subsets
     have been found (the bounded oracle only needs to know the count
     exceeded its threshold).
     """
-    loops = matroid.loops().mask
     found: list[ElementSubset] = []
-    for flat in matroid._cyclic_flats():
-        mask = flat & ~loops
+    for mask in matroid._lattice():
         if _locked_in(matroid, mask):
             found.append(ElementSubset(matroid.ground, mask))
             if cap is not None and len(found) > cap:
@@ -113,12 +115,14 @@ def enumerate_locked(matroid: Matroid, cap: int | None = None) -> tuple[ElementS
 
 def _structure(matroid: Matroid, locked: tuple[ElementSubset, ...]) -> LockedStructure:
     """The structure around locked sets already found: the parallel and
-    coparallel closures, and the rank of each closure and locked set."""
+    coparallel closures, and the rank of each closure and locked set,
+    a locked set's read off the lattice."""
     parallel = matroid.parallel_closures()
     coparallel = matroid.coparallel_closures()
-    rho: dict[ElementSubset, int] = {}
-    for s in (*parallel, *coparallel, *locked):
-        rho[s] = matroid._rank_mask(s.mask)
+    rho = {s: matroid._rank_mask(s.mask) for s in (*parallel, *coparallel)}
+    ranks = matroid._lattice()
+    for s in locked:
+        rho[s] = ranks[s.mask]
     rho[matroid.ground.empty] = 0
     rho[matroid.ground.full] = matroid.rank_value
     return LockedStructure(parallel, coparallel, locked, rho)

@@ -407,13 +407,14 @@ def polytope_dimension(vertices: Iterable[ElementSubset]) -> int:
     return _gram_rank(len(masks), _varying_columns((1 << len(masks)) - 1, columns)) - 1
 
 
-def _connected_flats(matroid: Matroid) -> list[int]:
+def _connected_flats(matroid: Matroid) -> dict[int, int]:
     """The nonempty flats of a loopless matroid with a connected
-    restriction, by size and then lexicographically by index.  {e} is a
-    flat when its parallel closure is {e}."""
-    flats = matroid._cyclic_flats()
-    singletons = [p.mask for p in matroid.parallel_closures() if len(p) == 1]
-    return singletons + [f for f in flats if f and matroid._connected(f)]
+    restriction, by size and then lexicographically by index, each with
+    its rank.  {e} is a flat of rank 1 when its parallel closure is {e};
+    the others are cyclic, read off ``Matroid._lattice`` with their ranks."""
+    flats = {p.mask: 1 for p in matroid.parallel_closures() if len(p) == 1}
+    flats.update((f, rank) for f, rank in matroid._lattice().items() if f and matroid._connected(f))
+    return flats
 
 
 def predicted_facets_bases(matroid: Matroid) -> FacetSystem:
@@ -547,10 +548,10 @@ def certify(matroid: Matroid, *, check: bool = False) -> CertificationReport:
     excused = [t for t in missing if t in excusable]
     lemma_violations = []
     full = matroid.ground.full_mask
-    for sub in sorted(_connected_flats(matroid)):
+    for sub, rank in sorted(_connected_flats(matroid).items()):
         if sub == full or matroid._connected(full ^ sub, dual=True):
             continue
-        if tight(sub, matroid._rank_mask(sub)) in oracle:
+        if tight(sub, rank) in oracle:
             lemma_violations.append(ElementSubset(matroid.ground, sub))
     notes = []
     for c in system.collapsed:
@@ -593,11 +594,9 @@ def predicted_facets_independence(matroid: Matroid) -> FacetSystem:
         LinearConstraint.on_subset(ground.singleton(lab), ">=", 0, Origin.NONNEGATIVITY)
         for lab in ground.labels
     ]
-    for mask in _connected_flats(matroid):
+    for mask, rank in _connected_flats(matroid).items():
         facets.append(
-            LinearConstraint.on_subset(
-                ElementSubset(ground, mask), "<=", matroid._rank_mask(mask), Origin.RANK_UPPER
-            )
+            LinearConstraint.on_subset(ElementSubset(ground, mask), "<=", rank, Origin.RANK_UPPER)
         )
     return FacetSystem(ground, None, tuple(facets), ())
 

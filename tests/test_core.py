@@ -2,6 +2,7 @@
 
 from functools import partial, reduce
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import _naive as naive
 from _sparse_paving import sparse_paving, sparse_paving_matroids
+from test_catalog import _two_sum_draw
 import matroidfacets.core as core_mod
 import matroidfacets.polytope as polytope
 from matroidfacets import (
@@ -826,6 +828,56 @@ def test_exhaustive_scans_match_naive_definitions_on_drawn_matroids(m):
     fresh = Matroid(m.ground, m.bases)
     assert fresh.is_cosimple() == simple(naive.dual_bases(ground, bases))
     assert fresh._dual is None  # read off the basis columns, no dual built
+
+
+def _lattice_sides(ground, bases):
+    """The sides whose connectivity the lattice of cyclic flats answers,
+    each with the naive answer, as {(labels, dual): connected}, and the
+    one-element sides E-e that it leaves to the fundamental graph: those
+    of M|(E-e) for e with a coparallel partner, and of M*|(E-e) for e
+    with a parallel partner.  The one-element sides are those of a
+    connected M only; the lattice sides are its cyclic flats less the
+    loops, and the dual's cyclic flats less the dual's loops."""
+    duals = naive.dual_bases(ground, bases)
+    sides, partnered = {}, {}
+    for dual, family in ((False, bases), (True, duals)):
+        loops = ground - frozenset().union(*family)
+        for flat in naive.cyclic_flats(ground, family):
+            sides[flat - loops, dual] = naive.connected(flat - loops, family)
+    if naive.connected(ground, bases):
+        for e in ground:
+            rest = ground - {e}
+            for dual, family, other in ((False, bases, duals), (True, duals, bases)):
+                partner = any(naive.rank(other, {e, f}) == 1 for f in rest)
+                (partnered if partner else sides)[rest, dual] = naive.connected(rest, family)
+    return sides, partnered
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        _with_loops_and_coloops(),
+        _with_a_summand(),
+        sparse_paving_matroids(),
+        _two_sum_draw(nested=True).map(lambda drawn: drawn[0]),
+    )
+)
+def test_lattice_sides_match_naive_connectivity(m):
+    # every side in the lattice of cyclic flats or its dual, and every
+    # one-element side of a connected draw; the fundamental graph is
+    # built for components() and for the partnered one-element sides,
+    # which the lattice must leave to it, and for no other side
+    ground, bases = naive.as_pair(m)
+    sides, partnered = _lattice_sides(ground, bases)
+    mask = lambda labels: m.ground.subset(labels).mask
+    m.components()
+    m._cyclic_flats()
+    real = Matroid._fundamental_cells
+    with mock.patch.object(Matroid, "_fundamental_cells", autospec=True, side_effect=real) as cells:
+        for (labels, dual), want in [*sides.items(), *partnered.items()]:
+            assert m._connected(mask(labels), dual) == want, (sorted(labels), dual)
+    fell_back = sorted(call.args[1] for call in cells.call_args_list)
+    assert fell_back == sorted(mask(labels) for labels, _ in partnered if len(labels) > 1)
 
 
 _MASKS = st.one_of(

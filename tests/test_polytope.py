@@ -347,23 +347,34 @@ def test_sparse_paving_known_answer_at_twenty_elements():
 def test_certify_tests_each_side_once(monkeypatch):
     # the locked scan, the connected flats, the closure bounds and the
     # lemma scan ask about many of the same sides; each side of two or
-    # more elements builds one fundamental graph, and components() one more
-    builds, asked = [], []
+    # more elements is evaluated once, and every one is read off the
+    # lattice of cyclic flats: the one fundamental graph is components'
+    builds, asked, evaluated = [], [], []
     cells, connected = Matroid._fundamental_cells, Matroid._connected
+
+    class Sides(dict):
+        def __setitem__(self, key, value):
+            evaluated.append(key)
+            super().__setitem__(key, value)
 
     def asking(m, sub, dual=False):
         asked.append((sub, dual))
         return connected(m, sub, dual)
 
-    monkeypatch.setattr(Matroid, "_fundamental_cells", lambda *a: builds.append(1) or cells(*a))
+    monkeypatch.setattr(Matroid, "_fundamental_cells", lambda *a: builds.append(a[1:]) or cells(*a))
     monkeypatch.setattr(Matroid, "_connected", asking)
-    for m in (_wheel(6), sparse_paving(20, 4, 20, 320)[0]):
+    # U_2_4 with one element made a parallel pair and another a series pair
+    pairs = two_sum(two_sum(uniform(2, 4), "1", uniform(1, 3), "1"), "L.2", uniform(2, 3), "1")
+    for m in (_wheel(6), sparse_paving(20, 4, 20, 320)[0], pairs):
         builds.clear()
         asked.clear()
+        evaluated.clear()
+        m._sides = Sides()
         assert certify(m).passed
         sides = {(sub, dual) for sub, dual in asked if sub.bit_count() > 1}
-        assert len(builds) == len(sides) + 1
+        assert sorted(evaluated) == sorted(~sub if dual else sub for sub, dual in sides)
         assert len(asked) > len(sides)
+        assert builds == [(m.ground.full_mask, (1 << m.basis_count()) - 1)]
 
 
 def test_one_tight_reader_per_vertex_list(monkeypatch):
