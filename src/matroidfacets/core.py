@@ -32,8 +32,9 @@ flats (Bonin and de Mier, "The lattice of cyclic flats of a matroid",
 at least 2 has one on a cyclic flat (``Matroid.is_3_connected`` proves
 it).  The cyclic flats with their ranks form the lattice that Bonin and
 de Mier show determines the matroid (``Matroid._lattice``), and every
-side whose connectivity the package asks about is read off it, in
-O(|lattice|) dict lookups (``Matroid._connected`` proves how).
+side whose connectivity the package asks about, a set of the lattice or
+of its dual's or E less one element, is read off it in O(|lattice|) dict
+lookups (``Matroid._connected`` states which sides, and proves how).
 
 Constructions take matroids to matroids and check only their
 preconditions.  ``Matroid.validate()`` checks a family built by hand:
@@ -491,15 +492,13 @@ class Matroid:
             raise ForeignElement("subset built over a different ground set")
         return x.mask
 
-    def _greedy(self, m: int, alive: int | None = None) -> tuple[int, int]:
+    def _greedy(self, m: int) -> tuple[int, int]:
         """A basis I of m and the bases that hold it, a bitmask over basis
         indices.  The walk takes m in index order and keeps an element
-        when some basis in ``alive`` (every basis by default) holds it,
-        narrowing ``alive`` to those bases.  Started from the bases that
-        hold a basis of E-m, I is a basis of m in M/(E-m)."""
+        when some basis still alive holds it, narrowing the alive bases
+        to those."""
         columns = self._basis_columns()
-        if alive is None:
-            alive = (1 << len(self._basis_masks)) - 1
+        alive = (1 << len(self._basis_masks)) - 1
         basis = 0
         for i in _bit_indices(m):
             held = alive & columns[i]
@@ -675,52 +674,15 @@ class Matroid:
             self._lattices = ranks, coranks
         return self._lattices[dual]
 
-    def _fundamental_cells(self, ground: int, alive: int) -> list[int]:
-        """The components of the matroid on the elements of ``ground``
-        whose bases are the largest sets there that some basis in
-        ``alive`` holds: M|ground when ``alive`` is every basis, and
-        M/(E-ground) when it is the bases that hold a basis of E-ground.
-
-        The fundamental graph of a basis J joins e in it to f outside it
-        whenever J-e+f is again a basis, and its connected parts are the
-        components (Krogdahl 1977; Cunningham and Edmonds 1980).  J is
-        picked greedily, and J-e+f is a basis when some basis in ``alive``
-        holds J-e and f: one AND of columns per pair, with the bases
-        holding J-e found once per e.  Each element of J brings its star,
-        merged with every cell it meets; the elements no star reaches are
-        loops, one cell each.
-        """
-        columns = self._basis_columns()
-        basis = self._greedy(ground, alive)[0]
-        inside, outside = _bit_indices(basis), _bit_indices(ground & ~basis)
-        cells: list[int] = []
-        reached = 0
-        for i in inside:
-            rest = alive
-            for k in inside:
-                if k != i:
-                    rest &= columns[k]
-            star = 1 << i
-            for j in outside:
-                if rest & columns[j]:
-                    star |= 1 << j
-            reached |= star
-            merged = [c for c in cells if c & star]
-            cells = [c for c in cells if not c & star]
-            for c in merged:
-                star |= c
-            cells.append(star)
-        cells += [1 << j for j in _bit_indices(ground & ~reached)]
-        return cells
-
     def _connected(self, sub: int, dual: bool = False) -> bool:
-        """Whether M|sub, or M*|sub with ``dual``, is connected.  Each
-        answer is kept, keyed by sub for M and by ~sub for M*, so a side
-        that several scans ask about is tested once.
+        """Whether M|sub, or M*|sub with ``dual``, is connected, for sub
+        in 𝓛 (in 𝓛* with ``dual``; see ``_lattice``), or sub = E-e in a
+        connected M where e's coparallel class is {e} (its parallel
+        class, with ``dual``).  Each answer is kept, keyed by sub for M
+        and by ~sub for M*, so a side that several scans ask about is
+        tested once.
 
-        Once the cyclic flats are built (this never starts the scan), a
-        side X in 𝓛, or in 𝓛* with ``dual`` (``_lattice``), is read off
-        the lattice: M|X is disconnected iff some Z in 𝓛 with
+        For X in 𝓛, M|X is disconnected iff some Z in 𝓛 with
         empty < Z < X has X-Z in 𝓛 and r(Z) + r(X-Z) = r(X).  If: Z
         separates M|X.  Only if: X is cyclic, so M|X has no coloop, and
         no circuit crosses a separator S of M|X; so S and X-S are unions
@@ -728,38 +690,36 @@ class Matroid:
         with the loops, so S is in 𝓛, and so is X-S.  M*|X over 𝓛* is
         the same statement in M*.
 
-        In a connected M the lattice also answers X = E-e, with r(X) = r:
-        M|X when e has no coparallel partner.  Then M\\e has no coloop, so
-        X is cyclic, and e is not in cl(S), or S+e would separate M, as
+        The same test answers X = E-e, with r(X) = r: e has no
+        coparallel partner, so M\\e has no coloop and X is cyclic, and e
+        is not in cl(S), or S+e would separate M, as
         r(S+e) + r(X-S) = r.  So cl(S) ∩ X = S gives cl(S) = S, and S is
         in 𝓛 as before.  Dually, M*|X when e has no parallel partner,
-        with r*(X) = n-r.  e has a partner iff a set of rank 1 in the
-        other lattice holds e: in a loopless matroid a parallel class of
-        two elements or more is a cyclic flat of rank 1, and such a flat
-        is a parallel class; coparallel is parallel in M*.
+        with r*(X) = n-r.
 
-        Any other side is one cell in ``_fundamental_cells``.
-        Connectivity is self-dual, so M*|sub is read there as M/(E-sub),
-        from the bases that hold a greedy basis of E-sub."""
+        Every caller meets the contract:
+        - ``locked._locked_in``: L is in 𝓛, and C-L in 𝓛*, where it
+          already reads r*(C-L).
+        - ``polytope._connected_flats``: each f is in 𝓛.
+        - ``polytope.predicted_facets_bases`` refuses loops, coloops and
+          a disconnected M; a closure P or S of two or more elements is
+          a rank-1 cyclic flat of M or M*, so E-P is in 𝓛* and E-S in 𝓛,
+          and a closure {e} means e has no partner.
+        - ``polytope.certify``'s lemma scan runs on that M and asks about
+          E-F for each F of ``_connected_flats``: E-F is in 𝓛* for F in
+          𝓛, and a singleton flat {e} is its own parallel class.
+        """
         if sub.bit_count() <= 1:
             return True
         key = ~sub if dual else sub
         if key not in self._sides:
-            rest = self.ground.full_mask ^ sub
-            flats = {} if self._cyclic is None else self._lattice(dual)
-            rank = flats.get(sub)
-            if rank is None and rest.bit_count() == 1 and flats and self.is_connected():
-                if not any(z & rest and rz == 1 for z, rz in self._lattice(not dual).items()):
-                    rank = flats[self.ground.full_mask]  # r, or n-r with dual
-            if rank is None:
-                every = (1 << len(self._basis_masks)) - 1
-                alive = self._greedy(rest)[1] if dual else every
-                self._sides[key] = len(self._fundamental_cells(sub, alive)) == 1
-            else:
-                self._sides[key] = not any(
-                    z | sub == sub and 0 != z != sub and flats.get(sub ^ z) == rank - rz
-                    for z, rz in flats.items()
-                )
+            flats = self._lattice(dual)
+            # sub = E-e when it is not in the lattice: r, or n-r with dual
+            rank = flats[sub] if sub in flats else flats[self.ground.full_mask]
+            self._sides[key] = not any(
+                z | sub == sub and 0 != z != sub and flats.get(sub ^ z) == rank - rz
+                for z, rz in flats.items()
+            )
         return self._sides[key]
 
     def is_connected(self) -> bool:
@@ -769,11 +729,40 @@ class Matroid:
 
     def components(self) -> tuple[ElementSubset, ...]:
         """The finest partition of E into separators, ordered by first
-        element: the cells of the fundamental graph of a greedy basis,
-        with r(n-r) ANDs of basis columns."""
+        element.
+
+        The fundamental graph of a basis J joins e in it to f outside it
+        whenever J-e+f is again a basis, and its connected parts are the
+        components (Krogdahl 1977; Cunningham and Edmonds 1980).  J is
+        picked greedily, and J-e+f is a basis when some basis holds J-e
+        and f: one AND of basis columns per pair, r(n-r) in all, with the
+        bases holding J-e found once per e.  Each element of J brings its
+        star, merged with every cell it meets; the elements no star
+        reaches are loops, one cell each.
+        """
         if self._components is None:
+            columns, full = self._basis_columns(), self.ground.full_mask
             every = (1 << len(self._basis_masks)) - 1
-            cells = self._fundamental_cells(self.ground.full_mask, every)
+            basis = self._greedy(full)[0]
+            inside, outside = _bit_indices(basis), _bit_indices(full ^ basis)
+            cells: list[int] = []
+            reached = 0
+            for i in inside:
+                rest = every
+                for k in inside:
+                    if k != i:
+                        rest &= columns[k]
+                star = 1 << i
+                for j in outside:
+                    if rest & columns[j]:
+                        star |= 1 << j
+                reached |= star
+                merged = [c for c in cells if c & star]
+                cells = [c for c in cells if not c & star]
+                for c in merged:
+                    star |= c
+                cells.append(star)
+            cells += [1 << j for j in _bit_indices(full ^ reached)]
             cells.sort(key=lambda m: (m & -m).bit_length())
             self._components = tuple(ElementSubset(self.ground, m) for m in cells)
         return self._components

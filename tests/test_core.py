@@ -2,7 +2,6 @@
 
 from functools import partial, reduce
 from itertools import combinations
-from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -626,25 +625,18 @@ def test_rank_table_matches_naive_on_drawn_matroids(m):
 
 
 def _check_restricted_connectivity(m):
-    """Connectivity of M|X and of M*|X, for every nonempty X, against the
-    naive bipartition scan; naive ranks of subsets of X are ranks in the
-    restriction, so M's own bases (or the dual's) serve for every X.
-
-    ``_connected`` keeps its answers, so a second pass on a fresh copy
-    asks about M* first: answers kept under colliding keys for the two
-    sides would then differ from the naive ones in one of the passes."""
+    """Connectivity of M|X and of M*|X, for every nonempty X, through the
+    public route (a restriction's fundamental graph), against the naive
+    bipartition scan; naive ranks of subsets of X are ranks in the
+    restriction, so M's own bases (or the dual's) serve for every X."""
     ground, bases = naive.as_pair(m)
     duals = naive.dual_bases(ground, bases)
-    labels = m.ground.labels
-    expected = {}
+    dual = m.dual()
     for x in range(1, m.ground.full_mask + 1):
-        sub = frozenset(lab for i, lab in enumerate(labels) if x >> i & 1)
-        expected[x] = sub, (naive.connected(sub, bases), naive.connected(sub, duals))
-    for sides in ((False, True), (True, False)):
-        fresh = Matroid(m.ground, m.bases)
-        for x, (sub, want) in expected.items():
-            for dual in sides:
-                assert fresh._connected(x, dual=dual) == want[dual], (sub, dual)
+        sub = m.ground.from_mask(x)
+        labels = frozenset(sub.labels())
+        assert m.restrict(sub).is_connected() == naive.connected(labels, bases), sub
+        assert dual.restrict(sub).is_connected() == naive.connected(labels, duals), sub
 
 
 @st.composite
@@ -725,17 +717,19 @@ def _sparse_paving_draws():
 
 
 def test_dual_sides_match_connectivity_in_the_dual(uniformity_pool, monkeypatch):
-    # M*|X is read from M's own basis columns as the contraction M/(E-X),
-    # with no dual rank; the dual matroid, built from the complements of
-    # the bases, tests M*|X as a restriction of its own columns
+    # 𝓛* is read off M's own cyclic flats, with no dual rank; it must be
+    # the lattice of the dual matroid, built from the complements of the
+    # bases, and each of its sides must read alike in both
     reads = []
     dual_rank = Matroid._dual_rank_mask
     monkeypatch.setattr(Matroid, "_dual_rank_mask", lambda m, x: reads.append(x) or dual_rank(m, x))
     for name, m in [*uniformity_pool, *_sparse_paving_draws()]:
         fresh = Matroid(m.ground, m.bases)
         other = Matroid(m.ground, m.bases).dual()
-        for sub in range(1, m.ground.full_mask + 1):
-            assert fresh._connected(sub, dual=True) == other._connected(sub), (name, sub)
+        lattice = fresh._lattice(dual=True)
+        assert lattice == other._lattice(), name
+        for z in lattice:
+            assert fresh._connected(z, dual=True) == other._connected(z), (name, z)
     assert reads == []
     assert fresh.corank(fresh.ground.full) == len(fresh.ground) - fresh.rank_value
     assert reads  # the counter sees the dual rank function when it is read
@@ -831,15 +825,13 @@ def test_exhaustive_scans_match_naive_definitions_on_drawn_matroids(m):
 
 
 def _lattice_sides(ground, bases):
-    """The sides whose connectivity the lattice of cyclic flats answers,
-    each with the naive answer, as {(labels, dual): connected}, and the
-    one-element sides E-e that it leaves to the fundamental graph: those
-    of M|(E-e) for e with a coparallel partner, and of M*|(E-e) for e
-    with a parallel partner.  The one-element sides are those of a
-    connected M only; the lattice sides are its cyclic flats less the
-    loops, and the dual's cyclic flats less the dual's loops."""
+    """The sides of ``Matroid._connected``'s contract, each with the naive
+    answer, as {(labels, dual): connected}: the cyclic flats less the
+    loops, the dual's cyclic flats less the dual's loops, and, in a
+    connected M, E-e for M when e has no coparallel partner and for M*
+    when e has no parallel partner."""
     duals = naive.dual_bases(ground, bases)
-    sides, partnered = {}, {}
+    sides = {}
     for dual, family in ((False, bases), (True, duals)):
         loops = ground - frozenset().union(*family)
         for flat in naive.cyclic_flats(ground, family):
@@ -848,9 +840,9 @@ def _lattice_sides(ground, bases):
         for e in ground:
             rest = ground - {e}
             for dual, family, other in ((False, bases, duals), (True, duals, bases)):
-                partner = any(naive.rank(other, {e, f}) == 1 for f in rest)
-                (partnered if partner else sides)[rest, dual] = naive.connected(rest, family)
-    return sides, partnered
+                if not any(naive.rank(other, {e, f}) == 1 for f in rest):
+                    sides[rest, dual] = naive.connected(rest, family)
+    return sides
 
 
 @settings(max_examples=60, deadline=None)
@@ -863,21 +855,16 @@ def _lattice_sides(ground, bases):
     )
 )
 def test_lattice_sides_match_naive_connectivity(m):
-    # every side in the lattice of cyclic flats or its dual, and every
-    # one-element side of a connected draw; the fundamental graph is
-    # built for components() and for the partnered one-element sides,
-    # which the lattice must leave to it, and for no other side
+    # every side of the contract; answers are kept, so a second fresh
+    # copy asks about the M* sides first: answers kept under colliding
+    # keys for M and M* would then differ from the naive ones in one copy
     ground, bases = naive.as_pair(m)
-    sides, partnered = _lattice_sides(ground, bases)
+    sides = _lattice_sides(ground, bases)
     mask = lambda labels: m.ground.subset(labels).mask
-    m.components()
-    m._cyclic_flats()
-    real = Matroid._fundamental_cells
-    with mock.patch.object(Matroid, "_fundamental_cells", autospec=True, side_effect=real) as cells:
-        for (labels, dual), want in [*sides.items(), *partnered.items()]:
-            assert m._connected(mask(labels), dual) == want, (sorted(labels), dual)
-    fell_back = sorted(call.args[1] for call in cells.call_args_list)
-    assert fell_back == sorted(mask(labels) for labels, _ in partnered if len(labels) > 1)
+    for dual_first in (False, True):
+        fresh = Matroid(m.ground, m.bases)
+        for (labels, dual), want in sorted(sides.items(), key=lambda side: side[0][1] != dual_first):
+            assert fresh._connected(mask(labels), dual) == want, (sorted(labels), dual)
 
 
 _MASKS = st.one_of(

@@ -347,10 +347,12 @@ def test_sparse_paving_known_answer_at_twenty_elements():
 def test_certify_tests_each_side_once(monkeypatch):
     # the locked scan, the connected flats, the closure bounds and the
     # lemma scan ask about many of the same sides; each side of two or
-    # more elements is evaluated once, and every one is read off the
-    # lattice of cyclic flats: the one fundamental graph is components'
-    builds, asked, evaluated = [], [], []
-    cells, connected = Matroid._fundamental_cells, Matroid._connected
+    # more elements is evaluated once, and each is one that
+    # Matroid._connected answers: a set of the lattice of cyclic flats
+    # (of the dual's, for M*), or E-e where e's coparallel class (its
+    # parallel class, for M*) is {e}
+    asked, evaluated = [], []
+    connected = Matroid._connected
 
     class Sides(dict):
         def __setitem__(self, key, value):
@@ -361,12 +363,10 @@ def test_certify_tests_each_side_once(monkeypatch):
         asked.append((sub, dual))
         return connected(m, sub, dual)
 
-    monkeypatch.setattr(Matroid, "_fundamental_cells", lambda *a: builds.append(a[1:]) or cells(*a))
     monkeypatch.setattr(Matroid, "_connected", asking)
     # U_2_4 with one element made a parallel pair and another a series pair
     pairs = two_sum(two_sum(uniform(2, 4), "1", uniform(1, 3), "1"), "L.2", uniform(2, 3), "1")
     for m in (_wheel(6), sparse_paving(20, 4, 20, 320)[0], pairs):
-        builds.clear()
         asked.clear()
         evaluated.clear()
         m._sides = Sides()
@@ -374,7 +374,13 @@ def test_certify_tests_each_side_once(monkeypatch):
         sides = {(sub, dual) for sub, dual in asked if sub.bit_count() > 1}
         assert sorted(evaluated) == sorted(~sub if dual else sub for sub, dual in sides)
         assert len(asked) > len(sides)
-        assert builds == [(m.ground.full_mask, (1 << m.basis_count()) - 1)]
+        full = m.ground.full_mask
+        alone = {
+            dual: {c.mask for c in classes() if len(c) == 1}
+            for dual, classes in ((False, m.coparallel_closures), (True, m.parallel_closures))
+        }
+        for sub, dual in sides:
+            assert sub in m._lattice(dual) or full ^ sub in alone[dual], (sub, dual)
 
 
 def test_one_tight_reader_per_vertex_list(monkeypatch):
