@@ -656,21 +656,21 @@ class Matroid:
         return self._cyclic
 
     def _lattice(self, dual: bool = False) -> dict[int, int]:
-        """The lattice of cyclic flats with their ranks, in the order of
-        ``_cyclic_flats``, built on first use and kept: 𝓛 maps each cyclic
-        flat Z less the loops to r(Z), one greedy walk each, and 𝓛*
-        (``dual``) maps E-Z less the coloops to r*(E-Z) = |E-Z| - r + r(Z):
-        the cyclic flats of M*, whose loops are the coloops of M.  The
-        least cyclic flat is the loops, and the greatest is E less the
-        coloops."""
+        """The lattice of cyclic flats with their ranks, each in increasing
+        size, built on first use and kept: 𝓛 maps each cyclic flat Z less
+        the loops to r(Z), one greedy walk each, in the order of
+        ``_cyclic_flats``, and 𝓛* (``dual``) maps E-Z less the coloops to
+        r*(E-Z) = |E-Z| - r + r(Z), in the reverse order: the cyclic flats
+        of M*, whose loops are the coloops of M.  The least cyclic flat is
+        the loops, and the greatest is E less the coloops."""
         if self._lattices is None:
             flats, full, r = self._cyclic_flats(), self.ground.full_mask, self.rank_value
             loops, coloops = flats[0], full ^ flats[-1]
-            ranks, coranks = {}, {}
-            for z in flats:
-                rank = self._rank_mask(z)
-                ranks[z & ~loops] = rank
-                coranks[(full ^ z) & ~coloops] = (full ^ z).bit_count() - r + rank
+            ranks = {z & ~loops: self._rank_mask(z) for z in flats}
+            coranks = {
+                (full ^ z) & ~coloops: (full ^ z).bit_count() - r + ranks[z & ~loops]
+                for z in reversed(flats)
+            }
             self._lattices = ranks, coranks
         return self._lattices[dual]
 
@@ -688,7 +688,10 @@ class Matroid:
         no circuit crosses a separator S of M|X; so S and X-S are unions
         of circuits, and cl(S) ∩ X = S.  cl(S) lies in cl(X), which is X
         with the loops, so S is in 𝓛, and so is X-S.  M*|X over 𝓛* is
-        the same statement in M*.
+        the same statement in M*.  Z separates M|X iff X-Z does, and one
+        of the two has at most half of X, so the scan tries only Z with
+        2|Z| <= |X|, and stops at the first larger one, since the lattice
+        runs in increasing size.
 
         The same test answers X = E-e, with r(X) = r: e has no
         coparallel partner, so M\\e has no coloop and X is cyclic, and e
@@ -716,10 +719,14 @@ class Matroid:
             flats = self._lattice(dual)
             # sub = E-e when it is not in the lattice: r, or n-r with dual
             rank = flats[sub] if sub in flats else flats[self.ground.full_mask]
-            self._sides[key] = not any(
-                z | sub == sub and 0 != z != sub and flats.get(sub ^ z) == rank - rz
-                for z, rz in flats.items()
-            )
+            size, split = sub.bit_count(), False
+            for z, rz in flats.items():
+                if 2 * z.bit_count() > size:
+                    break
+                if z and z | sub == sub and flats.get(sub ^ z) == rank - rz:
+                    split = True
+                    break
+            self._sides[key] = not split
         return self._sides[key]
 
     def is_connected(self) -> bool:

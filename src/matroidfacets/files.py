@@ -18,14 +18,39 @@ section running to the end of the file::
 The section is ``bases:`` (one basis per line) or ``nonbases:`` (the
 r-subsets that are NOT bases; an empty section encodes a uniform
 matroid).  Labels are whitespace-separated; under ``rank 0`` an empty
-``bases:`` section is the one empty basis.  Loading rebuilds the basis
-family and always validates it against the exchange axiom, so a
-corrupted file fails on load rather than poisoning later computations.
+``bases:`` section is the one empty basis.
+
+``loads`` reads the file once, line by line, and raises ``ParseError``
+at the first fault:
+
+- on a header line: an unknown or repeated header, an empty name or
+  element list, a repeated label or one starting with ``#``, or a rank
+  that is not ASCII decimal digits or is negative;
+- at the section line, or at the end of a file with none: a missing
+  header (name, then elements, then rank), then the missing section,
+  then a rank above the number of elements;
+- on each row, in file order: the row's mask is the sum of its labels'
+  bits, made as the row is split.  A label with no bit is an unknown
+  element, named where it first sits in the row; a mask with fewer bits
+  than the row has labels is a repeated element.  A row is checked
+  whole before the next is read;
+- after the rows: an empty ``bases:`` section under a rank above 0.
+
+``MatroidFile`` keeps the label rows and their masks side by side, so
+``to_matroid`` and ``basis_count`` read masks and map no label again.
+``to_matroid`` then refuses a nonbasis row of the wrong size
+(``ParseError``), rebuilds the basis family and validates it against
+the exchange axiom (``ExchangeAxiomViolated``), so a corrupted file
+fails on load rather than poisoning later computations, and last
+refuses a basis size other than the declared rank (``ParseError``).
+A ``MatroidFile`` built by hand gets its masks from its rows when it
+is built: an unknown label raises ``ForeignElement``, and a repeated
+one counts once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from itertools import filterfalse, islice
 from math import comb
@@ -49,24 +74,35 @@ class ParseError(MatroidError):
 
 @dataclass(frozen=True)
 class MatroidFile:
-    """Parsed file contents: one of ``bases``/``nonbases`` is None."""
+    """Parsed file contents: exactly one of ``bases``/``nonbases`` is
+    None (a ``ValueError`` when built otherwise).  ``masks`` holds the
+    listed rows as bitmasks over ``labels``, row for row; left out, it
+    is read from the rows when the file is built."""
 
     name: str
     labels: tuple[str, ...]
     rank: int
     bases: tuple[tuple[str, ...], ...] | None
     nonbases: tuple[tuple[str, ...], ...] | None
+    masks: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if (self.bases is None) == (self.nonbases is None):
+            raise ValueError("exactly one of bases/nonbases must be present")
+        if self.masks is None:
+            bit = {lab: 1 << i for i, lab in enumerate(self.labels)}
+            rows = self.bases if self.bases is not None else self.nonbases
+            try:
+                masks = tuple(reduce(or_, map(bit.__getitem__, row), 0) for row in rows)
+            except KeyError as err:
+                raise ForeignElement(f"label {err.args[0]!r} is not in the ground set") from None
+            object.__setattr__(self, "masks", masks)
 
     def to_matroid(self) -> Matroid:
         ground = GroundSet(self.labels)
-        rows = self.bases if self.bases is not None else self.nonbases
-        bit = {lab: 1 << i for lab, i in ground.index.items()}
-        try:
-            masks = [reduce(or_, map(bit.__getitem__, row), 0) for row in rows]
-        except KeyError as err:
-            raise ForeignElement(f"label {err.args[0]!r} is not in the ground set") from None
+        masks = self.masks
         if self.bases is None:
-            for nb, mask in zip(rows, masks):
+            for nb, mask in zip(self.nonbases, masks):
                 if mask.bit_count() != self.rank:
                     raise ParseError(
                         f"nonbasis {{{' '.join(sorted(set(nb)))}}} does not have rank cardinality"
@@ -81,7 +117,7 @@ class MatroidFile:
     def basis_count(self) -> int:
         """|B| read off the listing, with nothing expanded: its distinct
         rows, or C(n, r) less them for a ``nonbases`` listing."""
-        distinct = len(set(map(frozenset, self.bases if self.bases is not None else self.nonbases)))
+        distinct = len(set(self.masks))
         return distinct if self.bases is not None else comb(len(self.labels), self.rank) - distinct
 
     @classmethod
@@ -98,16 +134,17 @@ class MatroidFile:
             encoding = "nonbases" if missing < count else "bases"
         bases = nonbases = None
         if encoding == "bases":
+            masks = matroid._basis_masks
             bases = tuple(b.labels() for b in matroid.bases)
         elif not missing:
-            nonbases = ()  # uniform: nothing to list, no set to build
+            masks = nonbases = ()  # uniform: nothing to list, no set to build
         else:
             # the scan stops at the last nonbasis, in subsets_by_size order
             ground = matroid.ground
             is_basis = set(matroid._basis_masks).__contains__
-            found = islice(filterfalse(is_basis, subsets_by_size(ground, r, r)), missing)
-            nonbases = tuple(ElementSubset(ground, m).labels() for m in found)
-        return cls(name=name, labels=labels, rank=r, bases=bases, nonbases=nonbases)
+            masks = tuple(islice(filterfalse(is_basis, subsets_by_size(ground, r, r)), missing))
+            nonbases = tuple(ElementSubset(ground, m).labels() for m in masks)
+        return cls(name, labels, r, bases, nonbases, masks)
 
 
 def dumps(mf: MatroidFile) -> str:
@@ -118,8 +155,6 @@ def dumps(mf: MatroidFile) -> str:
         f"elements {' '.join(mf.labels)}",
         f"rank {mf.rank}",
     ]
-    if (mf.bases is None) == (mf.nonbases is None):
-        raise ValueError("exactly one of bases/nonbases must be present")
     section = "bases" if mf.bases is not None else "nonbases"
     lines.append(f"{section}:")
     for row in mf.bases if mf.bases is not None else mf.nonbases:
@@ -133,17 +168,14 @@ def loads(text: str) -> MatroidFile:
     rank = None
     section = None
     seen: set[str] = set()
-    rows: list[tuple[str, ...]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if section is not None:
-            rows.append(tuple(line.split()))
-            continue
         if line in ("bases:", "nonbases:"):
             section = line[:-1]
-            continue
+            break
         parts = line.split(None, 1)
         key = parts[0]
         value = parts[1] if len(parts) == 2 else ""
@@ -163,10 +195,10 @@ def loads(text: str) -> MatroidFile:
             if any(lab.startswith("#") for lab in labels):
                 raise ParseError(f"line {lineno}: element labels may not start with '#'")
         elif key == "rank":
-            try:
-                rank = int(value)
-            except ValueError:
-                raise ParseError(f"line {lineno}: rank must be an integer") from None
+            digits = value.removeprefix("-")
+            if not (digits.isascii() and digits.isdigit()):
+                raise ParseError(f"line {lineno}: rank must be an integer")
+            rank = int(value)
             if rank < 0:
                 raise ParseError(f"line {lineno}: rank must be nonnegative")
         else:
@@ -179,23 +211,34 @@ def loads(text: str) -> MatroidFile:
         raise ParseError("missing header: rank")
     if section is None:
         raise ParseError("missing section: bases: or nonbases:")
-    known = set(labels)
-    for row in rows:
-        if not known.issuperset(row):
-            lab = next(lab for lab in row if lab not in known)
-            raise ParseError(f"unknown element {lab!r} in {section} section")
-        if len(set(row)) != len(row):
+    if rank > len(labels):
+        raise ParseError(f"rank {rank} exceeds the {len(labels)} elements")
+    bit = {lab: 1 << i for i, lab in enumerate(labels)}.__getitem__
+    rows: list[tuple[str, ...]] = []
+    masks: list[int] = []
+    for row in map(str.split, islice(lines, lineno, None)):
+        if not row or row[0][0] == "#":
+            continue
+        try:
+            mask = sum(map(bit, row))
+        except KeyError as err:
+            raise ParseError(f"unknown element {err.args[0]!r} in {section} section") from None
+        # distinct bits add without a carry; a repeated one carries
+        if mask.bit_count() != len(row):
             raise ParseError(f"repeated element in set: {' '.join(row)}")
+        rows.append(tuple(row))
+        masks.append(mask)
     if section == "bases" and not rows:
         if rank:
             raise ParseError("a bases section needs at least one basis")
-        rows = [()]  # the empty basis, written as a blank line
+        rows, masks = [()], [0]  # the empty basis, written as a blank line
     return MatroidFile(
-        name=name,
-        labels=labels,
-        rank=rank,
-        bases=tuple(rows) if section == "bases" else None,
-        nonbases=tuple(rows) if section == "nonbases" else None,
+        name,
+        labels,
+        rank,
+        tuple(rows) if section == "bases" else None,
+        tuple(rows) if section == "nonbases" else None,
+        tuple(masks),
     )
 
 

@@ -263,3 +263,42 @@ def file_text(name, ground, rank, bases, encoding):
     lines = [f"name {name}", f"elements {' '.join(ground)}", f"rank {rank}", f"{encoding}:"]
     lines += [" ".join(row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+class Refused(Exception):
+    """A file that the format rules refuse: ``kind`` names the package's
+    exception class, and ``message`` its text."""
+
+    def __init__(self, kind, message):
+        super().__init__(kind, message)
+        self.kind, self.message = kind, message
+
+
+def read_file(text):
+    """The bases of a file with well-formed headers, as a frozenset of
+    frozensets of labels, read from the format rules: comment and blank
+    lines dropped, every row's labels checked before any row's size, and
+    a ``nonbases`` listing taken away from all the r-subsets.  A refused
+    file raises ``Refused``."""
+    lines = [line.strip() for line in text.replace("\r\n", "\n").split("\n")]
+    lines = [line for line in lines if line and not line.startswith("#")]
+    at = lines.index("bases:") if "bases:" in lines else lines.index("nonbases:")
+    headers = dict(line.partition(" ")[::2] for line in lines[:at])
+    ground, rank = headers["elements"].split(), int(headers["rank"])
+    section = lines[at][:-1]
+    rows = [line.split() for line in lines[at + 1:]]
+    for row in rows:
+        for label in row:
+            if label not in ground:
+                raise Refused("ParseError", f"unknown element {label!r} in {section} section")
+        if len(set(row)) < len(row):
+            raise Refused("ParseError", f"repeated element in set: {' '.join(row)}")
+    listed = {frozenset(row) for row in rows}
+    if section == "bases":
+        return frozenset(listed or {frozenset()})
+    for row in rows:
+        if len(row) != rank:
+            raise Refused(
+                "ParseError", f"nonbasis {{{' '.join(sorted(row))}}} does not have rank cardinality"
+            )
+    return frozenset(frozenset(c) for c in combinations(ground, rank)) - listed

@@ -3,13 +3,17 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _naive as naive
+from conftest import build_uniformity_pool
 from matroidfacets import (
     ExchangeAxiomViolated,
     ForeignElement,
     GroundSet,
     Matroid,
+    MatroidError,
     MatroidFile,
     ParseError,
     catalog_get,
@@ -118,6 +122,10 @@ def test_comments_and_blank_lines_ignored():
         # a repeated header is refused, not read as the last one given
         ("name X\nelements a b c\nrank 1\nrank 2\nnonbases:\n", "line 4: repeated header 'rank'"),
         ("name X\nelements a b\nelements a b c\nrank 2\nnonbases:\n", "line 3: repeated header"),
+        # only ASCII decimal digits read as a rank, not all that int() reads
+        ("name X\nelements a b\nrank 1_0\nbases:\na\n", "line 3: rank must be an integer"),
+        ("name X\nelements a b\nrank +1\nbases:\na\n", "line 3: rank must be an integer"),
+        ("name X\nelements a b\nrank \u0661\nbases:\na\n", "line 3: rank must be an integer"),
     ],
 )
 def test_malformed_inputs_rejected(text, hint):
@@ -181,6 +189,12 @@ def test_hand_built_nonbases_read_labels_as_bases_rows_do():
     assert built(("1", "2")).basis_count() == 2
 
 
+def test_a_hand_built_file_lists_exactly_one_section():
+    for bases, nonbases in ((None, None), ((("a",),), ())):
+        with pytest.raises(ValueError, match="exactly one"):
+            MatroidFile("X", ("a",), 1, bases, nonbases)
+
+
 def test_basis_count_counts_a_repeated_row_once():
     # to_matroid reads each row as a set and keeps it once, in either section
     nonbases = loads("name X\nelements a b c d\nrank 2\nnonbases:\na b\na b\n")
@@ -204,3 +218,67 @@ def test_labels_starting_with_a_hash_are_refused(tmp_path, capsys):
     path.write_text(text)
     assert main(["info", str(path)]) == 2
     assert "'#'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, rows", [("bases", "a b\n"), ("nonbases", "")])
+def test_a_rank_above_the_element_count_is_refused_at_the_section(section, rows):
+    text = f"name X\nelements a b\nrank 3\n{section}:\n{rows}"
+    with pytest.raises(ParseError) as info:
+        loads(text)
+    assert str(info.value) == "rank 3 exceeds the 2 elements"
+
+
+_CORRUPTIONS = (None, "unknown", "repeat", "size", "row", "comment", "blank", "crlf")
+
+
+@st.composite
+def _listings(draw):
+    """A pool matroid's file in either encoding, with at most one
+    corruption, and the pool matroid."""
+    name, m = draw(st.sampled_from(_encoder_pool() + build_uniformity_pool()))
+    encoding = draw(st.sampled_from(["bases", "nonbases"]))
+    labels, r = m.ground.labels, m.rank_value
+    bases = [frozenset(b.labels()) for b in m.bases]
+    lines = naive.file_text(name, labels, r, bases, encoding).splitlines()
+    corruption = draw(st.sampled_from(_CORRUPTIONS))
+    rows = len(lines) - 4
+    at = draw(st.integers(4, len(lines)))  # where a row goes in, or which row
+    assert "zz" not in labels
+    if corruption in ("unknown", "repeat"):
+        row = lines[at].split() if at < len(lines) else []
+        if corruption == "unknown" or row:
+            extra = "zz" if corruption == "unknown" else draw(st.sampled_from(row))
+            row.insert(draw(st.integers(0, len(row))), extra)
+        else:
+            row = [labels[0]] * 2
+        lines[at:at + 1] = [" ".join(row)]
+    elif corruption == "size":
+        sizes = [k for k in range(1, len(labels) + 1) if k != r]
+        if encoding == "nonbases" and sizes:
+            size = draw(st.sampled_from(sizes))
+            lines.insert(at, " ".join(draw(st.permutations(labels))[:size]))
+    elif corruption == "row" and rows:
+        lines.insert(at, lines[draw(st.integers(4, len(lines) - 1))])
+    elif corruption in ("comment", "blank"):
+        extra = "# a comment" if corruption == "comment" else draw(st.sampled_from(["", "  ", "\t"]))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    ending = "\r\n" if corruption == "crlf" else "\n"
+    return ending.join(lines) + ending, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(_listings())
+def test_reader_matches_a_naive_reader(drawn):
+    text, m = drawn
+    try:
+        want = naive.read_file(text)
+    except naive.Refused as refused:
+        with pytest.raises(MatroidError) as info:
+            loads(text).to_matroid()
+        assert (type(info.value).__name__, str(info.value)) == (refused.kind, refused.message)
+        return
+    listing = loads(text)
+    got = listing.to_matroid()
+    assert frozenset(frozenset(b.labels()) for b in got.bases) == want
+    assert listing.basis_count() == got.basis_count() == len(want)
+    assert got == m
