@@ -4,8 +4,9 @@ The fixed entries are MK4 (the rank-3 cycle matroid of the complete graph
 on four vertices), the chain obtained from it by relaxing one
 circuit-hyperplane at a time (W3, Q6, P6, ending at U_3_6), and V8, of
 rank 4 on eight elements with five non-basis quadruples.  MK4 and V8 are
-nonbasis listings read by ``files.MatroidFile``, so they are
-exchange-checked once, when first built.  Uniform matroids are U_r_n.
+typed-in nonbasis rows, turned into masks by ``GroundSet.subset`` and
+read by ``files.MatroidFile``, so they are exchange-checked once, when
+first built.  Uniform matroids are U_r_n.
 
 Each entry carries the ``MatroidFile`` listing that the CLI's
 ``catalog`` writes.  A fixed entry's listing is encoded from its built
@@ -219,8 +220,10 @@ def direct_sum(matroid1: Matroid, matroid2: Matroid) -> Matroid:
 def _mk4() -> Matroid:
     # Edges of the complete graph on vertices a, b, c, d; the non-bases
     # among the 3-subsets are the four triangles.
+    ground = GroundSet(("ab", "ac", "ad", "bc", "bd", "cd"))
     triangles = (("ab", "ac", "bc"), ("ab", "ad", "bd"), ("ac", "ad", "cd"), ("bc", "bd", "cd"))
-    return MatroidFile("MK4", ("ab", "ac", "ad", "bc", "bd", "cd"), 3, None, triangles).to_matroid()
+    masks = tuple(ground.subset(t).mask for t in triangles)
+    return MatroidFile("MK4", ground.labels, 3, "nonbases", masks).to_matroid()
 
 
 @lru_cache(maxsize=None)
@@ -237,7 +240,7 @@ def _chain(steps: int) -> Matroid:
 def vamos() -> Matroid:
     """Rank 4 on eight elements in four tagged pairs; exactly five pair
     unions fail to be bases and there is no representation over any field."""
-    labels = ("a", "a'", "b", "b'", "c", "c'", "d", "d'")
+    ground = GroundSet(("a", "a'", "b", "b'", "c", "c'", "d", "d'"))
     nonbases = (
         ("a", "a'", "b", "b'"),
         ("a", "a'", "c", "c'"),
@@ -245,7 +248,8 @@ def vamos() -> Matroid:
         ("b", "b'", "c", "c'"),
         ("b", "b'", "d", "d'"),
     )
-    return MatroidFile("V8", labels, 4, None, nonbases).to_matroid()
+    masks = tuple(ground.subset(nb).mask for nb in nonbases)
+    return MatroidFile("V8", ground.labels, 4, "nonbases", masks).to_matroid()
 
 
 _UNIFORM_NAME = re.compile(r"^U_(\d+)_(\d+)$")
@@ -281,5 +285,5 @@ def catalog_get(name: str) -> CatalogEntry:
         # Every r-set is a basis, so there is no nonbasis to list.  No
         # uniform matroid has a locked subset: one side of any split
         # always has rank or corank below 2.
-        return CatalogEntry(name, MatroidFile(name, labels, r, None, ()), 0, partial(uniform, r, n))
+        return CatalogEntry(name, MatroidFile(name, labels, r, "nonbases", ()), 0, partial(uniform, r, n))
     raise UnknownName(f"unknown catalog name: {name}")

@@ -36,33 +36,33 @@ at the first fault:
   whole before the next is read;
 - after the rows: an empty ``bases:`` section under a rank above 0.
 
-``MatroidFile`` keeps the label rows and their masks side by side, so
-``to_matroid`` and ``basis_count`` read masks and map no label again.
-``to_matroid`` then refuses a nonbasis row of the wrong size
-(``ParseError``), rebuilds the basis family and validates it against
-the exchange axiom (``ExchangeAxiomViolated``), so a corrupted file
-fails on load rather than poisoning later computations, and last
-refuses a basis size other than the declared rank (``ParseError``).
-A ``MatroidFile`` built by hand gets its masks from its rows when it
-is built: an unknown label raises ``ForeignElement``, and a repeated
-one counts once.
+``MatroidFile`` stores a listing one way: its section and one mask per
+listed row, in file order.  ``to_matroid`` and ``basis_count`` read the
+masks, and ``bases``/``nonbases`` render label rows from them on demand,
+each row in ground order.  ``to_matroid`` then refuses a nonbasis row of
+the wrong size (``ParseError``), rebuilds the basis family and validates
+it against the exchange axiom (``ExchangeAxiomViolated``), so a
+corrupted file fails on load rather than poisoning later computations,
+and last refuses a basis size other than the declared rank
+(``ParseError``).  A ``MatroidFile`` built by hand is given masks (say
+``GroundSet.subset(row).mask``): a section other than ``bases`` or
+``nonbases`` raises ``ValueError``, and a mask with a bit outside the
+labels ``ForeignElement``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import dataclass
 from itertools import filterfalse, islice
 from math import comb
-from operator import or_
 from pathlib import Path
 
 from .core import (
-    ElementSubset,
     ForeignElement,
     GroundSet,
     Matroid,
     MatroidError,
+    _bit_indices,
     r_subsets,
     subsets_by_size,
 )
@@ -74,39 +74,43 @@ class ParseError(MatroidError):
 
 @dataclass(frozen=True)
 class MatroidFile:
-    """Parsed file contents: exactly one of ``bases``/``nonbases`` is
-    None (a ``ValueError`` when built otherwise).  ``masks`` holds the
-    listed rows as bitmasks over ``labels``, row for row; left out, it
-    is read from the rows when the file is built."""
+    """Parsed file contents: the listed ``section``, ``bases`` or
+    ``nonbases``, and its rows as bitmasks over ``labels``, in file
+    order.  The listed section's label rows are read off the masks by
+    the property of its name; the other property is None."""
 
     name: str
     labels: tuple[str, ...]
     rank: int
-    bases: tuple[tuple[str, ...], ...] | None
-    nonbases: tuple[tuple[str, ...], ...] | None
-    masks: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
+    section: str
+    masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if (self.bases is None) == (self.nonbases is None):
-            raise ValueError("exactly one of bases/nonbases must be present")
-        if self.masks is None:
-            bit = {lab: 1 << i for i, lab in enumerate(self.labels)}
-            rows = self.bases if self.bases is not None else self.nonbases
-            try:
-                masks = tuple(reduce(or_, map(bit.__getitem__, row), 0) for row in rows)
-            except KeyError as err:
-                raise ForeignElement(f"label {err.args[0]!r} is not in the ground set") from None
-            object.__setattr__(self, "masks", masks)
+        if self.section not in ("bases", "nonbases"):
+            raise ValueError("section must be bases or nonbases")
+        outside = -1 << len(self.labels)  # every bit past the last label
+        if any(map(outside.__and__, self.masks)):
+            raise ForeignElement("mask has bits outside the ground set")
+
+    @property
+    def bases(self) -> tuple[tuple[str, ...], ...] | None:
+        return self._rows() if self.section == "bases" else None
+
+    @property
+    def nonbases(self) -> tuple[tuple[str, ...], ...] | None:
+        return self._rows() if self.section == "nonbases" else None
+
+    def _rows(self) -> tuple[tuple[str, ...], ...]:
+        return tuple(_row(self.labels, mask) for mask in self.masks)
 
     def to_matroid(self) -> Matroid:
         ground = GroundSet(self.labels)
         masks = self.masks
-        if self.bases is None:
-            for nb, mask in zip(self.nonbases, masks):
+        if self.section == "nonbases":
+            for mask in masks:
                 if mask.bit_count() != self.rank:
-                    raise ParseError(
-                        f"nonbasis {{{' '.join(sorted(set(nb)))}}} does not have rank cardinality"
-                    )
+                    row = " ".join(sorted(_row(self.labels, mask)))
+                    raise ParseError(f"nonbasis {{{row}}} does not have rank cardinality")
             masks = filterfalse(set(masks).__contains__, r_subsets(len(ground), self.rank))
         matroid = Matroid._from_masks(ground, masks)
         matroid.validate()
@@ -118,7 +122,7 @@ class MatroidFile:
         """|B| read off the listing, with nothing expanded: its distinct
         rows, or C(n, r) less them for a ``nonbases`` listing."""
         distinct = len(set(self.masks))
-        return distinct if self.bases is not None else comb(len(self.labels), self.rank) - distinct
+        return distinct if self.section == "bases" else comb(len(self.labels), self.rank) - distinct
 
     @classmethod
     def from_matroid(cls, matroid: Matroid, name: str, encoding: str = "auto") -> "MatroidFile":
@@ -132,19 +136,20 @@ class MatroidFile:
         missing = comb(len(labels), r) - count
         if encoding == "auto":
             encoding = "nonbases" if missing < count else "bases"
-        bases = nonbases = None
         if encoding == "bases":
             masks = matroid._basis_masks
-            bases = tuple(b.labels() for b in matroid.bases)
         elif not missing:
-            masks = nonbases = ()  # uniform: nothing to list, no set to build
+            masks = ()  # uniform: nothing to list, no set to build
         else:
             # the scan stops at the last nonbasis, in subsets_by_size order
-            ground = matroid.ground
             is_basis = set(matroid._basis_masks).__contains__
-            masks = tuple(islice(filterfalse(is_basis, subsets_by_size(ground, r, r)), missing))
-            nonbases = tuple(ElementSubset(ground, m).labels() for m in masks)
-        return cls(name, labels, r, bases, nonbases, masks)
+            masks = tuple(islice(filterfalse(is_basis, subsets_by_size(matroid.ground, r, r)), missing))
+        return cls(name, labels, r, encoding, masks)
+
+
+def _row(labels: tuple[str, ...], mask: int) -> tuple[str, ...]:
+    """The labels of a mask's bits, in ground order."""
+    return tuple(map(labels.__getitem__, _bit_indices(mask)))
 
 
 def dumps(mf: MatroidFile) -> str:
@@ -155,10 +160,8 @@ def dumps(mf: MatroidFile) -> str:
         f"elements {' '.join(mf.labels)}",
         f"rank {mf.rank}",
     ]
-    section = "bases" if mf.bases is not None else "nonbases"
-    lines.append(f"{section}:")
-    for row in mf.bases if mf.bases is not None else mf.nonbases:
-        lines.append(" ".join(row))
+    lines.append(f"{mf.section}:")
+    lines += (" ".join(_row(mf.labels, mask)) for mask in mf.masks)
     return "\n".join(lines) + "\n"
 
 
@@ -214,7 +217,6 @@ def loads(text: str) -> MatroidFile:
     if rank > len(labels):
         raise ParseError(f"rank {rank} exceeds the {len(labels)} elements")
     bit = {lab: 1 << i for i, lab in enumerate(labels)}.__getitem__
-    rows: list[tuple[str, ...]] = []
     masks: list[int] = []
     for row in map(str.split, islice(lines, lineno, None)):
         if not row or row[0][0] == "#":
@@ -226,20 +228,12 @@ def loads(text: str) -> MatroidFile:
         # distinct bits add without a carry; a repeated one carries
         if mask.bit_count() != len(row):
             raise ParseError(f"repeated element in set: {' '.join(row)}")
-        rows.append(tuple(row))
         masks.append(mask)
-    if section == "bases" and not rows:
+    if section == "bases" and not masks:
         if rank:
             raise ParseError("a bases section needs at least one basis")
-        rows, masks = [()], [0]  # the empty basis, written as a blank line
-    return MatroidFile(
-        name,
-        labels,
-        rank,
-        tuple(rows) if section == "bases" else None,
-        tuple(rows) if section == "nonbases" else None,
-        tuple(masks),
-    )
+        masks = [0]  # the empty basis, written as a blank line
+    return MatroidFile(name, labels, rank, section, tuple(masks))
 
 
 def write(path: str | Path, mf: MatroidFile) -> None:

@@ -274,19 +274,29 @@ class Refused(Exception):
         self.kind, self.message = kind, message
 
 
-def read_file(text):
-    """The bases of a file with well-formed headers, as a frozenset of
-    frozensets of labels, read from the format rules: comment and blank
-    lines dropped, every row's labels checked before any row's size, and
-    a ``nonbases`` listing taken away from all the r-subsets.  A refused
-    file raises ``Refused``."""
+def listed_rows(text):
+    """The section of a file with well-formed headers, its ground set and
+    rank, and its rows, each a list of labels in file order, read from the
+    format rules: comment and blank lines dropped, and an empty ``bases``
+    section the one empty basis."""
     lines = [line.strip() for line in text.replace("\r\n", "\n").split("\n")]
     lines = [line for line in lines if line and not line.startswith("#")]
     at = lines.index("bases:") if "bases:" in lines else lines.index("nonbases:")
     headers = dict(line.partition(" ")[::2] for line in lines[:at])
-    ground, rank = headers["elements"].split(), int(headers["rank"])
     section = lines[at][:-1]
     rows = [line.split() for line in lines[at + 1:]]
+    if section == "bases" and not rows:
+        rows = [[]]
+    return section, headers["elements"].split(), int(headers["rank"]), rows
+
+
+def read_file(text):
+    """The bases of a file with well-formed headers, as a frozenset of
+    frozensets of labels, read from its ``listed_rows``: every row's
+    labels checked before any row's size, and a ``nonbases`` listing
+    taken away from all the r-subsets.  A refused file raises
+    ``Refused``."""
+    section, ground, rank, rows = listed_rows(text)
     for row in rows:
         for label in row:
             if label not in ground:
@@ -295,7 +305,7 @@ def read_file(text):
             raise Refused("ParseError", f"repeated element in set: {' '.join(row)}")
     listed = {frozenset(row) for row in rows}
     if section == "bases":
-        return frozenset(listed or {frozenset()})
+        return frozenset(listed)
     for row in rows:
         if len(row) != rank:
             raise Refused(

@@ -63,6 +63,7 @@ class TestGroundSet:
         s = g.subset(["c", "a"])
         assert s.labels() == ("a", "c")
         assert g.singleton("b").mask == 0b010
+        assert g.subset(["a", "a"]) == g.subset(["a"])
         with pytest.raises(ForeignElement):
             g.subset(["z"])
 

@@ -164,35 +164,27 @@ def test_load_validates_by_default(tmp_path):
         load(path)
 
 
-def test_hand_built_bases_refuse_foreign_labels_and_collapse_repeats():
-    # loads() checks labels itself; a MatroidFile built directly is read
-    # label by label, as ground.subset reads them
-    def built(*bases):
-        return MatroidFile("U_1_2", ("1", "2"), 1, bases, None).to_matroid()
-
-    with pytest.raises(ForeignElement):
-        built(("1",), ("z",))
-    assert built(("1", "1"), ("2",)) == uniform(1, 2)
+def test_a_hand_built_mask_with_a_foreign_bit_is_refused():
+    # loads() checks labels itself; a MatroidFile built directly is given
+    # masks, and a bit past the labels names no element, in either section
+    for section in ("bases", "nonbases"):
+        with pytest.raises(ForeignElement):
+            MatroidFile("X", ("1", "2", "3"), 2, section, (0b011, 0b1001))
 
 
-def test_hand_built_nonbases_read_labels_as_bases_rows_do():
-    # nonbasis rows go through the same label map as basis rows: labels
-    # first, then the size of each row by popcount
+def test_hand_built_nonbases_are_sized_by_popcount():
     def built(*nonbases):
-        return MatroidFile("X", ("1", "2", "3"), 2, None, nonbases).to_matroid()
+        return MatroidFile("X", ("1", "2", "3"), 2, "nonbases", nonbases).to_matroid()
 
-    with pytest.raises(ForeignElement):
-        built(("1", "z", "3"))
     with pytest.raises(ParseError, match="cardinality"):
-        built(("1", "2", "3"))
-    assert built(("1", "2", "2")) == built(("1", "2"))
-    assert built(("1", "2")).basis_count() == 2
+        built(0b111)
+    assert built(0b011).basis_count() == 2
 
 
 def test_a_hand_built_file_lists_exactly_one_section():
-    for bases, nonbases in ((None, None), ((("a",),), ())):
-        with pytest.raises(ValueError, match="exactly one"):
-            MatroidFile("X", ("a",), 1, bases, nonbases)
+    for section in (None, "both", "bases:"):
+        with pytest.raises(ValueError, match="section"):
+            MatroidFile("X", ("a",), 1, section, (0b1,))
 
 
 def test_basis_count_counts_a_repeated_row_once():
@@ -282,3 +274,13 @@ def test_reader_matches_a_naive_reader(drawn):
     assert frozenset(frozenset(b.labels()) for b in got.bases) == want
     assert listing.basis_count() == got.basis_count() == len(want)
     assert got == m
+    assert loads(dumps(listing)) == listing
+    listed = listing.bases if listing.section == "bases" else listing.nonbases
+    *_, rows = naive.listed_rows(text)
+    assert [set(row) for row in listed] == [set(row) for row in rows]
+
+
+def test_a_loaded_row_reads_back_in_ground_order():
+    listing = loads("name X\nelements a b\nrank 2\nbases:\nb a\n")
+    assert listing.bases == (("a", "b"),)
+    assert dumps(listing).splitlines()[-1] == "a b"
