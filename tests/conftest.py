@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from matroidfacets import (
     catalog_get,
@@ -10,6 +11,12 @@ from matroidfacets import (
 )
 
 CATALOG_NAMES = catalog_names()
+
+# Every property test runs the package against naive scans whose time
+# grows with the draw, so none has a per-example deadline; each test sets
+# its own max_examples.
+settings.register_profile("tests", deadline=None)
+settings.load_profile("tests")
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,12 @@
 """Named matroids, constructions, and the relaxation chain."""
 
-from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 import _naive as naive
+from _draws import draws
 import matroidfacets.catalog as catalog_mod
 from matroidfacets import (
     BadParameters,
@@ -255,56 +254,8 @@ def test_a_hyperplane_holding_a_parallel_pair_is_no_circuit_hyperplane():
         assert relax(m, c).basis_count() == m.basis_count() + 1
 
 
-def _basepoints(m):
-    """The labels that are neither loops nor coloops."""
-    degenerate = (m.loops() | m.coloops()).mask
-    return [lab for i, lab in enumerate(m.ground.labels) if not degenerate >> i & 1]
-
-
-@st.composite
-def _operand(draw):
-    """A uniform or graphic matroid on 3..5 elements, with a basepoint.
-    Each graphic edge beyond a spanning path closes a cycle, so it is
-    neither a loop nor a coloop."""
-    if draw(st.booleans()):
-        n = draw(st.integers(3, 5))
-        m = uniform(draw(st.integers(1, n - 1)), n)
-    else:
-        v = draw(st.integers(2, 4))
-        edges = [(i, i + 1) for i in range(v - 1)]
-        pairs = list(combinations(range(v), 2))
-        low, high = max(1, 3 - len(edges)), 5 - len(edges)
-        edges += draw(st.lists(st.sampled_from(pairs), min_size=low, max_size=high))
-        m = graphic(v, edges)
-    return m, draw(st.sampled_from(_basepoints(m)))
-
-
-@st.composite
-def _two_sum_draw(draw, nested):
-    """A 2-sum, or with ``nested`` a 2-sum of a 2-sum, with the rank the
-    theorem gives: the operands' ranks summed, less one per gluing."""
-    (m1, p1), (m2, p2) = draw(_operand()), draw(_operand())
-    m = two_sum(m1, p1, m2, p2)
-    rank = m1.rank_value + m2.rank_value - 1
-    if nested:
-        points = _basepoints(m)
-        assume(points)
-        m3, p3 = draw(_operand())
-        m = two_sum(m, draw(st.sampled_from(points)), m3, p3)
-        rank += m3.rank_value - 1
-    return m, rank
-
-
-@st.composite
-def _relaxed_draw(draw):
-    m, _ = draw(st.one_of(_operand(), _two_sum_draw(False)))
-    targets = circuit_hyperplanes(m)
-    assume(targets)
-    return relax(m, draw(st.sampled_from(targets))), m.rank_value
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(_two_sum_draw(False), _two_sum_draw(True), _relaxed_draw()))
+@settings(max_examples=200)
+@given(draws(11, loops=True).map(lambda drawn: drawn[:2]))
 def test_constructions_take_matroids_to_matroids(drawn):
     # two_sum and relax check no exchange at run time: these are the
     # theorems they rely on, against the naive triple loop

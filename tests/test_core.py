@@ -8,8 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import _naive as naive
-from _sparse_paving import sparse_paving, sparse_paving_matroids
-from test_catalog import _two_sum_draw
+from _draws import matroids, sparse_paving
 import matroidfacets.core as core_mod
 import matroidfacets.polytope as polytope
 from matroidfacets import (
@@ -32,7 +31,6 @@ from matroidfacets import (
     graphic,
     is_locked,
     predicted_facets_independence,
-    relax,
     two_sum,
     uniform,
 )
@@ -396,45 +394,20 @@ def test_subsets_by_size_order():
     ]
 
 
-@st.composite
-def _graphic(draw):
-    """A connected multigraph on 2..5 vertices with at most 7 edges."""
-    v = draw(st.integers(2, 5))
-    edges = [(i, i + 1) for i in range(v - 1)]
-    pairs = list(combinations(range(v), 2))
-    edges += draw(st.lists(st.sampled_from(pairs), max_size=7 - len(edges)))
-    return graphic(v, edges)
-
-
-@st.composite
-def _two_sum(draw):
-    n1 = draw(st.integers(3, 6))
-    n2 = draw(st.integers(3, 9 - n1))
-    m1 = uniform(draw(st.integers(1, n1 - 1)), n1)
-    m2 = uniform(draw(st.integers(1, n2 - 1)), n2)
-    return two_sum(m1, "1", m2, "2")
-
-
-@st.composite
-def _relaxed(draw):
-    m = draw(_graphic())
-    targets = circuit_hyperplanes(m)
-    return relax(m, draw(st.sampled_from(targets))) if targets else m
+def _perturbed(draw, m):
+    """(ground, basis masks) of a real matroid with up to two bases
+    removed and up to two r-sets added."""
+    masks = set(m._basis_masks)
+    for _ in range(draw(st.integers(0, 2))):
+        if len(masks) > 1:
+            masks.remove(draw(st.sampled_from(sorted(masks))))
+    masks.update(draw(st.lists(st.sampled_from(r_subsets(len(m.ground), m.rank_value)), max_size=2)))
+    return m.ground, sorted(masks)
 
 
 @st.composite
 def _perturbed_matroid(draw):
-    """A real matroid with one basis removed, one r-subset added, or
-    neither, as (ground, basis masks)."""
-    m = draw(st.one_of(_graphic(), _two_sum(), _relaxed()))
-    masks = set(m._basis_masks)
-    others = [s for s in subsets_by_size(m.ground, m.rank_value, m.rank_value) if s not in masks]
-    change = draw(st.sampled_from(["none", "remove", "add"]))
-    if change == "remove" and len(masks) > 1:
-        masks.remove(draw(st.sampled_from(sorted(masks))))
-    elif change == "add" and others:
-        masks.add(draw(st.sampled_from(others)))
-    return m.ground, sorted(masks)
+    return _perturbed(draw, draw(matroids(7, loops=True)))
 
 
 @st.composite
@@ -464,7 +437,7 @@ def _on_full_families(test):
     return test
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.one_of(_random_family(), _perturbed_matroid()))
 @_on_full_families
 def test_exchange_check_matches_the_naive_triple_loop(family):
@@ -545,28 +518,20 @@ def test_exchange_witness_pinned_on_the_complement_side():
 @st.composite
 def _high_rank_family(draw):
     """(ground, basis masks) with r > n - r and n <= 9: random r-sets, or
-    a drawn matroid or its dual, whichever has the higher rank, with up to
-    two bases removed and up to two r-sets added."""
+    a drawn matroid or its dual, whichever has the higher rank, perturbed."""
     if draw(st.booleans()):
         n = draw(st.integers(2, 9))
         g = GroundSet(str(i) for i in range(n))
         pool = r_subsets(n, draw(st.integers(n // 2 + 1, n)))
         family = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30, unique=True))
         return g, sorted(family)
-    m = draw(st.one_of(_graphic(), _two_sum(), _relaxed(), sparse_paving_matroids()))
+    m = draw(matroids(9, loops=True))
     n, r = len(m.ground), m.rank_value
     assume(2 * r != n)
-    if 2 * r < n:
-        m, r = m.dual(), n - r
-    masks = set(m._basis_masks)
-    for _ in range(draw(st.integers(0, 2))):
-        if len(masks) > 1:
-            masks.remove(draw(st.sampled_from(sorted(masks))))
-    masks.update(draw(st.lists(st.sampled_from(r_subsets(n, r)), max_size=2)))
-    return m.ground, sorted(masks)
+    return _perturbed(draw, m.dual() if 2 * r < n else m)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_high_rank_family())
 def test_exchange_check_on_the_complements_matches_the_naive_triple_loop(family):
     g, masks = family
@@ -619,8 +584,8 @@ def test_rank_table_and_point_queries_match_naive(name):
     _check_ranks_and_scan(_TABLE_CASES[name])
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(_graphic(), _two_sum(), _relaxed()))
+@settings(max_examples=150)
+@given(matroids(7, loops=True))
 def test_rank_table_matches_naive_on_drawn_matroids(m):
     _check_ranks_and_scan(m)
 
@@ -640,18 +605,8 @@ def _check_restricted_connectivity(m):
         assert dual.restrict(sub).is_connected() == naive.connected(labels, duals), sub
 
 
-@st.composite
-def _with_loops_and_coloops(draw):
-    """A drawn graphic, relaxed or 2-sum matroid (graphic ones may have
-    bridges, that is, coloops), summed with up to two loops or coloops."""
-    m = draw(st.one_of(_graphic(), _two_sum(), _relaxed()))
-    for extra in draw(st.lists(st.sampled_from([(0, 1), (1, 1)]), max_size=2)):
-        m = direct_sum(m, uniform(*extra))
-    return m
-
-
-@settings(max_examples=100, deadline=None)
-@given(_with_loops_and_coloops())
+@settings(max_examples=100)
+@given(matroids(9, loops=True))
 def test_connectivity_of_restrictions_matches_naive_on_drawn_matroids(m):
     _check_restricted_connectivity(m)
     ground, bases = naive.as_pair(m)
@@ -659,8 +614,8 @@ def test_connectivity_of_restrictions_matches_naive_on_drawn_matroids(m):
     assert sorted(got, key=sorted) == naive.components(ground, bases)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.one_of(_with_loops_and_coloops(), sparse_paving_matroids()), st.data())
+@settings(max_examples=100)
+@given(matroids(9, loops=True), st.data())
 def test_independence_matches_the_naive_rank_on_drawn_subsets(m, data):
     _, bases = naive.as_pair(m)
     for mask in data.draw(st.lists(st.integers(0, m.ground.full_mask), min_size=1, max_size=20)):
@@ -681,8 +636,8 @@ def _naive_rank_one_classes(labels, family):
     return classes
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.one_of(_with_loops_and_coloops(), sparse_paving_matroids()), st.data())
+@settings(max_examples=100)
+@given(matroids(9, loops=True), st.data())
 def test_column_rank_closure_corank_and_closures_match_naive(m, data):
     ground, bases = naive.as_pair(m)
     duals = naive.dual_bases(ground, bases)
@@ -736,19 +691,6 @@ def test_dual_sides_match_connectivity_in_the_dual(uniformity_pool, monkeypatch)
     assert reads  # the counter sees the dual rank function when it is read
 
 
-@st.composite
-def _with_a_summand(draw):
-    """A drawn matroid with up to two loops or coloops, summed with a
-    small uniform or graphic one or not: loops then sit inside the ground
-    set, and the summand adds a component of its own."""
-    m = draw(_with_loops_and_coloops())
-    pieces = [uniform(1, 2), uniform(2, 3), uniform(2, 4), uniform(3, 4), catalog_get("MK4").matroid]
-    # at most 11 elements in all, so that the naive scans stay quick
-    pieces = [p for p in pieces if len(m.ground) + len(p.ground) <= 11]
-    summand = draw(st.sampled_from([None, *pieces]))
-    return m if summand is None else direct_sum(m, summand)
-
-
 def _by_index(m):
     """Sets of labels in the package's order: by size, then by the
     sorted ground-set indices."""
@@ -756,8 +698,8 @@ def _by_index(m):
     return lambda s: (len(s), sorted(index[e] for e in s))
 
 
-@settings(max_examples=60, deadline=None)
-@given(_with_a_summand())
+@settings(max_examples=60)
+@given(matroids(11, loops=True))
 # connected, with only the empty set and E as cyclic flats, yet with a
 # 2-separation at rank or corank 1; U_2_4 is 3-connected
 @example(uniform(1, 4))
@@ -825,6 +767,25 @@ def test_exhaustive_scans_match_naive_definitions_on_drawn_matroids(m):
     assert fresh._dual is None  # read off the basis columns, no dual built
 
 
+@settings(max_examples=100)
+@given(matroids(10, loops=True))
+def test_lattice_ranks_give_every_rank_by_the_rank_formula(m):
+    # Bonin and de Mier: r(X) = min over the cyclic flats Z of r(Z) + |X - Z|.
+    # The lattice's keys are the cyclic flats less the loops, so each Z
+    # takes the loops back, and each must be closed and cyclic.
+    ground, bases = naive.as_pair(m)
+    loops = m.loops().mask
+    lattice = {z | loops: r for z, r in m._lattice().items()}
+    labels = [frozenset(m.ground.from_mask(x).labels()) for x in range(m.ground.full_mask + 1)]
+    for z, r in lattice.items():
+        assert r == naive.rank(bases, labels[z]), labels[z]
+        assert naive.closure(ground, bases, labels[z]) == labels[z], labels[z]
+        assert all(naive.rank(bases, labels[z] - {e}) == r for e in labels[z]), labels[z]
+    for x, sub in enumerate(labels):
+        formula = min(r + (x & ~z).bit_count() for z, r in lattice.items())
+        assert formula == naive.rank(bases, sub), sub
+
+
 def _lattice_sides(ground, bases):
     """The sides of ``Matroid._connected``'s contract, each with the naive
     answer, as {(labels, dual): connected}: the cyclic flats less the
@@ -846,15 +807,8 @@ def _lattice_sides(ground, bases):
     return sides
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.one_of(
-        _with_loops_and_coloops(),
-        _with_a_summand(),
-        sparse_paving_matroids(),
-        _two_sum_draw(nested=True).map(lambda drawn: drawn[0]),
-    )
-)
+@settings(max_examples=60)
+@given(matroids(11, loops=True))
 def test_lattice_sides_match_naive_connectivity(m):
     # every side of the contract; answers are kept, so a second fresh
     # copy asks about the M* sides first: answers kept under colliding
@@ -875,7 +829,7 @@ _MASKS = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_MASKS)
 def test_bit_indices_are_the_set_bits_in_order(mask):
     assert _bit_indices(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _naive as naive
+from _draws import matroids
 from conftest import build_uniformity_pool
 from matroidfacets import (
     ExchangeAxiomViolated,
@@ -225,9 +226,10 @@ _CORRUPTIONS = (None, "unknown", "repeat", "size", "row", "comment", "blank", "c
 
 @st.composite
 def _listings(draw):
-    """A pool matroid's file in either encoding, with at most one
-    corruption, and the pool matroid."""
-    name, m = draw(st.sampled_from(_encoder_pool() + build_uniformity_pool()))
+    """A pool or drawn matroid's file in either encoding, with at most
+    one corruption, and the matroid."""
+    pool = st.sampled_from(_encoder_pool() + build_uniformity_pool())
+    name, m = draw(pool | matroids(9, loops=True).map(lambda m: ("drawn", m)))
     encoding = draw(st.sampled_from(["bases", "nonbases"]))
     labels, r = m.ground.labels, m.rank_value
     bases = [frozenset(b.labels()) for b in m.bases]
@@ -258,7 +260,7 @@ def _listings(draw):
     return ending.join(lines) + ending, m
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_listings())
 def test_reader_matches_a_naive_reader(drawn):
     text, m = drawn

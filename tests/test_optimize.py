@@ -2,21 +2,18 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _naive as naive
-from _sparse_paving import sparse_paving_matroids
+from _draws import matroids
 from matroidfacets import (
     DimensionMismatch,
     WeightFunction,
     brute_force_max_basis,
     catalog_get,
-    direct_sum,
-    graphic,
     greedy_max_basis,
     independent_via_optimization,
     load,
@@ -138,24 +135,9 @@ class TestGreedy:
 
 @st.composite
 def _weighted_matroid(draw):
-    """A sparse paving, uniform or graphic matroid, or its dual, with up
-    to two loops or coloops summed on; weights with heavy ties, negative
-    and fractional ones among them; and a preferred set of labels, or None."""
-    kind = draw(st.sampled_from(["sparse paving", "uniform", "graphic"]))
-    if kind == "sparse paving":
-        m = draw(sparse_paving_matroids())
-    elif kind == "uniform":
-        n = draw(st.integers(1, 8))
-        m = uniform(draw(st.integers(0, n)), n)
-    else:
-        v = draw(st.integers(2, 5))
-        pairs = list(combinations(range(v), 2))
-        path = [(i, i + 1) for i in range(v - 1)]
-        m = graphic(v, path + draw(st.lists(st.sampled_from(pairs), max_size=5)))
-    if draw(st.booleans()):
-        m = m.dual()
-    for extra in draw(st.lists(st.sampled_from([(0, 1), (1, 1)]), max_size=2)):
-        m = direct_sum(m, uniform(*extra))
+    """A drawn matroid; weights with heavy ties, negative and fractional
+    ones among them; and a preferred set of labels, or None."""
+    m = draw(matroids(11, loops=True))
     pool = [-2, -1, 0, 0, 1, 1, 2, Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3)]
     values = draw(st.lists(st.sampled_from(pool), min_size=len(m.ground), max_size=len(m.ground)))
     prefer = draw(st.none() | st.sets(st.sampled_from(m.ground.labels)))
@@ -177,7 +159,7 @@ def _reference_greedy(m, values, prefer):
     return chosen, trace
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_weighted_matroid())
 def test_greedy_basis_and_trace_match_a_reference_over_the_naive_rank(case):
     m, values, prefer = case

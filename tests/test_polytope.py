@@ -5,15 +5,13 @@ import random
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import _naive as naive
-from _sparse_paving import sparse_paving, sparse_paving_matroids
+from _draws import matroids, sparse_paving
 import matroidfacets.core as core_mod
 import matroidfacets.polytope as polytope_mod
 import matroidfacets.uniformity as uniformity_mod
@@ -251,32 +249,8 @@ def _vertex_sets(m):
         yield [v.mask for v in verts], [frozenset(v.labels()) for v in verts]
 
 
-@st.composite
-def _with_clones(draw):
-    """A matroid on at most 9 elements with clones: uniform, a direct sum
-    or 2-sum of uniform ones, or a graph whose cycle through every vertex
-    leaves edges in series, and whose repeated chords are in parallel."""
-    kind = draw(st.sampled_from(["uniform", "direct sum", "2-sum", "graph"]))
-    if kind == "uniform":
-        n = draw(st.integers(1, 9))
-        return uniform(draw(st.integers(0, n)), n)
-    if kind == "direct sum":
-        n1 = draw(st.integers(1, 8))
-        n2 = draw(st.integers(1, 9 - n1))
-        return direct_sum(uniform(draw(st.integers(0, n1)), n1), uniform(draw(st.integers(0, n2)), n2))
-    if kind == "2-sum":
-        n1 = draw(st.integers(3, 8))
-        n2 = draw(st.integers(3, 11 - n1))
-        m1 = uniform(draw(st.integers(1, n1 - 1)), n1)
-        return two_sum(m1, "1", uniform(draw(st.integers(1, n2 - 1)), n2), "2")
-    v = draw(st.integers(2, 6))
-    edges = [(i, (i + 1) % v) for i in range(v)]
-    pairs = list(combinations(range(v), 2))
-    return graphic(v, edges + draw(st.lists(st.sampled_from(pairs), max_size=9 - v)))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.one_of(_with_clones(), sparse_paving_matroids()))
+@settings(max_examples=100)
+@given(matroids(9, loops=True))
 def test_oracle_over_the_cyclic_flats_matches_the_walk_over_every_subset(m):
     n = len(m.ground)
     for masks, label_sets in _vertex_sets(m):
