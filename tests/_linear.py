@@ -27,11 +27,10 @@ def _independent(vectors, p):
     return True
 
 
-def linear_matroid(p, r, n, seed, coloops=True):
+def linear_matroid(p, r, n, seed):
     """The matroid of n random nonzero columns in GF(p)^r, on labels
     "0".."n-1": a zero column would be a loop, so each is redrawn, and
-    the whole draw is redrawn until the columns have rank r (and, unless
-    ``coloops``, until no column lies outside the span of the others)."""
+    the whole draw is redrawn until the columns have rank r."""
     rng = random.Random(seed)
     while True:
         columns = []
@@ -44,15 +43,14 @@ def linear_matroid(p, r, n, seed, coloops=True):
             for c in combinations(range(n), r)
             if _independent([columns[i] for i in c], p)
         ]
-        if bases and (coloops or all(any(not b >> i & 1 for b in bases) for i in range(n))):
+        if bases:
             return Matroid._from_masks(GroundSet(str(i) for i in range(n)), bases)
 
 
-def linear(draw, max_size, loops):
+def linear(draw, max_size):
     """A linear matroid over GF(2) or GF(3) on 2 to ``max_size`` (9 at
-    most) elements, and its rank; with no coloop unless ``loops``, and
-    then at rank n/2 at most, where few draws have a coloop to redraw."""
+    most) elements, and its rank."""
     n = draw(st.integers(2, min(max_size, 9)))
-    r = draw(st.integers(1, n if loops else n // 2))
+    r = draw(st.integers(1, n))
     p = draw(st.sampled_from([2, 3]))
-    return linear_matroid(p, r, n, draw(st.integers(0, 2**32)), coloops=loops), r
+    return linear_matroid(p, r, n, draw(st.integers(0, 2**32))), r

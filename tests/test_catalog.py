@@ -255,7 +255,7 @@ def test_a_hyperplane_holding_a_parallel_pair_is_no_circuit_hyperplane():
 
 
 @settings(max_examples=200)
-@given(draws(11, loops=True).map(lambda drawn: drawn[:2]))
+@given(draws(11).map(lambda drawn: drawn[:2]))
 def test_constructions_take_matroids_to_matroids(drawn):
     # two_sum and relax check no exchange at run time: these are the
     # theorems they rely on, against the naive triple loop

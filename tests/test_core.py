@@ -407,7 +407,7 @@ def _perturbed(draw, m):
 
 @st.composite
 def _perturbed_matroid(draw):
-    return _perturbed(draw, draw(matroids(7, loops=True)))
+    return _perturbed(draw, draw(matroids(7)))
 
 
 @st.composite
@@ -525,7 +525,7 @@ def _high_rank_family(draw):
         pool = r_subsets(n, draw(st.integers(n // 2 + 1, n)))
         family = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30, unique=True))
         return g, sorted(family)
-    m = draw(matroids(9, loops=True))
+    m = draw(matroids(9))
     n, r = len(m.ground), m.rank_value
     assume(2 * r != n)
     return _perturbed(draw, m.dual() if 2 * r < n else m)
@@ -585,7 +585,7 @@ def test_rank_table_and_point_queries_match_naive(name):
 
 
 @settings(max_examples=150)
-@given(matroids(7, loops=True))
+@given(matroids(7))
 def test_rank_table_matches_naive_on_drawn_matroids(m):
     _check_ranks_and_scan(m)
 
@@ -606,7 +606,7 @@ def _check_restricted_connectivity(m):
 
 
 @settings(max_examples=100)
-@given(matroids(9, loops=True))
+@given(matroids(9))
 def test_connectivity_of_restrictions_matches_naive_on_drawn_matroids(m):
     _check_restricted_connectivity(m)
     ground, bases = naive.as_pair(m)
@@ -615,7 +615,7 @@ def test_connectivity_of_restrictions_matches_naive_on_drawn_matroids(m):
 
 
 @settings(max_examples=100)
-@given(matroids(9, loops=True), st.data())
+@given(matroids(9), st.data())
 def test_independence_matches_the_naive_rank_on_drawn_subsets(m, data):
     _, bases = naive.as_pair(m)
     for mask in data.draw(st.lists(st.integers(0, m.ground.full_mask), min_size=1, max_size=20)):
@@ -637,7 +637,7 @@ def _naive_rank_one_classes(labels, family):
 
 
 @settings(max_examples=100)
-@given(matroids(9, loops=True), st.data())
+@given(matroids(9), st.data())
 def test_column_rank_closure_corank_and_closures_match_naive(m, data):
     ground, bases = naive.as_pair(m)
     duals = naive.dual_bases(ground, bases)
@@ -699,7 +699,7 @@ def _by_index(m):
 
 
 @settings(max_examples=60)
-@given(matroids(11, loops=True))
+@given(matroids(11))
 # connected, with only the empty set and E as cyclic flats, yet with a
 # 2-separation at rank or corank 1; U_2_4 is 3-connected
 @example(uniform(1, 4))
@@ -768,7 +768,7 @@ def test_exhaustive_scans_match_naive_definitions_on_drawn_matroids(m):
 
 
 @settings(max_examples=100)
-@given(matroids(10, loops=True))
+@given(matroids(10))
 def test_lattice_ranks_give_every_rank_by_the_rank_formula(m):
     # Bonin and de Mier: r(X) = min over the cyclic flats Z of r(Z) + |X - Z|.
     # The lattice's keys are the cyclic flats less the loops, so each Z
@@ -808,7 +808,7 @@ def _lattice_sides(ground, bases):
 
 
 @settings(max_examples=60)
-@given(matroids(11, loops=True))
+@given(matroids(11))
 def test_lattice_sides_match_naive_connectivity(m):
     # every side of the contract; answers are kept, so a second fresh
     # copy asks about the M* sides first: answers kept under colliding

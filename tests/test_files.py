@@ -229,7 +229,7 @@ def _listings(draw):
     """A pool or drawn matroid's file in either encoding, with at most
     one corruption, and the matroid."""
     pool = st.sampled_from(_encoder_pool() + build_uniformity_pool())
-    name, m = draw(pool | matroids(9, loops=True).map(lambda m: ("drawn", m)))
+    name, m = draw(pool | matroids(9).map(lambda m: ("drawn", m)))
     encoding = draw(st.sampled_from(["bases", "nonbases"]))
     labels, r = m.ground.labels, m.rank_value
     bases = [frozenset(b.labels()) for b in m.bases]

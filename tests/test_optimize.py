@@ -137,7 +137,7 @@ class TestGreedy:
 def _weighted_matroid(draw):
     """A drawn matroid; weights with heavy ties, negative and fractional
     ones among them; and a preferred set of labels, or None."""
-    m = draw(matroids(11, loops=True))
+    m = draw(matroids(11))
     pool = [-2, -1, 0, 0, 1, 1, 2, Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3)]
     values = draw(st.lists(st.sampled_from(pool), min_size=len(m.ground), max_size=len(m.ground)))
     prefer = draw(st.none() | st.sets(st.sampled_from(m.ground.labels)))

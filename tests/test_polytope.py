@@ -250,7 +250,7 @@ def _vertex_sets(m):
 
 
 @settings(max_examples=100)
-@given(matroids(9, loops=True))
+@given(matroids(9))
 def test_oracle_over_the_cyclic_flats_matches_the_walk_over_every_subset(m):
     n = len(m.ground)
     for masks, label_sets in _vertex_sets(m):
