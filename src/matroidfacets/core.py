@@ -355,7 +355,7 @@ class Matroid:
     def __init__(self, ground: GroundSet, bases: Iterable[ElementSubset]):
         masks = []
         for b in bases:
-            if b.ground != ground:
+            if b.ground is not ground and b.ground != ground:
                 raise ForeignElement("basis built over a different ground set")
             masks.append(b.mask)
         self._fill(ground, masks)

@@ -19,6 +19,11 @@ Two constraints with the same tight set are the same facet.  A tight
 set is an int bitmask over vertex indices, in every result too: bit i is
 ``matroid.bases[i]``, or ``independence_vertices(matroid)[i]``.
 
+A constraint is its support mask, like every other subset here:
+``LinearConstraint(ground, support_mask, sense, rhs, origin)``, with bit
+i for ``ground.labels[i]``.  Its 0/1 coefficient tuple ``coeffs`` is
+derived from the mask on each read.
+
 One brute-force oracle serves both polytopes.  It reads the vertex
 masks (the bases, or the independent sets) and a list of subsets, and
 eliminates Edmonds' (1970) candidates x_i >= 0 and x(A) <= h(A), with
@@ -67,9 +72,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, partial, reduce
-from itertools import compress
 from math import lcm
-from operator import and_, mul
+from operator import mul
 from struct import Struct
 from typing import Iterable, Sequence
 
@@ -125,35 +129,37 @@ def _scaled(point: Iterable) -> tuple[list[int], int]:
 
 @dataclass(frozen=True)
 class LinearConstraint:
-    """A 0/1-support constraint  x(S) sense rhs  over a ground set."""
+    """A 0/1-support constraint  x(S) sense rhs  over a ground set, S
+    given by its bitmask over the ground set: bit i is ``ground.labels[i]``."""
 
     ground: GroundSet
-    coeffs: tuple[int, ...]
+    support_mask: int
     sense: str
     rhs: int
     origin: Origin
 
     def __post_init__(self):
-        if len(self.coeffs) != len(self.ground):
-            raise DimensionMismatch("coefficient count != ground-set size")
+        if not isinstance(self.support_mask, int):
+            raise TypeError(f"support_mask must be an int bitmask, not {type(self.support_mask).__name__}")
+        if self.support_mask & ~self.ground.full_mask:
+            self.ground.from_mask(self.support_mask)  # raises ForeignElement
         if self.sense not in _SENSES:
             raise ValueError(f"sense must be one of {_SENSES}")
-        if any(c not in (0, 1) for c in self.coeffs):
-            raise ValueError("constraints here have 0/1 coefficients")
-        if not any(self.coeffs):
+        if not self.support_mask:
             raise ValueError("empty support")
 
     @property
-    def support_mask(self) -> int:
-        return sum(1 << i for i, c in enumerate(self.coeffs) if c)
+    def coeffs(self) -> tuple[int, ...]:
+        """The 0/1 coefficient of each element, in ground order."""
+        return tuple(self.support_mask >> i & 1 for i in range(len(self.ground)))
 
     def support(self) -> ElementSubset:
         return ElementSubset(self.ground, self.support_mask)
 
     def evaluate(self, point: Sequence) -> Fraction:
-        if len(point) != len(self.coeffs):
+        if len(point) != len(self.ground):
             raise DimensionMismatch("point dimension != ground-set size")
-        scaled, scale = _scaled(compress(point, self.coeffs))
+        scaled, scale = _scaled([point[i] for i in _bit_indices(self.support_mask)])
         return Fraction(sum(scaled), scale)
 
     def violation(self, point: Sequence) -> Fraction:
@@ -166,13 +172,12 @@ class LinearConstraint:
         return self.violation(point) == 0
 
     def canonical(self) -> str:
-        labels = " ".join(lab for lab, c in zip(self.ground.labels, self.coeffs) if c)
+        labels = " ".join(self.support())
         return f"x({labels}) {self.sense} {self.rhs} [{self.origin.value}]"
 
     @classmethod
     def on_subset(cls, subset: ElementSubset, sense: str, rhs: int, origin: Origin) -> "LinearConstraint":
-        coeffs = tuple(1 if subset.mask >> i & 1 else 0 for i in range(len(subset.ground)))
-        return cls(subset.ground, coeffs, sense, rhs, origin)
+        return cls(subset.ground, subset.mask, sense, rhs, origin)
 
 
 @dataclass(frozen=True)
@@ -228,15 +233,20 @@ class _PackedRows(dict):
             for half in ("<=", ">=") if c.sense == "=" else (c.sense,):
                 out = c
                 if c is system.equality:
-                    out = LinearConstraint(c.ground, c.coeffs, half, c.rhs, Origin.RANK_EQUALITY)
-                rows.append((c.coeffs, c.rhs, 1 if half == "<=" else -1, out))
-        coeffs, rhs, signs, self.returned = tuple(zip(*rows)) or ((),) * 4
+                    out = LinearConstraint(c.ground, c.support_mask, half, c.rhs, Origin.RANK_EQUALITY)
+                rows.append((c.support_mask, c.rhs, 1 if half == "<=" else -1, out))
+        masks, rhs, signs, self.returned = tuple(zip(*rows)) or ((),) * 4
         scaled, self.scale = _scaled(rhs)
         self.rhs = [sign * r for sign, r in zip(signs, scaled)]
         self.largest = max(map(abs, self.rhs), default=0)
         # one byte per row, 1 where the row holds the coordinate with that sign
-        plus, minus = [s > 0 for s in signs], [s < 0 for s in signs]
-        self.holders = [(bytes(map(and_, col, plus)), bytes(map(and_, col, minus))) for col in zip(*coeffs)]
+        n, count = len(system.ground), len(masks)
+        plus, minus = [bytearray(count) for _ in range(n)], [bytearray(count) for _ in range(n)]
+        for k, (mask, sign) in enumerate(zip(masks, signs)):
+            holders = plus if sign > 0 else minus
+            for i in _bit_indices(mask):
+                holders[i][k] = 1
+        self.holders = list(zip(plus, minus))
 
     def __missing__(self, width: int) -> tuple:
         rows, bits = len(self.rhs), 8 * width
@@ -590,14 +600,9 @@ def predicted_facets_independence(matroid: Matroid) -> FacetSystem:
     matroid (loops would flatten the polytope)."""
     matroid._refuse_loops()
     ground = matroid.ground
-    facets = [
-        LinearConstraint.on_subset(ground.singleton(lab), ">=", 0, Origin.NONNEGATIVITY)
-        for lab in ground.labels
-    ]
+    facets = [LinearConstraint(ground, 1 << i, ">=", 0, Origin.NONNEGATIVITY) for i in range(len(ground))]
     for mask, rank in _connected_flats(matroid).items():
-        facets.append(
-            LinearConstraint.on_subset(ElementSubset(ground, mask), "<=", rank, Origin.RANK_UPPER)
-        )
+        facets.append(LinearConstraint(ground, mask, "<=", rank, Origin.RANK_UPPER))
     return FacetSystem(ground, None, tuple(facets), ())
 
 

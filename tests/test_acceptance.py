@@ -9,12 +9,10 @@ them here; everything else is exact arithmetic with no tolerances.
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
 
 from matroidfacets import (
     WeightFunction,
     brute_force_max_basis,
-    catalog_get,
     catalog_names,
     certify,
     enumerate_locked,

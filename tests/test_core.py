@@ -13,7 +13,6 @@ import matroidfacets.core as core_mod
 import matroidfacets.polytope as polytope
 from matroidfacets import (
     ColoopPresent,
-    ElementSubset,
     EmptyBasisFamily,
     EmptyGroundSet,
     ExchangeAxiomViolated,
@@ -113,6 +112,14 @@ class TestConstruction:
         m = Matroid(g, [g.subset(["a", "b"]), g.subset(["c", "d"])])
         with pytest.raises(ExchangeAxiomViolated):
             m.validate()
+
+    def test_a_basis_ground_is_checked_by_its_labels(self):
+        g = GroundSet(("a", "b", "c"))
+        twin = GroundSet(("a", "b", "c"))
+        m = Matroid(g, [twin.subset(["a", "b"]), g.subset(["b", "c"])])
+        assert m.ground is g and m._basis_masks == (0b011, 0b110)
+        with pytest.raises(ForeignElement):
+            Matroid(g, [GroundSet(("a", "c", "b")).subset(["a", "b"])])
 
     def test_repr_after_a_failed_construction(self):
         g = GroundSet(("a", "b"))

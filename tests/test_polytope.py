@@ -22,6 +22,7 @@ from matroidfacets import (
     DegeneratePolytope,
     DimensionMismatch,
     FacetSystem,
+    ForeignElement,
     GroundSet,
     LinearConstraint,
     LoopPresent,
@@ -90,6 +91,25 @@ class TestLinearConstraint:
         c = LinearConstraint.on_subset(m.ground.full, ">=", 2, Origin.COPARALLEL_LOWER)
         assert c.violation([0, 0, 0]) == 2
         assert c.violation([1, 1, 1]) == 0
+
+    def test_the_support_is_the_mask(self):
+        ground = GroundSet("abcd")
+        for mask in range(1, 16):
+            c = LinearConstraint.on_subset(ground.from_mask(mask), "<=", 1, Origin.RANK_UPPER)
+            assert c.support_mask == mask and c.support() == ground.from_mask(mask)
+            assert c.coeffs == tuple(mask >> i & 1 for i in range(4))
+
+    def test_refusals(self):
+        ground = GroundSet("abcd")
+        with pytest.raises(TypeError, match="support_mask"):
+            LinearConstraint(ground, (1, 0, 0, 0), "<=", 1, Origin.RANK_UPPER)
+        for foreign in (0b10000, 0b10001, -1, -2):
+            with pytest.raises(ForeignElement, match="bits outside the ground set"):
+                LinearConstraint(ground, foreign, "<=", 1, Origin.RANK_UPPER)
+        with pytest.raises(ValueError, match="empty support"):
+            LinearConstraint(ground, 0, "<=", 1, Origin.RANK_UPPER)
+        with pytest.raises(ValueError, match="sense"):
+            LinearConstraint(ground, 0b1, "<", 1, Origin.RANK_UPPER)
 
 
 class TestPredictedBases:
@@ -611,7 +631,7 @@ def test_tight_sets_read_an_integral_rhs_of_any_type():
         want = tight_set(m, c)
         assert want
         for rhs, tight in [(Fraction(2), want), (2.0, want), (Fraction(3, 2), 0)]:
-            other = LinearConstraint(c.ground, c.coeffs, c.sense, rhs, c.origin)
+            other = LinearConstraint(c.ground, c.support_mask, c.sense, rhs, c.origin)
             assert tight_set(m, other) == tight, (tight_set.__name__, rhs)
 
 
@@ -729,10 +749,10 @@ def _drawn_system(rng, n, with_equality):
     ground = GroundSet(str(i) for i in range(n))
 
     def drawn(sense, origin):
-        coeffs = (0,) * n
-        while not any(coeffs):
-            coeffs = tuple(rng.randint(0, 1) for _ in range(n))
-        return LinearConstraint(ground, coeffs, sense, rng.randint(-1, 3), origin)
+        mask = 0
+        while not mask:
+            mask = sum(rng.randint(0, 1) << i for i in range(n))
+        return LinearConstraint(ground, mask, sense, rng.randint(-1, 3), origin)
 
     facets = [drawn(rng.choice(polytope_mod._SENSES), rng.choice(list(Origin))) for _ in range(rng.randint(1, 12))]
     for c in rng.sample(facets, rng.randint(0, len(facets))):
@@ -899,7 +919,7 @@ class TestPackedSeparation:
         # the float 0.1 is a little over 1/10, and 1/10**40 over it is
         # lost when the gap is taken in floats
         ground = uniform(1, 2).ground
-        c = LinearConstraint(ground, (1, 0), "<=", 0.1, Origin.RANK_UPPER)
+        c = LinearConstraint(ground, 0b01, "<=", 0.1, Origin.RANK_UPPER)
         point = [Fraction(0.1) + Fraction(1, 10**40), 0]
         assert c.violation(point) == Fraction(1, 10**40)
         assert not c.satisfied_by(point)
