@@ -20,9 +20,9 @@ ranks is built.  Components read the same columns, from the fundamental
 graph of a greedy basis, in r(n-r) ANDs.
 
 The exhaustive scans (the cyclic flats, and the locked subsets,
-3-connectivity and facet oracles read off them) need two sets of
-subsets, each one bit per subset of an int of 2^n bits: the independent
-sets, and the sets of odd rank.  They are capped at MAX_SCAN_SIZE
+parallel classes, 3-connectivity and facet oracles read off them) need
+two sets of subsets, each one bit per subset of an int of 2^n bits: the
+independent sets, and the sets of odd rank.  They are capped at MAX_SCAN_SIZE
 elements, where each takes 2 MiB.  No scan walks the 2^n subsets in
 Python: n passes over the parity bits, as one big int, find the cyclic
 flats (closed unions of circuits), the only candidates the other scans
@@ -826,15 +826,19 @@ class Matroid:
 
     # -- parallel structure -------------------------------------------------
 
-    def _rank_one_classes(self, together) -> tuple[ElementSubset, ...]:
-        """The partition of E into the classes that the pair test
-        ``together(i, j)`` joins.  Each class is tested from its first
-        element on."""
-        n = len(self.ground)
-        classes: list[int] = []
-        for i in range(n):
-            if not any(c >> i & 1 for c in classes):
-                classes.append(1 << i | sum(1 << j for j in range(i + 1, n) if together(i, j)))
+    def _rank_one_classes(self, dual: bool) -> tuple[ElementSubset, ...]:
+        """The partition of E into the rank-1 members of 𝓛 (of 𝓛* with
+        ``dual``) and singletons, ordered by first element.  In a loopless
+        matroid a rank-1 flat is the closure of any element of it, so the
+        parallel classes of two or more elements, which are cyclic, are
+        exactly the rank-1 cyclic flats; the singletons are the elements
+        parallel to no other.  Dually for a coloopless M and 𝓛*."""
+        classes = [z for z, rank in self._lattice(dual).items() if rank == 1]
+        covered = 0
+        for c in classes:
+            covered |= c
+        classes += [1 << i for i in _bit_indices(self.ground.full_mask ^ covered)]
+        classes.sort(key=lambda m: (m & -m).bit_length())
         return tuple(ElementSubset(self.ground, c) for c in classes)
 
     def _refuse_loops(self) -> None:
@@ -850,26 +854,28 @@ class Matroid:
             raise ColoopPresent(next(iter(coloops)))
 
     def parallel_closures(self) -> tuple[ElementSubset, ...]:
-        """The partition of E into maximal rank-1 classes.  Needs a
-        loopless matroid, in which e and f are parallel when no basis
-        holds both."""
+        """The partition of E into maximal rank-1 classes, read off
+        ``_lattice``, so capped at MAX_SCAN_SIZE elements like every
+        exhaustive scan.  Needs a loopless matroid."""
         self._refuse_loops()
-        columns = self._basis_columns()
-        return self._rank_one_classes(lambda e, f: not columns[e] & columns[f])
+        return self._rank_one_classes(dual=False)
 
     def coparallel_closures(self) -> tuple[ElementSubset, ...]:
-        """Parallel closures of the dual.  Needs a coloopless matroid, in
-        which e and f are coparallel when every basis holds one of them."""
+        """Parallel closures of the dual, read off ``_lattice(dual=True)``,
+        so capped at MAX_SCAN_SIZE elements.  Needs a coloopless matroid."""
         self._refuse_coloops()
-        columns, every = self._basis_columns(), (1 << len(self._basis_masks)) - 1
-        return self._rank_one_classes(lambda e, f: columns[e] | columns[f] == every)
+        return self._rank_one_classes(dual=True)
 
     def is_simple(self) -> bool:
-        """No loops and no two distinct parallel elements."""
+        """No loops and no two distinct parallel elements.  Reads
+        ``parallel_closures``, so a loopless M is capped at MAX_SCAN_SIZE
+        elements."""
         return not self.loops() and len(self.parallel_closures()) == len(self.ground)
 
     def is_cosimple(self) -> bool:
-        """No coloops and no two distinct coparallel elements."""
+        """No coloops and no two distinct coparallel elements.  Reads
+        ``coparallel_closures``, so a coloopless M is capped at
+        MAX_SCAN_SIZE elements."""
         return not self.coloops() and len(self.coparallel_closures()) == len(self.ground)
 
 

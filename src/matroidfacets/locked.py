@@ -115,11 +115,13 @@ def enumerate_locked(matroid: Matroid, cap: int | None = None) -> tuple[ElementS
 
 def _structure(matroid: Matroid, locked: tuple[ElementSubset, ...]) -> LockedStructure:
     """The structure around locked sets already found: the parallel and
-    coparallel closures, and the rank of each closure and locked set,
-    a locked set's read off the lattice."""
+    coparallel closures, and the rank of each closure and locked set.
+    The parallel closures are read off the lattice with their rank, 1,
+    as a locked set's rank is; a coparallel closure's is a greedy walk."""
     parallel = matroid.parallel_closures()
     coparallel = matroid.coparallel_closures()
-    rho = {s: matroid._rank_mask(s.mask) for s in (*parallel, *coparallel)}
+    rho = dict.fromkeys(parallel, 1)
+    rho.update((s, matroid._rank_mask(s.mask)) for s in coparallel)
     ranks = matroid._lattice()
     for s in locked:
         rho[s] = ranks[s.mask]

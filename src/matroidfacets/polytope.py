@@ -49,9 +49,11 @@ Only the maximal ones are tested, since a face inside another proper
 face is no facet.  With a leading 1 on each vertex, a proper face's
 vertex matrix has rank at most the polytope's dimension d, and its rank
 over GF(2), an XOR basis of the face and its columns, is never above
-its rank over Q: reaching d there settles a facet.  Only a face that
-falls short, and the polytope itself, get fraction-free (Bareiss)
-elimination of their Gram matrix, at most (n+1)-square.  The other
+its rank over Q: reaching d there settles a facet.  The polytope's own
+rank is settled the same way, against 1 plus its varying coordinates,
+less 1 when the vertices share a coordinate sum.  Only a face or a
+polytope that falls short gets fraction-free (Bareiss) elimination of
+its Gram matrix, at most (n+1)-square.  The other
 tight sets (predicted constraints, collapse excuses, the lemma scan)
 are read from the same counts.  ``separate`` and
 ``LinearConstraint.evaluate`` read coordinates exactly, floats included,
@@ -371,6 +373,25 @@ def _gf2_rank(vectors: Iterable[int]) -> int:
     return len(basis)
 
 
+def _dimension(count: int, columns: Sequence[int], shared: int) -> int:
+    """Affine dimension of ``count`` vertices from their columns, with
+    ``shared`` 1 when they all have the same coordinate sum.
+
+    With a leading 1 on each vertex, the matrix has rank at most 1 + k
+    for k varying coordinates, and 1 less when the sum is shared and
+    k > 0, as the varying columns then add up to a multiple of the
+    leading one.  Its rank over GF(2) is never above that over Q, so
+    reaching the bound there settles it; only a family that falls short,
+    such as disconnected bases, gets the Gram matrix.
+    """
+    every = (1 << count) - 1
+    varying = _varying_columns(every, columns)
+    rank = _gf2_rank([every, *varying])
+    if rank < len(varying) + 1 - (shared if varying else 0):
+        rank = _gram_rank(count, varying)
+    return rank - 1
+
+
 def _facet_oracle(
     vertex_masks: Sequence[int], columns: Sequence[int], subsets: Iterable[int]
 ) -> tuple[int, frozenset]:
@@ -382,27 +403,27 @@ def _facet_oracle(
     that max: for a matroid's bases or independent sets, its cyclic flats.
     """
     every = (1 << len(vertex_masks)) - 1
-    dim = _gram_rank(len(vertex_masks), _varying_columns(every, columns)) - 1
+    shared = 1 if len({v.bit_count() for v in vertex_masks}) == 1 else 0
+    dim = _dimension(len(vertex_masks), columns, shared)
     # Exact screen: a facet's dimension, dim - 1, is at most its k varying
     # coordinates, or max(k - 1, 0) when the vertices share a coordinate sum
-    shared = 1 if len({v.bit_count() for v in vertex_masks}) == 1 else 0
     need = dim - 1 + shared if dim > 1 else 0
     supports = [1 << i for i in range(len(columns))] + [a for a in subsets if a]
     tights = {every & ~col for col in columns}
     for a in supports:
         tights.add(_tight(reduce(_plus, [columns[i] for i in _bit_indices(a)], []), every))
     tights.discard(every)  # the whole polytope, no proper face
-    passed = [t for t in tights if _varying_columns(t, columns, need) is not None]
+    # each passing tight set with its varying columns, read once
+    passed = {t: v for t in tights if (v := _varying_columns(t, columns, need)) is not None}
     maximal: list[int] = []
     for t in sorted(passed, key=int.bit_count, reverse=True):
         if all(t & m != t for m in maximal):
             maximal.append(t)
     facets = []
     for t in maximal:
-        varying = _varying_columns(t, columns)
         # a proper face has rank at most dim over Q, and over GF(2) no more
         # than that: reaching dim there settles a facet with no Gram matrix
-        if _gf2_rank([t, *varying]) == dim or _gram_rank(t.bit_count(), varying) == dim:
+        if _gf2_rank([t, *passed[t]]) == dim or _gram_rank(t.bit_count(), passed[t]) == dim:
             facets.append(t)
     return dim, frozenset(facets)
 
@@ -413,8 +434,8 @@ def polytope_dimension(vertices: Iterable[ElementSubset]) -> int:
     if not vertices:
         raise ValueError("no vertices")
     masks = [v.mask for v in vertices]
-    columns = _vertex_columns(masks, len(vertices[0].ground))
-    return _gram_rank(len(masks), _varying_columns((1 << len(masks)) - 1, columns)) - 1
+    shared = 1 if len({m.bit_count() for m in masks}) == 1 else 0
+    return _dimension(len(masks), _vertex_columns(masks, len(vertices[0].ground)), shared)
 
 
 def _connected_flats(matroid: Matroid) -> dict[int, int]:

@@ -643,6 +643,23 @@ def _naive_rank_one_classes(labels, family):
     return classes
 
 
+def test_closures_with_a_parallel_and_a_series_pair_match_naive():
+    # U_2_4 with one element made a parallel pair and another a series
+    # pair: the classes of two or more are rank-1 members of 𝓛 and 𝓛*
+    pairs = two_sum(two_sum(uniform(2, 4), "1", uniform(1, 3), "1"), "L.2", uniform(2, 3), "1")
+    ground, bases = naive.as_pair(pairs)
+    sides = (
+        (bases, pairs.parallel_closures(), ("L.R.2", "L.R.3")),
+        (naive.dual_bases(ground, bases), pairs.coparallel_closures(), ("R.2", "R.3")),
+    )
+    for family, classes, pair in sides:
+        got = [c.labels() for c in classes]
+        assert [frozenset(c) for c in got] == _naive_rank_one_classes(pairs.ground.labels, family)
+        assert [c for c in got if len(c) > 1] == [pair]
+        assert len(got) == len(pairs.ground) - 1
+    assert not pairs.is_simple() and not pairs.is_cosimple()
+
+
 @settings(max_examples=100)
 @given(matroids(9), st.data())
 def test_column_rank_closure_corank_and_closures_match_naive(m, data):

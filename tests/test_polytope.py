@@ -304,13 +304,34 @@ def test_oracle_eliminates_only_facets_and_reads_few_candidates(monkeypatch):
     calls = _count_calls(monkeypatch, ("_gf2_rank", "_gram_rank", "_tight"))
     dim, facets = polytope_mod._bases_oracle(_wheel(6))
     # the polytope's dimension, then one rank per facet: 2|E| + 25 locked,
-    # each of them settled over GF(2)
+    # each of them settled over GF(2), the dimension too
     assert len(facets) == 49
-    assert calls["_gf2_rank"] + calls["_gram_rank"] == 1 + 49
-    assert calls["_gram_rank"] == 1
+    assert calls["_gf2_rank"] == 1 + 49
+    assert calls["_gram_rank"] == 0
     calls.clear()
     polytope_mod._bases_oracle(uniform(4, 12))
     assert calls["_tight"] < 100  # the walk over every subset reads 4 096
+
+
+def test_gram_elimination_decides_the_dimension_where_gf2_falls_short(monkeypatch):
+    # the bases of U_2_4 ⊕ U_2_4 span 7 over GF(2) against a bound of 8
+    # (8 varying coordinates, one coordinate sum), and 0, ab, bc, ac, d
+    # span 4 against 5, as ab + bc + ac = 0 over GF(2)
+    u = uniform(2, 4)
+    hand = [0b0000, 0b0011, 0b0110, 0b0101, 0b1000]
+    for masks, n, bound, want in ((direct_sum(u, u)._basis_masks, 8, 8, 6), (hand, 4, 5, 4)):
+        columns = polytope_mod._vertex_columns(masks, n)
+        every = (1 << len(masks)) - 1
+        varying = polytope_mod._varying_columns(every, columns)
+        assert polytope_mod._gf2_rank([every, *varying]) == bound - 1
+        shared = len(set(map(int.bit_count, masks))) == 1
+        calls = _count_calls(monkeypatch, ("_gram_rank",))
+        assert polytope_mod._dimension(len(masks), columns, shared) == want
+        assert calls["_gram_rank"] == 1
+        monkeypatch.undo()
+        dim, _ = polytope_mod._facet_oracle(masks, columns, range(1, 1 << n))
+        assert dim == _gram_dimension(every, columns) == want
+    assert polytope_dimension(direct_sum(u, u).bases) == 6
 
 
 def test_gram_elimination_decides_where_gf2_falls_short(monkeypatch):
