@@ -19,7 +19,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
-from itertools import combinations
 from typing import Callable
 
 from .core import ElementSubset, GroundSet, MatroidError, Matroid, r_subsets
@@ -77,27 +76,18 @@ def uniform(r: int, n: int) -> Matroid:
     return Matroid._from_masks(GroundSet(_uniform_labels(r, n)), r_subsets(n, r))
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-
 def graphic(num_vertices: int, edges: list[tuple[int, int]], labels: list[str] | None = None) -> Matroid:
     """The cycle matroid of a connected multigraph: one element per edge,
-    bases are the spanning trees.  Vertices are 0..num_vertices-1."""
+    bases are the spanning trees.  Vertices are 0..num_vertices-1.
+
+    The trees come from a depth-first search over the edges in index
+    order (Read and Tarjan, *Networks* 5, 1975).  A node is a forest on
+    edges[:i], kept as one component label per vertex: edge i joins it
+    when its ends lie in different components, and leaving edge i out is
+    always tried.  A forest of size s is dropped once s + reach[i], where
+    reach[i] is the rank of edges[i:], falls below V - 1, so the search
+    visits only forests that can still span, not all C(m, V - 1) edge
+    subsets."""
     if num_vertices < 1:
         raise BadParameters("graphic needs at least one vertex")
     if not edges:
@@ -107,25 +97,36 @@ def graphic(num_vertices: int, edges: list[tuple[int, int]], labels: list[str] |
             raise BadParameters(f"edge ({u}, {v}) mentions an unknown vertex")
         if u == v:
             raise BadParameters("self-loops are not supported here")
-    uf = _UnionFind(num_vertices)
-    for u, v in edges:
-        uf.union(u, v)
-    if len({uf.find(i) for i in range(num_vertices)}) != 1:
+    rank = num_vertices - 1
+    # one pass from the last edge back, with the same component labels;
+    # reach[0] is the rank of the graph, V - 1 exactly when it is connected
+    reach = [0] * (len(edges) + 1)
+    comp = list(range(num_vertices))
+    for i in range(len(edges) - 1, -1, -1):
+        u, v = edges[i]
+        a, b = comp[u], comp[v]
+        reach[i] = reach[i + 1] + (a != b)
+        if a != b:
+            comp = [a if c == b else c for c in comp]
+    if reach[0] != rank:
         raise DisconnectedGraph("the multigraph must be connected")
     if labels is None:
         labels = [f"e{i}" for i in range(len(edges))]
     ground = GroundSet(labels)
     if len(ground) != len(edges):
         raise BadParameters("one label per edge required")
-    rank = num_vertices - 1
     masks = []
-    for combo in combinations(range(len(edges)), rank):
-        uf = _UnionFind(num_vertices)
-        if all(uf.union(*edges[i]) for i in combo):
-            m = 0
-            for i in combo:
-                m |= 1 << i
-            masks.append(m)
+    stack = [(0, 0, 0, list(range(num_vertices)))]
+    while stack:
+        i, size, mask, comp = stack.pop()
+        if size == rank:
+            masks.append(mask)
+        elif size + reach[i] >= rank:
+            stack.append((i + 1, size, mask, comp))
+            u, v = edges[i]
+            a, b = comp[u], comp[v]
+            if a != b:
+                stack.append((i + 1, size + 1, mask | 1 << i, [a if c == b else c for c in comp]))
     return Matroid._from_masks(ground, masks)
 
 

@@ -135,21 +135,23 @@ def cmd_facets(args):
     by_origin: dict[str, int] = {}
     for c in system.facets:
         by_origin[c.origin.value] = by_origin.get(c.origin.value, 0) + 1
+    equality = system.equality.canonical() if system.equality else None
+    facets = [c.canonical() for c in system.facets]
+    collapsed = [c.canonical() for c in system.collapsed]
     results = {
         "name": mf.name,
-        "equality": system.equality.canonical() if system.equality else None,
-        "facets": [c.canonical() for c in system.facets],
-        "facet_count": len(system.facets),
+        "equality": equality,
+        "facets": facets,
+        "facet_count": len(facets),
         "by_origin": by_origin,
-        "collapsed": [c.canonical() for c in system.collapsed],
+        "collapsed": collapsed,
     }
     text = [f"polytope: {args.polytope}"]
-    if system.equality is not None:
-        text.append(f"equality: {system.equality.canonical()}")
-    text.append(f"facets: {len(system.facets)}")
-    text.extend(f"  {c.canonical()}" for c in system.facets)
-    for c in system.collapsed:
-        text.append(f"collapsed: {c.canonical()}")
+    if equality is not None:
+        text.append(f"equality: {equality}")
+    text.append(f"facets: {len(facets)}")
+    text.extend(f"  {c}" for c in facets)
+    text.extend(f"collapsed: {c}" for c in collapsed)
     return results, text, 0
 
 

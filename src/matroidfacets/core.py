@@ -349,6 +349,7 @@ class Matroid:
         "_components",
         "_sides",
         "_bases",
+        "_loop_masks",
         "_hash",
     )
 
@@ -389,6 +390,7 @@ class Matroid:
         self._components: tuple[ElementSubset, ...] | None = None
         self._sides: dict[int, bool] = {}
         self._bases: tuple[ElementSubset, ...] | None = None
+        self._loop_masks: tuple[int, int] | None = None
         self._hash = hash((ground, self._basis_masks))
 
     # -- identity ---------------------------------------------------------
@@ -538,19 +540,20 @@ class Matroid:
     def is_closed(self, x: ElementSubset) -> bool:
         return self.closure(x).mask == x.mask
 
+    def _loops_and_coloops(self) -> tuple[int, int]:
+        """The masks of the loops and of the coloops, from one pass over
+        the bases on first use, then kept."""
+        if self._loop_masks is None:
+            self._loop_masks = _absent_and_common(self._basis_masks, self.ground.full_mask)
+        return self._loop_masks
+
     def loops(self) -> ElementSubset:
         """Elements contained in no basis."""
-        used = 0
-        for b in self._basis_masks:
-            used |= b
-        return ElementSubset(self.ground, self.ground.full_mask & ~used)
+        return ElementSubset(self.ground, self._loops_and_coloops()[0])
 
     def coloops(self) -> ElementSubset:
         """Elements contained in every basis."""
-        common = self.ground.full_mask
-        for b in self._basis_masks:
-            common &= b
-        return ElementSubset(self.ground, common)
+        return ElementSubset(self.ground, self._loops_and_coloops()[1])
 
     # -- duality and minors -----------------------------------------------
 
@@ -877,6 +880,15 @@ class Matroid:
         ``coparallel_closures``, so a coloopless M is capped at
         MAX_SCAN_SIZE elements."""
         return not self.coloops() and len(self.coparallel_closures()) == len(self.ground)
+
+
+def _absent_and_common(masks: Iterable[int], full: int) -> tuple[int, int]:
+    """The bits of ``full`` set in no mask, and those set in every mask."""
+    used, common = 0, full
+    for b in masks:
+        used |= b
+        common &= b
+    return full & ~used, common
 
 
 def r_subsets(n: int, r: int) -> list[int]:

@@ -31,7 +31,8 @@ class WeightFunction:
 
     @classmethod
     def from_values(cls, ground: GroundSet, values: Iterable) -> "WeightFunction":
-        return cls(ground, tuple(Fraction(v) for v in values))
+        # a Fraction is immutable, so one is kept, not copied
+        return cls(ground, tuple(v if type(v) is Fraction else Fraction(v) for v in values))
 
     @classmethod
     def from_mapping(cls, ground: GroundSet, mapping: Mapping[str, object]) -> "WeightFunction":
@@ -48,7 +49,7 @@ class WeightFunction:
     def common_denominator(self) -> tuple[tuple[int, ...], int]:
         """Integer numerators over one shared denominator (fast exact dots)."""
         den = lcm(*(v.denominator for v in self.values)) if self.values else 1
-        nums = tuple(int(v * den) for v in self.values)
+        nums = tuple(v.numerator * (den // v.denominator) for v in self.values)
         return nums, den
 
     def dot_mask(self, mask: int) -> Fraction:

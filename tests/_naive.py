@@ -247,6 +247,29 @@ def exchange_witness(ground, bases):
     return None
 
 
+def spanning_trees(num_vertices, edges):
+    """The spanning trees of a multigraph, as a frozenset of frozensets of
+    edge indices: every (V-1)-subset of the edges, kept when a fresh
+    union-find joins two different roots at each of its edges."""
+
+    def root(parent, a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    trees = set()
+    for combo in combinations(range(len(edges)), num_vertices - 1):
+        parent = list(range(num_vertices))
+        for i in combo:
+            ru, rv = root(parent, edges[i][0]), root(parent, edges[i][1])
+            if ru == rv:
+                break
+            parent[ru] = rv
+        else:
+            trees.add(frozenset(combo))
+    return frozenset(trees)
+
+
 def file_text(name, ground, rank, bases, encoding):
     """The flat file for a basis family, written from the format rules:
     three headers, then the bases in the package's order or the non-basis

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _naive as naive
 from _draws import draws
@@ -86,6 +87,81 @@ class TestGraphic:
             graphic(2, [(0, 5)])  # vertex out of range
         with pytest.raises(BadParameters):
             graphic(2, [(0, 1)], labels=["a", "b"])  # label count off
+
+    def test_refusals_come_in_edge_then_connectivity_then_label_order(self):
+        # the first bad edge is the one named, and connectivity is settled
+        # after every edge is checked and before the labels are counted
+        with pytest.raises(BadParameters, match=r"edge \(0, 5\) mentions an unknown vertex"):
+            graphic(3, [(0, 1), (0, 5), (2, 2)])
+        with pytest.raises(BadParameters, match="self-loops are not supported here"):
+            graphic(3, [(0, 1), (2, 2), (0, 5)])
+        with pytest.raises(BadParameters, match="unknown vertex"):
+            graphic(4, [(0, 1), (2, 3), (3, 7)])  # disconnected too
+        with pytest.raises(DisconnectedGraph, match="the multigraph must be connected"):
+            graphic(4, [(0, 1), (2, 3)], labels=["a"])
+        with pytest.raises(DisconnectedGraph):
+            graphic(3, [(0, 1), (0, 1)])  # vertex 2 is isolated
+
+
+def _complete(v):
+    return [(a, b) for a in range(v) for b in range(a + 1, v)]
+
+
+def _wheel(spokes):
+    return [(0, i) for i in range(1, spokes + 1)] + [(i, i % spokes + 1) for i in range(1, spokes + 1)]
+
+
+def _cycle(n):
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+def _triangles(k):
+    return [e for t in range(k) for e in ((2 * t, 2 * t + 1), (2 * t + 1, 2 * t + 2), (2 * t, 2 * t + 2))]
+
+
+def _lucas(n):
+    a, b = 2, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+# (name, vertices, edges, spanning trees): Cayley's v^(v-2) for K_v, the
+# Lucas number L_2k less 2 for the wheel with k spokes, one tree per
+# triangle choice along a chain of triangles, and n for the n-cycle
+KNOWN_TREE_COUNTS = [
+    *((f"K{v}", v, _complete(v), v ** (v - 2)) for v in (5, 6, 7)),
+    *((f"W{k}", k + 1, _wheel(k), _lucas(2 * k) - 2) for k in (4, 5, 6)),
+    *((f"triangles{k}", 2 * k + 1, _triangles(k), 3**k) for k in (1, 3, 5)),
+    *((f"C{n}", n, _cycle(n), n) for n in (3, 12, 20)),
+]
+
+
+@pytest.mark.parametrize("name, vertices, edges, count", KNOWN_TREE_COUNTS, ids=[c[0] for c in KNOWN_TREE_COUNTS])
+def test_graphic_counts_the_known_spanning_trees(name, vertices, edges, count):
+    m = graphic(vertices, edges)
+    assert (m.basis_count(), m.rank_value) == (count, vertices - 1)
+
+
+@st.composite
+def _connected_multigraphs(draw):
+    """2 to 6 vertices and up to 10 edges: a random spanning tree, then
+    any pairs, repeats allowed, with edge order and ends shuffled."""
+    v = draw(st.integers(2, 6))
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, v)]
+    pairs = st.tuples(st.integers(0, v - 1), st.integers(0, v - 1)).filter(lambda p: p[0] != p[1])
+    edges += draw(st.lists(pairs, max_size=10 - len(edges)))
+    edges = [(b, a) if draw(st.booleans()) else (a, b) for a, b in draw(st.permutations(edges))]
+    return v, edges
+
+
+@settings(max_examples=300)
+@given(_connected_multigraphs())
+def test_graphic_bases_are_the_naive_spanning_trees(graph):
+    v, edges = graph
+    m = graphic(v, edges)
+    trees = frozenset(frozenset(f"e{i}" for i in tree) for tree in naive.spanning_trees(v, edges))
+    assert naive.as_pair(m) == (frozenset(f"e{i}" for i in range(len(edges))), trees)
 
 
 class TestRelaxationChain:

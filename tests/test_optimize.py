@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +52,26 @@ class TestWeightFunction:
         assert den == 6
         assert nums == (3, 2, 6)
         assert w.dot_mask(0b011) == Fraction(5, 6)
+
+
+_WEIGHTS = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(max_denominator=10**4),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+@given(st.lists(_WEIGHTS, min_size=1, max_size=24))
+def test_common_denominator_matches_the_fraction_products(values):
+    # numerators from integer arithmetic against int(v * den), each value
+    # taken as Fraction(v), and a Fraction kept as the very object given
+    ground = uniform(1, len(values)).ground
+    w = WeightFunction.from_values(ground, values)
+    fractions = [Fraction(v) for v in values]
+    assert w.values == tuple(fractions)
+    assert all(kept is v for kept, v in zip(w.values, values) if type(v) is Fraction)
+    den = lcm(*(v.denominator for v in fractions))
+    assert w.common_denominator() == (tuple(int(v * den) for v in fractions), den)
 
 
 class TestGreedy:

@@ -398,6 +398,19 @@ def test_certify_tests_each_side_once(monkeypatch):
             assert sub in m._lattice(dual) or full ^ sub in alone[dual], (sub, dual)
 
 
+def test_one_loop_pass_per_certify(monkeypatch):
+    # certify asks for the loops and the coloops several times; one pass
+    # over the bases answers every ask, and the matroid keeps the answer
+    calls = []
+    real = core_mod._absent_and_common
+    monkeypatch.setattr(core_mod, "_absent_and_common", lambda *args: calls.append(args) or real(*args))
+    w6 = _wheel(6)
+    assert certify(w6).passed
+    assert len(calls) == 1
+    assert certify(w6).passed and not w6.loops() and not w6.coloops()
+    assert len(calls) == 1
+
+
 def test_one_tight_reader_per_vertex_list(monkeypatch):
     w5 = _wheel(5)
     system = predicted_facets_independence(w5)
