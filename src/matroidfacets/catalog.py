@@ -147,11 +147,15 @@ def circuit_hyperplanes(matroid: Matroid) -> tuple[ElementSubset, ...]:
     """Closed circuits of cardinality r(E), in lexicographic element
     order.  These are exactly the sets whose promotion to a basis
     (relaxation) again yields a matroid: the cyclic flats of size r(E)
-    and rank r(E) - 1, each of which holds one circuit, itself."""
-    r = matroid.rank_value
-    flats = matroid._cyclic_flats()
-    keep = [f for f in flats if f.bit_count() == r and matroid._rank_mask(f) == r - 1]
-    return tuple(ElementSubset(matroid.ground, f) for f in keep)
+    and rank r(E) - 1, each of which holds one circuit, itself.  Each
+    is a member of ``Matroid._lattice`` with the loops added back, which
+    keeps the lattice's order, since every cyclic flat holds them."""
+    r, loops = matroid.rank_value, matroid._loop_masks[0]
+    return tuple(
+        ElementSubset(matroid.ground, z | loops)
+        for z, rank in matroid._lattice().items()
+        if (z | loops).bit_count() == r and rank == r - 1
+    )
 
 
 def relax(matroid: Matroid, target: ElementSubset) -> Matroid:

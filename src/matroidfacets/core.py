@@ -42,7 +42,10 @@ preconditions.  ``Matroid.validate()`` checks a family built by hand:
 from outside, and so on the catalog's typed-in MK4 and V8 listings, once
 each, when first built.  The exchange check reads the bases and their
 columns alone, in |B|·min(r, n-r) dict updates (``Matroid.validate``).
-Each vertex family's columns are built once and kept on the matroid.
+
+What a matroid derives from its bases (each vertex family's columns, the
+scan, the lattice, the dual, the components) is a cached property of it:
+built on the first read, once per matroid, and kept in its ``__dict__``.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, islice
 from math import comb
 from operator import lt
@@ -330,28 +334,12 @@ class Matroid:
     The family is kept once, as ``_basis_masks``: the distinct masks in
     increasing order, sorted in one pass when they arrive in order or in
     reverse.  There is no hash set of the bases, and no table of ranks:
-    every rank is read from the basis columns, built on first use and
-    kept.  The first exhaustive scan keeps its two 2^n-bit sets, and the
-    lattice of cyclic flats keeps the rank of each.
+    every rank is read from the basis columns.  Everything else the
+    matroid derives from its bases (the basis columns, the scan's two
+    2^n-bit sets, the lattice of cyclic flats with the rank of each, the
+    dual, the components, the loop and coloop masks, the hash) is a
+    ``functools.cached_property``: built on its first read and kept.
     """
-
-    __slots__ = (
-        "ground",
-        "rank_value",
-        "_basis_masks",
-        "_scanned",
-        "_independent",
-        "_basis_cols",
-        "_independent_cols",
-        "_cyclic",
-        "_lattices",
-        "_dual",
-        "_components",
-        "_sides",
-        "_bases",
-        "_loop_masks",
-        "_hash",
-    )
 
     def __init__(self, ground: GroundSet, bases: Iterable[ElementSubset]):
         masks = []
@@ -380,26 +368,13 @@ class Matroid:
         self.ground = ground
         self.rank_value = sizes.pop()
         self._basis_masks = tuple(family)
-        self._scanned: tuple[int, int] | None = None
-        self._independent: tuple[int, ...] | None = None
-        self._basis_cols: list[int] | None = None
-        self._independent_cols: list[int] | None = None
-        self._cyclic: tuple[int, ...] | None = None
-        self._lattices: tuple[dict[int, int], dict[int, int]] | None = None
-        self._dual: Matroid | None = None
-        self._components: tuple[ElementSubset, ...] | None = None
         self._sides: dict[int, bool] = {}
-        self._bases: tuple[ElementSubset, ...] | None = None
-        self._loop_masks: tuple[int, int] | None = None
-        self._hash = hash((ground, self._basis_masks))
 
     # -- identity ---------------------------------------------------------
 
-    @property
+    @cached_property
     def bases(self) -> tuple[ElementSubset, ...]:
-        if self._bases is None:
-            self._bases = tuple(ElementSubset(self.ground, m) for m in self._basis_masks)
-        return self._bases
+        return tuple(ElementSubset(self.ground, m) for m in self._basis_masks)
 
     def basis_count(self) -> int:
         return len(self._basis_masks)
@@ -411,12 +386,16 @@ class Matroid:
             and self._basis_masks == other._basis_masks
         )
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.ground, self._basis_masks))
+
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        # _fill sets _hash last, so a Matroid without it raised in _fill
-        if not hasattr(self, "_hash"):
+        # _fill sets _sides last, so a Matroid without it raised in _fill
+        if not hasattr(self, "_sides"):
             return "Matroid(not built)"
         return (
             f"Matroid(rank {self.rank_value}, {len(self._basis_masks)} bases "
@@ -450,7 +429,7 @@ class Matroid:
         n, r = len(ground), self.rank_value
         if len(masks) == comb(n, r):
             return
-        columns = self._basis_columns()
+        columns = self._basis_columns
         every = (1 << len(masks)) - 1
         sides = [(masks, columns)]
         if n - r < r:
@@ -499,7 +478,7 @@ class Matroid:
         indices.  The walk takes m in index order and keeps an element
         when some basis still alive holds it, narrowing the alive bases
         to those."""
-        columns = self._basis_columns()
+        columns = self._basis_columns
         alive = (1 << len(self._basis_masks)) - 1
         basis = 0
         for i in _bit_indices(m):
@@ -532,7 +511,7 @@ class Matroid:
     def closure(self, x: ElementSubset) -> ElementSubset:
         """A basis I of x, and every element that no basis holding I holds."""
         basis, alive = self._greedy(self._coerce(x))
-        for i, column in enumerate(self._basis_columns()):
+        for i, column in enumerate(self._basis_columns):
             if not alive & column:
                 basis |= 1 << i
         return ElementSubset(self.ground, basis)
@@ -540,30 +519,31 @@ class Matroid:
     def is_closed(self, x: ElementSubset) -> bool:
         return self.closure(x).mask == x.mask
 
-    def _loops_and_coloops(self) -> tuple[int, int]:
+    @cached_property
+    def _loop_masks(self) -> tuple[int, int]:
         """The masks of the loops and of the coloops, from one pass over
-        the bases on first use, then kept."""
-        if self._loop_masks is None:
-            self._loop_masks = _absent_and_common(self._basis_masks, self.ground.full_mask)
-        return self._loop_masks
+        the bases."""
+        return _absent_and_common(self._basis_masks, self.ground.full_mask)
 
     def loops(self) -> ElementSubset:
         """Elements contained in no basis."""
-        return ElementSubset(self.ground, self._loops_and_coloops()[0])
+        return ElementSubset(self.ground, self._loop_masks[0])
 
     def coloops(self) -> ElementSubset:
         """Elements contained in every basis."""
-        return ElementSubset(self.ground, self._loops_and_coloops()[1])
+        return ElementSubset(self.ground, self._loop_masks[1])
 
     # -- duality and minors -----------------------------------------------
 
+    @cached_property
+    def _dual(self) -> "Matroid":
+        full = self.ground.full_mask
+        d = Matroid._from_masks(self.ground, (full ^ b for b in self._basis_masks))
+        d.__dict__["_dual"] = self
+        return d
+
     def dual(self) -> "Matroid":
         """The matroid whose bases are the complements of this one's."""
-        if self._dual is None:
-            full = self.ground.full_mask
-            d = Matroid._from_masks(self.ground, (full ^ b for b in self._basis_masks))
-            d._dual = self
-            self._dual = d
         return self._dual
 
     def restrict(self, x: ElementSubset) -> "Matroid":
@@ -595,42 +575,38 @@ class Matroid:
 
     # -- connectivity -----------------------------------------------------
 
+    @cached_property
     def _scan(self) -> tuple[int, int]:
-        """``_subset_bits`` of the bases, built on first use and kept.
-        Every exhaustive scan calls this first, so it also refuses ground
-        sets above MAX_SCAN_SIZE."""
-        if self._scanned is None:
-            if len(self.ground) > MAX_SCAN_SIZE:
-                raise MatroidError(
-                    f"exhaustive subset scans are capped at {MAX_SCAN_SIZE} elements"
-                )
-            self._scanned = _subset_bits(len(self.ground), self._basis_masks, self.rank_value)
-        return self._scanned
+        """``_subset_bits`` of the bases.  Every exhaustive scan reads
+        this first, so it also refuses ground sets above MAX_SCAN_SIZE."""
+        if len(self.ground) > MAX_SCAN_SIZE:
+            raise MatroidError(
+                f"exhaustive subset scans are capped at {MAX_SCAN_SIZE} elements"
+            )
+        return _subset_bits(len(self.ground), self._basis_masks, self.rank_value)
 
+    @cached_property
     def _independent_masks(self) -> tuple[int, ...]:
         """The masks of all independent sets in increasing order: the set
         bits of the scan's independent sets, read at once from the binary
-        digits, on first use and kept."""
-        if self._independent is None:
-            digits = bin(self._scan()[0])[:1:-1]
-            self._independent = tuple(m.start() for m in re.finditer("1", digits))
-        return self._independent
+        digits."""
+        digits = bin(self._scan[0])[:1:-1]
+        return tuple(m.start() for m in re.finditer("1", digits))
 
+    @cached_property
     def _basis_columns(self) -> list[int]:
-        """``_vertex_columns`` of the bases, built on first use and kept."""
-        if self._basis_cols is None:
-            self._basis_cols = _vertex_columns(self._basis_masks, len(self.ground))
-        return self._basis_cols
+        """``_vertex_columns`` of the bases."""
+        return _vertex_columns(self._basis_masks, len(self.ground))
 
+    @cached_property
     def _independent_columns(self) -> list[int]:
-        """``_vertex_columns`` of the independent sets, built on first use and kept."""
-        if self._independent_cols is None:
-            self._independent_cols = _vertex_columns(self._independent_masks(), len(self.ground))
-        return self._independent_cols
+        """``_vertex_columns`` of the independent sets."""
+        return _vertex_columns(self._independent_masks, len(self.ground))
 
     def _cyclic_flats(self) -> tuple[int, ...]:
         """The masks of all cyclic flats by size, then lexicographically
-        by index, read off the scan's parity bits on first use and kept.
+        by index, read off the scan's parity bits.  ``_lattices`` keeps
+        them, less the loops; nothing else calls this.
 
         One pass per element e finds d = r(X+e) - r(X) at every X without
         e at once: d = 0 marks X as not closed, d = 1 marks X+e as not
@@ -639,42 +615,43 @@ class Matroid:
         parities, and the passes run on one parity bit per set: an int of
         2^n bits, 2 MiB at n = 24.
         """
-        if self._cyclic is None:
-            parity = self._scan()[1]
-            marked = 0
-            for step, lanes in _lanes(len(self.ground)):
-                d = (parity ^ (parity >> step)) & lanes
-                marked |= (lanes ^ d) | (d << step)
-            # the unmarked bits, lowest first, from the bytes with a clear
-            # bit; below 8 subsets the byte's bits past 2^n count as marked
-            size = 1 << len(self.ground)
-            data = (marked | 0xFF >> size << size).to_bytes(max(size >> 3, 1), "little")
-            found = [
-                i << 3 | k
-                for i in map(re.Match.start, re.finditer(rb"[^\xff]", data))
-                for k in range(8)
-                if not data[i] >> k & 1
-            ]
-            self._cyclic = tuple(sorted(found, key=lambda m: (m.bit_count(), _bit_indices(m))))
-        return self._cyclic
+        parity = self._scan[1]
+        marked = 0
+        for step, lanes in _lanes(len(self.ground)):
+            d = (parity ^ (parity >> step)) & lanes
+            marked |= (lanes ^ d) | (d << step)
+        # the unmarked bits, lowest first, from the bytes with a clear
+        # bit; below 8 subsets the byte's bits past 2^n count as marked
+        size = 1 << len(self.ground)
+        data = (marked | 0xFF >> size << size).to_bytes(max(size >> 3, 1), "little")
+        found = [
+            i << 3 | k
+            for i in map(re.Match.start, re.finditer(rb"[^\xff]", data))
+            for k in range(8)
+            if not data[i] >> k & 1
+        ]
+        return tuple(sorted(found, key=lambda m: (m.bit_count(), _bit_indices(m))))
+
+    @cached_property
+    def _lattices(self) -> tuple[dict[int, int], dict[int, int]]:
+        """The lattice of cyclic flats with their ranks, each in increasing
+        size: 𝓛 maps each cyclic flat Z less the loops to r(Z), one greedy
+        walk each, in the order of ``_cyclic_flats``, and 𝓛* maps E-Z less
+        the coloops to r*(E-Z) = |E-Z| - r + r(Z), in the reverse order:
+        the cyclic flats of M*, whose loops are the coloops of M.  The
+        least cyclic flat is the loops, and the greatest is E less the
+        coloops."""
+        flats, full, r = self._cyclic_flats(), self.ground.full_mask, self.rank_value
+        loops, coloops = flats[0], full ^ flats[-1]
+        ranks = {z & ~loops: self._rank_mask(z) for z in flats}
+        coranks = {
+            (full ^ z) & ~coloops: (full ^ z).bit_count() - r + ranks[z & ~loops]
+            for z in reversed(flats)
+        }
+        return ranks, coranks
 
     def _lattice(self, dual: bool = False) -> dict[int, int]:
-        """The lattice of cyclic flats with their ranks, each in increasing
-        size, built on first use and kept: 𝓛 maps each cyclic flat Z less
-        the loops to r(Z), one greedy walk each, in the order of
-        ``_cyclic_flats``, and 𝓛* (``dual``) maps E-Z less the coloops to
-        r*(E-Z) = |E-Z| - r + r(Z), in the reverse order: the cyclic flats
-        of M*, whose loops are the coloops of M.  The least cyclic flat is
-        the loops, and the greatest is E less the coloops."""
-        if self._lattices is None:
-            flats, full, r = self._cyclic_flats(), self.ground.full_mask, self.rank_value
-            loops, coloops = flats[0], full ^ flats[-1]
-            ranks = {z & ~loops: self._rank_mask(z) for z in flats}
-            coranks = {
-                (full ^ z) & ~coloops: (full ^ z).bit_count() - r + ranks[z & ~loops]
-                for z in reversed(flats)
-            }
-            self._lattices = ranks, coranks
+        """𝓛, or 𝓛* with ``dual``, from ``_lattices``."""
         return self._lattices[dual]
 
     def _connected(self, sub: int, dual: bool = False) -> bool:
@@ -750,32 +727,35 @@ class Matroid:
         star, merged with every cell it meets; the elements no star
         reaches are loops, one cell each.
         """
-        if self._components is None:
-            columns, full = self._basis_columns(), self.ground.full_mask
-            every = (1 << len(self._basis_masks)) - 1
-            basis = self._greedy(full)[0]
-            inside, outside = _bit_indices(basis), _bit_indices(full ^ basis)
-            cells: list[int] = []
-            reached = 0
-            for i in inside:
-                rest = every
-                for k in inside:
-                    if k != i:
-                        rest &= columns[k]
-                star = 1 << i
-                for j in outside:
-                    if rest & columns[j]:
-                        star |= 1 << j
-                reached |= star
-                merged = [c for c in cells if c & star]
-                cells = [c for c in cells if not c & star]
-                for c in merged:
-                    star |= c
-                cells.append(star)
-            cells += [1 << j for j in _bit_indices(full ^ reached)]
-            cells.sort(key=lambda m: (m & -m).bit_length())
-            self._components = tuple(ElementSubset(self.ground, m) for m in cells)
         return self._components
+
+    @cached_property
+    def _components(self) -> tuple[ElementSubset, ...]:
+        """``components``, from the fundamental graph of a greedy basis."""
+        columns, full = self._basis_columns, self.ground.full_mask
+        every = (1 << len(self._basis_masks)) - 1
+        basis = self._greedy(full)[0]
+        inside, outside = _bit_indices(basis), _bit_indices(full ^ basis)
+        cells: list[int] = []
+        reached = 0
+        for i in inside:
+            rest = every
+            for k in inside:
+                if k != i:
+                    rest &= columns[k]
+            star = 1 << i
+            for j in outside:
+                if rest & columns[j]:
+                    star |= 1 << j
+            reached |= star
+            merged = [c for c in cells if c & star]
+            cells = [c for c in cells if not c & star]
+            for c in merged:
+                star |= c
+            cells.append(star)
+        cells += [1 << j for j in _bit_indices(full ^ reached)]
+        cells.sort(key=lambda m: (m & -m).bit_length())
+        return tuple(ElementSubset(self.ground, m) for m in cells)
 
     def is_3_connected(self) -> bool:
         """Connected with no 2-separation: no split (X, E-X) with two

@@ -25,7 +25,7 @@ at the first fault:
 
 - on a header line: an unknown or repeated header, an empty name or
   element list, a repeated label or one starting with ``#``, or a rank
-  that is not ASCII decimal digits or is negative;
+  that is not ASCII decimal digits or has a minus sign (``-0`` too);
 - at the section line, or at the end of a file with none: a missing
   header (name, then elements, then rank), then the missing section,
   then a rank above the number of elements;
@@ -201,9 +201,9 @@ def loads(text: str) -> MatroidFile:
             digits = value.removeprefix("-")
             if not (digits.isascii() and digits.isdigit()):
                 raise ParseError(f"line {lineno}: rank must be an integer")
-            rank = int(value)
-            if rank < 0:
+            if digits != value:  # "-0" too
                 raise ParseError(f"line {lineno}: rank must be nonnegative")
+            rank = int(digits)
         else:
             raise ParseError(f"line {lineno}: unknown header {key!r}")
     if name is None:

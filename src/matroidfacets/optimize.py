@@ -90,7 +90,7 @@ def greedy_max_basis(
     prefer_mask = matroid._coerce(prefer) if prefer is not None else 0
     nums, den = weights.common_denominator()
     order = sorted(range(len(nums)), key=lambda i: (-nums[i], not prefer_mask >> i & 1, i))
-    columns = matroid._basis_columns()
+    columns = matroid._basis_columns
     alive = (1 << matroid.basis_count()) - 1  # the bases holding the set, by index
     current = total = 0
     trace = []

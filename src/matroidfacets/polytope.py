@@ -36,8 +36,9 @@ two faces is one of them unless one is the whole polytope.  Closing A,
 then dropping the coloops of the restriction to A, keeps A a flat, so
 every facet is the face of x_i >= 0, of a singleton, or of an A closed
 and cyclic under h.  For the bases, and for the independent sets since
-each lies in a basis, h is the rank, so those A are the cyclic flats,
-``Matroid._cyclic_flats``, that the lemma scan and the independence
+each lies in a basis, h is the rank, so those A are the cyclic flats.
+The oracle accepts loopless matroids only, so they are the members of
+``Matroid._lattice``, which the lemma scan and the independence
 prediction read too.  The oracle shares them with the predictor only
 to pick candidates: elimination alone decides which faces are facets,
 and the tests keep the walk over every subset as the reference.
@@ -493,7 +494,7 @@ def predicted_facets_bases(matroid: Matroid) -> FacetSystem:
 
 def bases_tight_set(matroid: Matroid, constraint: LinearConstraint) -> int:
     """Bases tight for the constraint: bit i is ``matroid.bases[i]``."""
-    columns, every = matroid._basis_columns(), (1 << matroid.basis_count()) - 1
+    columns, every = matroid._basis_columns, (1 << matroid.basis_count()) - 1
     return _tight_set(columns, every, constraint.support_mask, constraint.rhs)
 
 
@@ -504,7 +505,8 @@ def _bases_oracle(matroid: Matroid) -> tuple[int, frozenset]:
         raise NotConnected("the facet oracle needs a connected matroid")
     if len(matroid._basis_masks) < 2:
         raise DegeneratePolytope("a single basis leaves nothing to certify")
-    return _facet_oracle(matroid._basis_masks, matroid._basis_columns(), matroid._cyclic_flats())
+    # connected with two bases, so loopless: 𝓛 holds the cyclic flats
+    return _facet_oracle(matroid._basis_masks, matroid._basis_columns, matroid._lattice())
 
 
 def oracle_facets_bases(matroid: Matroid) -> frozenset[int]:
@@ -570,7 +572,7 @@ def certify(matroid: Matroid, *, check: bool = False) -> CertificationReport:
     a facet).  With ``check=True`` a failed comparison raises."""
     system = predicted_facets_bases(matroid)
     dim, oracle = _bases_oracle(matroid)
-    tight = partial(_tight_set, matroid._basis_columns(), (1 << matroid.basis_count()) - 1)
+    tight = partial(_tight_set, matroid._basis_columns, (1 << matroid.basis_count()) - 1)
     predicted = tuple((c, tight(c.support_mask, c.rhs)) for c in system.facets)
     missing = sorted(oracle - {t for _, t in predicted}, key=_bit_indices)
     # x_e >= 0 and x_e <= 1 for each e of a collapsed support
@@ -611,7 +613,7 @@ def certify(matroid: Matroid, *, check: bool = False) -> CertificationReport:
 def independence_vertices(matroid: Matroid) -> tuple[ElementSubset, ...]:
     """Vertices of the independence polytope: all independent sets."""
     ground = matroid.ground
-    return tuple(ElementSubset(ground, m) for m in matroid._independent_masks())
+    return tuple(ElementSubset(ground, m) for m in matroid._independent_masks)
 
 
 def predicted_facets_independence(matroid: Matroid) -> FacetSystem:
@@ -629,7 +631,7 @@ def predicted_facets_independence(matroid: Matroid) -> FacetSystem:
 
 def independence_tight_set(matroid: Matroid, constraint: LinearConstraint) -> int:
     """Independent sets tight for the constraint, bit i for vertex i."""
-    columns, every = matroid._independent_columns(), (1 << len(matroid._independent_masks())) - 1
+    columns, every = matroid._independent_columns, (1 << len(matroid._independent_masks)) - 1
     return _tight_set(columns, every, constraint.support_mask, constraint.rhs)
 
 
@@ -637,8 +639,9 @@ def oracle_facets_independence(matroid: Matroid) -> frozenset[int]:
     """Brute-force facet tight sets of the independence polytope, from
     the same oracle as the bases polytope run on the independent sets."""
     matroid._refuse_loops()
-    columns = matroid._independent_columns()
-    return _facet_oracle(matroid._independent_masks(), columns, matroid._cyclic_flats())[1]
+    columns = matroid._independent_columns
+    # loopless: 𝓛 holds the cyclic flats
+    return _facet_oracle(matroid._independent_masks, columns, matroid._lattice())[1]
 
 
 def separate(system: FacetSystem, point: Sequence) -> LinearConstraint | None:

@@ -87,6 +87,10 @@ class TestGraphic:
             graphic(2, [(0, 5)])  # vertex out of range
         with pytest.raises(BadParameters):
             graphic(2, [(0, 1)], labels=["a", "b"])  # label count off
+        with pytest.raises(BadParameters, match="at least one vertex"):
+            graphic(0, [(0, 1)])
+        with pytest.raises(BadParameters, match="at least one edge"):
+            graphic(3, [])
 
     def test_refusals_come_in_edge_then_connectivity_then_label_order(self):
         # the first bad edge is the one named, and connectivity is settled

@@ -1,5 +1,6 @@
 """Exit codes, text reports, and JSON round-tripping of the CLI."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -413,6 +414,26 @@ def test_certify_pass(capsys, mk4_file):
     assert "result: PASS" in out
 
 
+def test_certify_fail_lists_each_extra_facet_and_lemma_violation(capsys, mk4_file, monkeypatch):
+    # certify passes on every matroid, so a failing report is made by hand:
+    # one predicted constraint that the oracle lacks, one lemma violation
+    m = catalog_get("MK4").matroid
+    passed = cli.certify(m)
+    extra, _ = passed.predicted[0]
+    violation = m.ground.subset(["ab", "cd"])
+    failed = dataclasses.replace(passed, extra=passed.predicted[:1], lemma_violations=(violation,))
+    monkeypatch.setattr(cli, "certify", lambda matroid: failed)
+    code, out, _ = run(capsys, "certify", mk4_file)
+    assert code == 1
+    assert out.endswith(
+        f"extra: 1\nextra facet: {extra.canonical()}\nlemma violation: {{ab cd}}\nresult: FAIL\n"
+    )
+    code, doc = run_json(capsys, "certify", mk4_file)
+    assert code == 1 and doc["results"]["passed"] is False
+    assert doc["results"]["extra"] == [extra.canonical()]
+    assert doc["results"]["lemma_violations"] == [["ab", "cd"]]
+
+
 def test_mwbp(capsys, mk4_file):
     code, out, _ = run(capsys, "mwbp", mk4_file, "--weights", "5,4,3,2,1,0")
     assert code == 0
@@ -583,7 +604,7 @@ def test_mwbp_zero_weights(capsys, mk4_file):
     assert len(doc["results"]["basis"]) == 3
 
 
-def test_console_script_is_installed():
+def test_cli_runs_as_a_module():
     proc = subprocess.run(
         [sys.executable, "-m", "matroidfacets.cli", "catalog", "U_1_2"],
         capture_output=True,

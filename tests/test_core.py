@@ -63,6 +63,7 @@ class TestGroundSet:
         assert g.subset(["a", "a"]) == g.subset(["a"])
         with pytest.raises(ForeignElement):
             g.subset(["z"])
+        assert "b" in g and "z" not in g and 0 not in g
 
     def test_equality_by_labels(self):
         assert GroundSet(("a", "b")) == GroundSet(("a", "b"))
@@ -77,9 +78,11 @@ class TestElementSubset:
         assert (x | y).labels() == ("a", "b", "c")
         assert (x & y).labels() == ("b",)
         assert (x - y).labels() == ("a",)
+        assert (x ^ y).labels() == ("a", "c")
         assert x.complement().labels() == ("c", "d")
         assert y <= g.full
         assert not (x <= y)
+        assert x & y < x and not x < x and not x < y
 
     def test_sort_key_orders_by_size_then_position(self):
         g = GroundSet(("a", "b", "c"))
@@ -89,8 +92,9 @@ class TestElementSubset:
     def test_foreign_ground_mixing_rejected(self):
         g1 = GroundSet(("a", "b"))
         g2 = GroundSet(("a", "c"))
-        with pytest.raises(ForeignElement):
-            g1.subset(["a"]) | g2.subset(["a"])
+        for mix in (lambda x, y: x | y, lambda x, y: x ^ y, lambda x, y: x < y):
+            with pytest.raises(ForeignElement):
+                mix(g1.subset(["a"]), g2.subset(["a"]))
 
 
 class TestConstruction:
@@ -158,6 +162,8 @@ class TestRank:
         assert m.rank(g.subset(["ab", "ac", "bc"])).value == 2  # a triangle
         assert m.rank(g.subset(["ab", "cd"])).value == 2
         assert m.rank(g.empty).value == 0
+        with pytest.raises(ForeignElement):
+            m.rank(GroundSet(("ab", "ac")).subset(["ab"]))
 
     def test_witness_is_max_independent_inside_query(self):
         m = mk4()
@@ -187,7 +193,7 @@ class TestRank:
         listed = [frozenset(b.labels()) for b in m.bases]
         columns = polytope._vertex_columns(m._basis_masks, len(m.ground))
         every = (1 << len(listed)) - 1
-        read = partial(polytope._tight_set, m._basis_columns(), every)
+        read = partial(polytope._tight_set, m._basis_columns, every)
         for size in range(len(m.ground) + 1):
             for c in combinations(m.ground.labels, size):
                 x = frozenset(c)
@@ -286,6 +292,9 @@ class TestMinors:
         c = m.contract(m.ground.subset(["ab"]))
         assert c.rank_value == 2
         assert len(c.ground) == 5
+        assert m.contract(m.ground.empty) is m
+        with pytest.raises(EmptyGroundSet):
+            m.contract(m.ground.full)
 
     def test_restrict_needs_nonempty(self):
         with pytest.raises(EmptyGroundSet):
@@ -333,13 +342,13 @@ class TestConnectivity:
         m = direct_sum(uniform(1, 13), uniform(12, 13))
         assert [len(c) for c in m.components()] == [13, 13]
         assert not m.is_connected()
-        assert m._scanned is None
+        assert "_scan" not in vars(m)
         assert not m.is_3_connected()
         wide = uniform(2, 25)
         assert wide.is_connected()
         with pytest.raises(MatroidError, match="capped"):
             wide.is_3_connected()
-        assert wide._scanned is None
+        assert "_scan" not in vars(wide)
 
     def test_three_connectivity_matches_naive_on_pool_and_sparse_paving(self, uniformity_pool):
         drawn = []
@@ -390,6 +399,7 @@ def test_r_subsets_in_increasing_order():
             assert r_subsets(n, r) == sorted(map(sum, combinations(bits, r))), (n, r)
     assert r_subsets(0, 0) == r_subsets(5, 0) == [0]
     assert r_subsets(5, 5) == [0b11111]
+    assert r_subsets(5, 6) == r_subsets(5, -1) == r_subsets(0, 1) == []
 
 
 def test_subsets_by_size_order():
@@ -579,11 +589,11 @@ def _check_ranks_and_scan(m):
     fresh = Matroid(m.ground, m.bases)
     expected = _naive_ranks(m)
     assert bytes(fresh._rank_mask(x) for x in range(len(expected))) == expected
-    assert fresh._scanned is None
+    assert "_scan" not in vars(fresh)
     independent = sum(1 << x for x, r in enumerate(expected) if r == x.bit_count())
     odd = sum(1 << x for x, r in enumerate(expected) if r & 1)
-    assert fresh._scan() == (independent, odd)
-    assert fresh._independent_masks() == tuple(_bit_indices(independent))
+    assert fresh._scan == (independent, odd)
+    assert fresh._independent_masks == tuple(_bit_indices(independent))
 
 
 @pytest.mark.parametrize("name", sorted(_TABLE_CASES))
@@ -788,7 +798,7 @@ def test_exhaustive_scans_match_naive_definitions_on_drawn_matroids(m):
     assert m.is_simple() == simple(bases)
     fresh = Matroid(m.ground, m.bases)
     assert fresh.is_cosimple() == simple(naive.dual_bases(ground, bases))
-    assert fresh._dual is None  # read off the basis columns, no dual built
+    assert "_dual" not in vars(fresh)  # read off the basis columns, no dual built
 
 
 @settings(max_examples=100)

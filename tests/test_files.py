@@ -60,6 +60,8 @@ def test_auto_encoding_picks_the_shorter_listing():
     forced = MatroidFile.from_matroid(mk4, "MK4", encoding="bases")
     assert forced.bases is not None and len(forced.bases) == 16
     assert loads(dumps(forced)).to_matroid() == mk4
+    with pytest.raises(ValueError, match="encoding"):
+        MatroidFile.from_matroid(mk4, "MK4", encoding="x")
 
 
 def test_empty_nonbases_section_means_uniform():
@@ -120,6 +122,8 @@ def test_comments_and_blank_lines_ignored():
         ("name X\nelements a b\nrank 1\nnonbases:\na b\n", "cardinality"),
         ("name X\nelements a b\nrank 1\nwhat:\na\n", "header"),
         ("bogus line\n", "header"),
+        ("name\nelements a b\nrank 1\nbases:\na\n", "line 1: empty name"),
+        ("name X\nelements\nrank 1\nbases:\na\n", "line 2: empty element list"),
         # a repeated header is refused, not read as the last one given
         ("name X\nelements a b c\nrank 1\nrank 2\nnonbases:\n", "line 4: repeated header 'rank'"),
         ("name X\nelements a b\nelements a b c\nrank 2\nnonbases:\n", "line 3: repeated header"),
@@ -127,6 +131,9 @@ def test_comments_and_blank_lines_ignored():
         ("name X\nelements a b\nrank 1_0\nbases:\na\n", "line 3: rank must be an integer"),
         ("name X\nelements a b\nrank +1\nbases:\na\n", "line 3: rank must be an integer"),
         ("name X\nelements a b\nrank \u0661\nbases:\na\n", "line 3: rank must be an integer"),
+        # a sign is read only to refuse it, on zero too
+        ("name X\nelements a b\nrank -3\nbases:\na\n", "line 3: rank must be nonnegative"),
+        ("name X\nelements a b\nrank -0\nbases:\n\n", "line 3: rank must be nonnegative"),
     ],
 )
 def test_malformed_inputs_rejected(text, hint):

@@ -37,6 +37,13 @@ class TestWeightFunction:
         m = uniform(2, 3)
         with pytest.raises(DimensionMismatch):
             WeightFunction.from_values(m.ground, [1, 2])
+        # weights over one ground set meet a subset or matroid over another
+        w, other = WeightFunction.from_values(m.ground, [1, 2, 3]), uniform(2, 4)
+        with pytest.raises(DimensionMismatch):
+            w.of(other.ground.full)
+        for solve in (greedy_max_basis, brute_force_max_basis):
+            with pytest.raises(DimensionMismatch):
+                solve(other, w)
 
     def test_characteristic(self):
         m = uniform(2, 4)
@@ -146,12 +153,12 @@ class TestGreedy:
         m = uniform(22, 24)
         w = WeightFunction.from_values(m.ground, range(24))
         assert greedy_max_basis(m, w).value == sum(range(2, 24))
-        assert m._scanned is None
+        assert "_scan" not in vars(m)
         # nor does the exchange check that loading a file runs
         save(tmp_path / "u.txt", m, "U_22_24", encoding="bases")
         loaded, _ = load(tmp_path / "u.txt")
         assert loaded == m
-        assert loaded._scanned is None
+        assert "_scan" not in vars(loaded)
 
 
 @st.composite

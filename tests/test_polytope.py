@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 import pytest
@@ -37,6 +38,7 @@ from matroidfacets import (
     graphic,
     independence_tight_set,
     independence_vertices,
+    locked_structure,
     oracle_facets_bases,
     oracle_facets_independence,
     polytope_dimension,
@@ -85,6 +87,8 @@ class TestLinearConstraint:
         ok = [Fraction(1, 2)] * 6
         assert c.violation(ok) == 0  # clamped: satisfied points report zero
         assert c.satisfied_by(ok)
+        with pytest.raises(DimensionMismatch):
+            c.evaluate(point[:5])
 
     def test_lower_bound_violation_sign(self):
         m = uniform(2, 3)
@@ -187,6 +191,8 @@ class TestBasesOracle:
 
     def test_dimension_of_mk4(self):
         assert polytope_dimension(catalog_get("MK4").matroid.bases) == 5
+        with pytest.raises(ValueError, match="no vertices"):
+            polytope_dimension([])
 
     def test_single_basis_is_degenerate(self):
         with pytest.raises(DegeneratePolytope):
@@ -236,7 +242,7 @@ def test_screened_bases_oracle_matches_eliminating_every_candidate(uniformity_po
 
 def test_screened_independence_oracle_matches_eliminating_every_candidate(uniformity_pool):
     for name, m in _screened_cases(uniformity_pool, lambda m: not m.loops()):
-        _, facets = _unscreened_oracle(m._independent_masks(), len(m.ground))
+        _, facets = _unscreened_oracle(m._independent_masks, len(m.ground))
         assert oracle_facets_independence(m) == facets, name
 
 
@@ -286,7 +292,7 @@ def test_independent_sets_have_the_rank_function_as_their_max(uniformity_pool):
     # the oracle's independence candidates are the cyclic flats of the
     # bases' rank function: the max over the independent sets is the same
     for name, m in uniformity_pool:
-        independent = m._independent_masks()
+        independent = m._independent_masks
         for sub in range(1 << len(m.ground)):
             assert max((v & sub).bit_count() for v in independent) == m._rank_mask(sub), name
 
@@ -411,6 +417,37 @@ def test_one_loop_pass_per_certify(monkeypatch):
     assert len(calls) == 1
 
 
+def test_each_derived_structure_is_built_once_per_matroid(monkeypatch):
+    # every cached property of a Matroid, counted per matroid and name;
+    # the list keeps each matroid alive, so no two share an id
+    built_on = []
+    cached = {name: prop for name, prop in vars(Matroid).items() if isinstance(prop, cached_property)}
+    assert set(cached) == {
+        "bases", "_hash", "_loop_masks", "_dual", "_scan", "_independent_masks",
+        "_basis_columns", "_independent_columns", "_lattices", "_components",
+    }
+    for name, prop in cached.items():
+        count = lambda m, real=prop.func, name=name: built_on.append((m, name)) or real(m)
+        monkeypatch.setattr(prop, "func", count)
+    v8 = catalog_get("V8").matroid
+    for m in (Matroid(v8.ground, v8.bases), _wheel(6)):
+        m.components(), m.loops(), m.coloops(), m.is_connected(), m.is_3_connected()  # info's calls
+        locked_structure(m)
+        assert certify(m).passed
+        system = predicted_facets_independence(m)
+        assert oracle_facets_independence(m) == {independence_tight_set(m, c) for c in system.facets}
+        builds = Counter((id(x), name) for x, name in built_on)
+        built = {name for x, name in built_on if x is m}
+        assert {
+            "_basis_columns", "_scan", "_lattices", "_components", "_loop_masks",
+            "_independent_masks", "_independent_columns",
+        } <= built
+        assert max(builds.values()) == 1, builds
+        total = len(built_on)
+        assert certify(m).passed
+        assert len(built_on) == total
+
+
 def test_one_tight_reader_per_vertex_list(monkeypatch):
     w5 = _wheel(5)
     system = predicted_facets_independence(w5)
@@ -444,7 +481,7 @@ def test_one_column_build_per_vertex_family(monkeypatch, tmp_path):
     system = predicted_facets_independence(w5)
     tights = {independence_tight_set(w5, c) for c in system.facets}
     assert oracle_facets_independence(w5) == tights
-    assert len(calls) == 1 and calls[0][0] == w5._independent_masks()
+    assert len(calls) == 1 and calls[0][0] == w5._independent_masks
 
 
 class TestCertify:
@@ -555,14 +592,9 @@ class TestIndependence:
         q6 = catalog_get("Q6").matroid
         m = Matroid(q6.ground, q6.bases)
         builds = []
-        real = Matroid._independent_masks
-
-        def counting(matroid):
-            if matroid._independent is None:
-                builds.append(matroid)
-            return real(matroid)
-
-        monkeypatch.setattr(Matroid, "_independent_masks", counting)
+        prop = vars(Matroid)["_independent_masks"]
+        real = prop.func
+        monkeypatch.setattr(prop, "func", lambda matroid: builds.append(matroid) or real(matroid))
         system = predicted_facets_independence(m)
         predicted = {independence_tight_set(m, c) for c in system.facets}
         assert predicted == oracle_facets_independence(m)
